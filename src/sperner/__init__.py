@@ -6,7 +6,7 @@ of a different partition; equivalently, the columns of a detecting array.
 This package constructs such systems explicitly, computes exact upper and
 lower bounds on their maximum size, solves the structured integer programs
 whose optima realize the lower bounds in two congruence classes, and
-verifies everything by brute force or by certificates.
+verifies them by exact subset checking or by certificates.
 """
 
 from .baranyai import (AllocationError, Resolution, allocate_blocks,

@@ -24,7 +24,7 @@ plenty of slack).
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .baranyai import Resolution, allocate_blocks, resolve
@@ -272,17 +272,23 @@ def _realize_c2(plan: GroupedPlan, res: Resolution, T, seed: int, restarts: int 
 
 def _detach_all(plan, res, T, groups, pos, partner, rng, triples, pairs, singles):
     c = plan.params.c
+    s = c + 1
     m, h, p = plan.m, plan.h, plan.p
     N = plan.n_classes
+    empty = frozenset()
     for w in range(1, m + 1):
         t_of = {}
         for ell in range(N):
             i = pos[(ell, w)]
             for z in range(p):
                 t_of[(z, ell)] = T[z][i]
-        n_dummy = binom(h, c + 1) - sum(t_of.values())
-        blocks = {u: [set() for _ in range(t_of[u])] for u in t_of}
-        dummy_blocks = [set() for _ in range(n_dummy)]
+        n_dummy = binom(h, s) - sum(t_of.values())
+        # blocks are frozensets, replaced in place as points join them;
+        # gcount is the census of contents over all blocks not yet full
+        blocks = {u: [empty] * t_of[u] for u in t_of}
+        dummy_blocks = [empty] * n_dummy
+        n_blocks = sum(t_of.values()) + len(dummy_blocks)
+        gcount = {empty: n_blocks} if n_blocks else {}
         done_ells, later_ells = [], []
         unpaired = {}
         for ell in range(N):
@@ -292,10 +298,10 @@ def _detach_all(plan, res, T, groups, pos, partner, rng, triples, pairs, singles
                     unpaired[(z, ell)] = list(singles[(z, ell, partner[(ell, w)])])
             else:
                 later_ells.append(ell)
-        r_unit = {u: (c + 1) * t_of[u] for u in t_of}
+        r_unit = {u: s * t_of[u] for u in t_of}
         r_ell = {ell: sum(r_unit[(z, ell)] for z in range(p)) for ell in range(N)}
         tot_ell = dict(r_ell)
-        r_dummy = (c + 1) * n_dummy
+        r_dummy = s * n_dummy
         tot_dummy = r_dummy
 
         pts = list(groups[w - 1])
@@ -303,27 +309,26 @@ def _detach_all(plan, res, T, groups, pos, partner, rng, triples, pairs, singles
         for stage, b in enumerate(pts):
             sigma = h - stage
             plan_stage = _stage_flow(
-                c, h, p, sigma, blocks, dummy_blocks, unpaired,
+                c, h, p, sigma, blocks, dummy_blocks, gcount, unpaired,
                 done_ells, later_ells, groups, partner, w,
                 r_unit, r_ell, tot_ell, r_dummy, tot_dummy, n_dummy)
             if plan_stage is None:
                 return False
+            joined = set()
             for (kind, *rest), f in plan_stage:
                 if kind == "t":
                     u, content = rest
-                    for bs in blocks[u]:
-                        if len(bs) < c + 1 and frozenset(bs) == content:
-                            bs.add(b)
-                            break
+                    bl = blocks[u]
+                    bl[bl.index(content)] = _grow(gcount, content, b, s)
+                    joined.add(u)
                     r_unit[u] -= 1
                     r_ell[u[1]] -= 1
                 elif kind == "d":
                     (content,) = rest
-                    left = f
-                    for bs in dummy_blocks:
-                        if left and len(bs) < c + 1 and frozenset(bs) == content:
-                            bs.add(b)
-                            left -= 1
+                    i = -1
+                    for _ in range(f):
+                        i = dummy_blocks.index(content, i + 1)
+                        dummy_blocks[i] = _grow(gcount, content, b, s)
                     r_dummy -= f
                 else:  # pair
                     u, a = rest
@@ -331,35 +336,38 @@ def _detach_all(plan, res, T, groups, pos, partner, rng, triples, pairs, singles
                     unpaired[u].remove(a)
             for ell in later_ells:
                 for z in range(p):
-                    u = (z, ell)
-                    if not any(b in bs for bs in blocks[u]):
+                    if (z, ell) not in joined:
                         singles[(z, ell, w)].append(b)
         for u, bl in blocks.items():
-            if not all(len(bs) == c + 1 for bs in bl):
+            if not all(len(bs) == s for bs in bl):
                 return False
-            triples[(u[0], u[1], w)] = [frozenset(bs) for bs in bl]
+            triples[(u[0], u[1], w)] = bl
         if any(unpaired.values()):
             return False
     return True
 
 
-def _stage_flow(c, h, p, sigma, blocks, dummy_blocks, unpaired,
+def _grow(gcount, content, b, s):
+    """content with point b added, moved along in the census."""
+    left = gcount[content] - 1
+    if left:
+        gcount[content] = left
+    else:
+        del gcount[content]
+    grown = content | {b}
+    if len(grown) < s:
+        gcount[grown] = gcount.get(grown, 0) + 1
+    return grown
+
+
+def _stage_flow(c, h, p, sigma, blocks, dummy_blocks, gcount, unpaired,
                 done_ells, later_ells, groups, partner, w,
                 r_unit, r_ell, tot_ell, r_dummy, tot_dummy, n_dummy):
     s = c + 1
-    gcount = defaultdict(int)
-    for bl in blocks.values():
-        for bs in bl:
-            if len(bs) < s:
-                gcount[frozenset(bs)] += 1
-    for bs in dummy_blocks:
-        if len(bs) < s:
-            gcount[frozenset(bs)] += 1
-    needed = {}
-    for content, g in gcount.items():
-        if g != binom(sigma, s - len(content)):
+    contents = sorted(gcount, key=sorted)
+    for content in contents:
+        if gcount[content] != binom(sigma, s - len(content)):
             raise ConstructionError("block census out of balance")
-        needed[content] = binom(sigma - 1, s - len(content) - 1)
 
     def win(total, remaining):
         alpha, beta = total // h, -(-total // h)
@@ -368,7 +376,7 @@ def _stage_flow(c, h, p, sigma, blocks, dummy_blocks, unpaired,
 
     nid = 2  # 0 = source side of the circulation loop, 1 = sink side
     cnode = {}
-    for content in sorted(needed, key=sorted):
+    for content in contents:
         cnode[content] = nid; nid += 1
     unode = {}
     for ell in done_ells:
@@ -389,14 +397,10 @@ def _stage_flow(c, h, p, sigma, blocks, dummy_blocks, unpaired,
     arcs, info = [], []
 
     def unit_block_arcs(src, u):
-        seen = set()
-        for bs in blocks[u]:
-            if len(bs) < s:
-                content = frozenset(bs)
-                if content in seen:
-                    continue
-                seen.add(content)
-                low = 1 if (s - len(bs)) == sigma else 0
+        # one arc per distinct open content, in order of first appearance
+        for content in dict.fromkeys(blocks[u]):
+            if len(content) < s:
+                low = 1 if (s - len(content)) == sigma else 0
                 arcs.append((src, cnode[content], low, 1))
                 info.append(("t", u, content))
 
@@ -427,18 +431,15 @@ def _stage_flow(c, h, p, sigma, blocks, dummy_blocks, unpaired,
     if n_dummy:
         lo_d, hi_d = win(tot_dummy, r_dummy)
         arcs.append((0, dnode, lo_d, hi_d)); info.append(None)
-        dseen = defaultdict(int)
-        dforce = defaultdict(int)
-        for bs in dummy_blocks:
-            if len(bs) < s:
-                content = frozenset(bs)
-                dseen[content] += 1
-                if (s - len(bs)) == sigma:
-                    dforce[content] += 1
-        for content, cnt in dseen.items():
-            arcs.append((dnode, cnode[content], dforce.get(content, 0), cnt))
-            info.append(("d", content))
-    for content, nd in needed.items():
+        for content, cnt in Counter(dummy_blocks).items():
+            if len(content) < s:
+                forced = cnt if (s - len(content)) == sigma else 0
+                arcs.append((dnode, cnode[content], forced, cnt))
+                info.append(("d", content))
+    # exact quotas: low = cap leaves these arcs no residual capacity, so
+    # their order changes no flow
+    for content in contents:
+        nd = binom(sigma - 1, s - len(content) - 1)
         arcs.append((cnode[content], 1, nd, nd)); info.append(None)
     arcs.append((1, 0, 0, 1 << 60)); info.append(None)
 

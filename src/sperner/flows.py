@@ -1,100 +1,129 @@
 """Integer max-flow and feasible circulations with arc lower bounds.
 
-Small deterministic Dinic implementation: adjacency is scanned in insertion
-order, so identical inputs yield identical flows.  Instances here are tiny
-(a few thousand arcs), built fresh per use.
+Deterministic Dinic on flat arc arrays: arc `a` runs to `to[a]` with
+residual capacity `cap[a]`, its reverse is `a ^ 1`, and `head[u]` lists the
+arcs leaving u in insertion order.  Each phase labels nodes with their
+residual distance to the sink, by a reverse BFS that stops at the source's
+layer.  The blocking flow is found by an iterative DFS over an explicit arc
+stack that follows arcs one step closer to the sink, drops the dead ends
+it meets, and after each augmentation retreats only to the tail of the
+first saturated arc.
+
+This finds the same augmenting paths, in the same order, as the textbook
+search that levels nodes from the source and restarts a recursive DFS at
+the source for every path: an arc steps one closer to the sink exactly
+when it lies on a shortest path, the textbook search abandons every other
+level-graph arc as a dead end, and its restart re-walks the unsaturated
+prefix through the same current-arc pointers.  Identical inputs therefore
+yield identical arc flows.
+
+The staged allocators call `feasible_circulation` once per ground point,
+on graphs of a few thousand arcs, which it builds in one pass over the
+arc list.
 """
 
 from __future__ import annotations
 
 
 class FlowNet:
-    def __init__(self):
-        self.n = 0
-        self.head: list[list[int]] = []
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_node(self) -> int:
-        self.head.append([])
-        self.n += 1
-        return self.n - 1
-
     def add_arc(self, u: int, v: int, cap: int) -> int:
         aid = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
+        self.to += (v, u)
+        self.cap += (cap, 0)
         self.head[u].append(aid)
-        self.to.append(u)
-        self.cap.append(0)
         self.head[v].append(aid + 1)
         return aid
 
     def max_flow(self, s: int, t: int) -> int:
+        head, to, cap, n = self.head, self.to, self.cap, self.n
         total = 0
-        INF = 1 << 62
         while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for aid in self.head[u]:
-                    v = self.to[aid]
-                    if self.cap[aid] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return total
-            it = [0] * self.n
-
-            def augment(u: int, f: int) -> int:
-                if u == t:
-                    return f
-                while it[u] < len(self.head[u]):
-                    aid = self.head[u][it[u]]
-                    v = self.to[aid]
-                    if self.cap[aid] > 0 and level[v] == level[u] + 1:
-                        d = augment(v, min(f, self.cap[aid]))
-                        if d > 0:
-                            self.cap[aid] -= d
-                            self.cap[aid ^ 1] += d
-                            return d
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = augment(s, INF)
-                if pushed == 0:
+            # distances to t in the residual network, as far out as s
+            dist = [-1] * n
+            dist[t] = 0
+            queue = [t]
+            for v in queue:
+                dv = dist[v] + 1
+                if dv > dist[s] >= 0:
                     break
-                total += pushed
+                for aid in head[v]:
+                    x = to[aid]
+                    if dist[x] < 0 and cap[aid ^ 1] > 0:
+                        dist[x] = dv
+                        queue.append(x)
+            if dist[s] < 0:
+                return total
+            it = [0] * n
+            path: list[int] = []    # arcs from s to u
+            u = s
+            while True:
+                if u == t:
+                    f = min(map(cap.__getitem__, path))
+                    cut = -1
+                    for i, a in enumerate(path):
+                        cap[a] -= f
+                        cap[a ^ 1] += f
+                        if cut < 0 and not cap[a]:
+                            cut = i
+                    total += f
+                    del path[cut:]
+                    u = to[path[-1]] if path else s
+                    continue
+                arcs = head[u]
+                want = dist[u] - 1
+                for i in range(it[u], len(arcs)):
+                    aid = arcs[i]
+                    if cap[aid] > 0 and dist[to[aid]] == want:
+                        it[u] = i
+                        path.append(aid)
+                        u = to[aid]
+                        break
+                else:
+                    # dead end: drop u from this phase and retreat
+                    if u == s:
+                        break
+                    dist[u] = -1
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
 
 def feasible_circulation(n_nodes: int, arcs: list[tuple[int, int, int, int]]):
     """Find integral arc flows for a circulation with bounds.
 
     arcs is a list of (u, v, low, cap).  Returns the list of flows in arc
-    order, or None when no feasible circulation exists.
+    order, or None when no feasible circulation exists.  Arc i of the
+    residual network is 2i; a super-source and super-sink after the
+    n_nodes nodes carry the lower-bound excesses.
     """
-    net = FlowNet()
-    for _ in range(n_nodes):
-        net.add_node()
-    ss = net.add_node()
-    tt = net.add_node()
+    net = FlowNet(n_nodes + 2)
+    head, to, cap = net.head, net.to, net.cap
     excess = [0] * n_nodes
-    ids = []
-    for (u, v, low, cap) in arcs:
-        if low > cap:
+    aid = 0
+    for (u, v, low, hi) in arcs:
+        if low > hi:
             return None
-        ids.append(net.add_arc(u, v, cap - low))
-        excess[v] += low
-        excess[u] -= low
+        to += (v, u)
+        cap += (hi - low, 0)
+        head[u].append(aid)
+        head[v].append(aid + 1)
+        aid += 2
+        if low:
+            excess[v] += low
+            excess[u] -= low
+    ss, tt = n_nodes, n_nodes + 1
     need = 0
-    for v in range(n_nodes):
-        if excess[v] > 0:
-            net.add_arc(ss, v, excess[v])
-            need += excess[v]
-        elif excess[v] < 0:
-            net.add_arc(v, tt, -excess[v])
+    for v, ex in enumerate(excess):
+        if ex > 0:
+            net.add_arc(ss, v, ex)
+            need += ex
+        elif ex < 0:
+            net.add_arc(v, tt, -ex)
     if net.max_flow(ss, tt) != need:
         return None
-    return [arcs[i][2] + net.cap[ids[i] ^ 1] for i in range(len(arcs))]
+    return [arc[2] + f for arc, f in zip(arcs, cap[1:aid:2])]

@@ -544,11 +544,12 @@ def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0,
     n, k = inst.n, inst.k
     half = n // 2
     c = 2 * inst.d + (1 if inst.variant == "secA" else 0)
-    profiles = _class_profiles(inst, sol)
-    p = len(profiles)
+    p = sol.objective     # a forward and a mirror class per unit of x
     if p * k > part_limit:
         raise ValueError(f"{p * k} parts exceed the materialization limit "
                          f"{part_limit}; use certificate() instead")
+    profiles = _class_profiles(inst, sol)
+    assert len(profiles) == p
     sides = (list(range(half)), list(range(half, n)))
     if p == 0:
         return PartitionSystem(n, k, [], [list(sides[0]), list(sides[1])], [])

@@ -1,20 +1,21 @@
 """Ground-truth validation of partition systems.
 
-Brute force is the oracle of record here: the Sperner check tests every
-pair of parts from distinct partitions, and the detecting-array check
-re-derives the same property from the array side.  Certificate checking is
-the scalable path for large systems and never does pairwise subset tests.
+The Sperner check is exact for every system: it finds each containment
+between parts of distinct partitions by hashed subset lookups, in time
+linear in the number of parts for almost-uniform systems.  The
+detecting-array check re-derives the same property from the array side by
+pairwise comparison.  Certificate checking validates the construction's
+family accounting and never does subset tests.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .combinat import Params, binom
 from .construction import PartitionSystem
-
-BRUTE_FORCE_PART_LIMIT = 6000
 
 
 @dataclass
@@ -62,33 +63,64 @@ def check_partition_system(system: PartitionSystem) -> VerificationReport:
     return rep
 
 
-def check_sperner(system: PartitionSystem,
-                  part_limit: int = BRUTE_FORCE_PART_LIMIT) -> VerificationReport:
-    """Exhaustive pairwise subset test across parts of distinct partitions."""
+def check_sperner(system: PartitionSystem) -> VerificationReport:
+    """Exact subset test across parts of distinct partitions.
+
+    Parts are hashed by size.  Equal parts meet in the hash table.  A part
+    of size s inside a part of size t > s is one of the t-part's binom(t, s)
+    s-subsets, each looked up in the table of s-parts; for the c / c+1
+    layers of an almost-uniform system that is c+1 lookups per large part.
+    Size pairs with more subsets per large part than there are small parts
+    fall back to comparing every pair.
+    """
     rep = VerificationReport()
-    rep.note("pairwise subset test")
-    masks = []
+    rep.note("exact subset test")
+    first = defaultdict(dict)   # size -> {part: first partition holding it}
+    more = {}                   # part -> later partitions holding it
     for idx, parts in enumerate(system.partitions):
-        for j, part in enumerate(parts):
-            mask = 0
-            for e in part:
-                mask |= 1 << e
-            masks.append((idx, j, mask))
-    if len(masks) > part_limit:
-        raise ValueError(
-            f"{len(masks)} parts exceeds the brute-force limit {part_limit}; "
-            "use certificate checking for systems this large")
-    masks.sort(key=lambda t: bin(t[2]).count("1"))
-    for ai in range(len(masks)):
-        pa, ja, ma = masks[ai]
-        for bi in range(ai + 1, len(masks)):
-            pb, jb, mb = masks[bi]
-            if pa == pb:
-                continue
-            if ma & ~mb == 0:
-                rep.fail(f"part {ja} of partition {pa} is contained in "
-                         f"part {jb} of partition {pb}")
+        for part in parts:
+            part = frozenset(part)
+            table = first[len(part)]
+            if part in table:
+                more.setdefault(part, []).append(idx)
+            else:
+                table[part] = idx
+
+    def holders(part):
+        return [first[len(part)][part], *more.get(part, ())]
+
+    def report(pa, a, pb, b):
+        ja = _position(system.partitions[pa], a)
+        jb = _position(system.partitions[pb], b)
+        rep.fail(f"part {ja} of partition {pa} is contained in "
+                 f"part {jb} of partition {pb}")
+
+    for part in more:
+        hs = holders(part)
+        for x in range(len(hs)):
+            for y in range(x + 1, len(hs)):
+                if hs[x] != hs[y]:
+                    report(hs[x], part, hs[y], part)
+    sizes = sorted(first)
+    for si, s in enumerate(sizes):
+        small = first[s]
+        for t in sizes[si + 1:]:
+            big = first[t]
+            if binom(t, s) <= len(small):
+                pairs = ((a, b) for b in big for drop in combinations(b, t - s)
+                         if (a := b.difference(drop)) in small)
+            else:
+                pairs = ((a, b) for a in small for b in big if a <= b)
+            for a, b in pairs:
+                for pa in holders(a):
+                    for pb in holders(b):
+                        if pa != pb:
+                            report(pa, a, pb, b)
     return rep
+
+
+def _position(parts, part) -> int:
+    return next(j for j, q in enumerate(parts) if q == part)
 
 
 def check_almost_uniform(system: PartitionSystem, params: Params) -> VerificationReport:

@@ -284,6 +284,19 @@ class TestRealization:
         with pytest.raises(ValueError):
             realize_system(inst, sol)
 
+    def test_guard_precedes_class_profiles(self, monkeypatch):
+        import sperner.ip as ipm
+
+        def no_profiles(*args):
+            raise AssertionError("class profiles built before the part limit test")
+
+        inst = build_instance(22, 3, "secA")
+        sol = greedy_solve(inst)
+        assert sol.objective * inst.k > 6000
+        monkeypatch.setattr(ipm, "_class_profiles", no_profiles)
+        with pytest.raises(ValueError, match="materialization limit"):
+            realize_system(inst, sol)
+
     def test_certificate_of_full_solution(self):
         inst = build_instance(22, 3, "secA")
         sol = greedy_solve(inst)

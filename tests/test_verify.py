@@ -1,5 +1,9 @@
+import random
+from collections import Counter
+
 import pytest
 
+from sperner.cli import main
 from sperner.combinat import decompose
 from sperner.construction import (PartitionSystem, construct_grouped,
                                   construct_uniform, extend_system, plan_grouped)
@@ -62,10 +66,106 @@ class TestSperner:
         rep = check_sperner(bad)
         assert not rep.ok
 
-    def test_size_guard(self):
-        system = construct_uniform(6, 3)
-        with pytest.raises(ValueError):
-            check_sperner(system, part_limit=2)
+    def test_duplicate_in_large_file_fails(self, tmp_path, capsys):
+        # 111 round-robin classes of 56 pairs: 6,216 parts, no certificate metadata
+        system = construct_uniform(112, 56)
+        lines = system.to_text().splitlines()
+        assert sum(len(parts) for parts in system.partitions) > 6000
+        path = tmp_path / "good.sps"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(path)]) == 0
+        lines[40] = lines[7]
+        path = tmp_path / "dup.sps"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "brute-force subset test: FAIL" in out
+        assert out.splitlines()[-1] == "FAIL"
+
+    def test_pairwise_fallback(self):
+        # one size-1 part per partition, so binom(4, 1) > 2 picks the pairwise scan
+        bad = PartitionSystem(5, 2, [[frozenset({0}), frozenset({1, 2, 3, 4})],
+                                     [frozenset({0, 1, 2, 3}), frozenset({4})]])
+        assert sorted(check_sperner(bad).violations) == sorted(pairwise_violations(bad))
+        assert len(check_sperner(bad).violations) == 2
+
+
+def pairwise_violations(system):
+    """Oracle: every pair of parts from distinct partitions, one containing the other."""
+    parts = [(idx, j, part) for idx, ps in enumerate(system.partitions)
+             for j, part in enumerate(ps)]
+    parts.sort(key=lambda t: len(t[2]))
+    out = []
+    for ai, (pa, ja, a) in enumerate(parts):
+        for pb, jb, b in parts[ai + 1:]:
+            if pa != pb and a <= b:
+                out.append(f"part {ja} of partition {pa} is contained in "
+                           f"part {jb} of partition {pb}")
+    return out
+
+
+def random_system(rng):
+    n = rng.randint(3, 10)
+    k = rng.randint(2, min(4, n))
+    partitions = []
+    for _ in range(rng.randint(1, 6)):
+        labels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        rng.shuffle(labels)
+        partitions.append([frozenset(e for e in range(n) if labels[e] == s)
+                           for s in range(k)])
+    return PartitionSystem(n, k, partitions)
+
+
+def mutated(system, rng):
+    """A copy with one partition duplicated and, unless all parts have one
+    size, a copy with a c-part moved inside a (c+1)-part of another
+    partition."""
+    parts = [list(ps) for ps in system.partitions]
+    i, j = rng.sample(range(len(parts)), 2)
+    dup = [list(ps) for ps in parts]
+    dup[j] = list(dup[i])
+    yield PartitionSystem(system.n, system.k, dup)
+    top = max(len(b) for ps in parts for b in ps)
+    if all(len(b) == top for ps in parts for b in ps):
+        return      # uniform: no c-part to move
+    i, big = rng.choice([(i, b) for i, ps in enumerate(parts) for b in ps
+                         if len(b) == top])
+    j = rng.choice([x for x in range(len(parts)) if x != i])
+    row = list(parts[j])
+    a = rng.choice([x for x, b in enumerate(row) if len(b) == top - 1])
+    target = frozenset(rng.sample(sorted(big), top - 1))
+    cur = set(row[a])
+    for inc, out in zip(sorted(target - cur), sorted(cur - target)):
+        holder = next(x for x, b in enumerate(row) if inc in b)
+        row[holder] = (row[holder] - {inc}) | {out}
+        cur = (cur - {out}) | {inc}
+    row[a] = frozenset(cur)
+    sub = [list(ps) for ps in parts]
+    sub[j] = row
+    yield PartitionSystem(system.n, system.k, sub)
+
+
+class TestSpernerOracle:
+    """The hashed check against the pairwise scan it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_systems(self, seed):
+        rng = random.Random(f"sperner-oracle:{seed}")
+        for _ in range(50):
+            system = random_system(rng)
+            got = check_sperner(system)
+            want = pairwise_violations(system)
+            assert Counter(got.violations) == Counter(want)
+            assert got.ok == (not want)
+
+    def test_constructions_and_mutations(self):
+        rng = random.Random("sperner-oracle:mutations")
+        for system in small_fleet():
+            assert check_sperner(system).ok and not pairwise_violations(system)
+            for bad in mutated(system, rng):
+                got = check_sperner(bad)
+                assert not got.ok
+                assert Counter(got.violations) == Counter(pairwise_violations(bad))
 
 
 class TestAlmostUniform:
