@@ -6,19 +6,24 @@ SP(n, k) is at most the largest s for which
     ceil((1 - r(c+1)/n) * s) + shadow_bound(c, floor(r(c+1)/n * s))
 
 stays within binom(n-1, c-1).  The left side is nondecreasing in s, so a
-binary search finds the threshold.  For c = 2 the comparison reduces to an
-integer square test, making every scan decision exact; for c >= 3 the
-comparison is certified with rational interval arithmetic.
+binary search finds the threshold.  With y the room left after the
+counting term, the shadow comparison is the closed integer inequality
+
+    prod_{j=1}^{c-1} (c*x + j*y) <= (c-1)! * y^c,    x = floor(r(c+1)/n * s),
+
+(combinat.shadow_cmp), so every scan decision is exact.  The Table-1 scan
+filters (m, h) splits with construction.grouped_factor, which rejects by
+arithmetic instead of by exception.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import (Params, binom, decompose, mms, shadow_bound,
-                       shadow_cmp)
-from .construction import plan_grouped
+from .combinat import Params, binom, decompose, mms, shadow_cmp
+from .construction import grouped_factor
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -32,16 +37,11 @@ def _in_domain(params: Params) -> bool:
 def _bound_satisfied(params: Params, s: int) -> bool:
     """Exact test of the counting-plus-shadow inequality at candidate size s."""
     n, c, r = params.n, params.c, params.r
-    rhs = binom(n - 1, c - 1)
     num = r * (c + 1)
-    ct = _ceil_div((n - num) * s, n)
-    y = rhs - ct
-    if y < 1:
-        return False
-    x = (num * s) // n
-    if c == 2:
-        return 1 + 8 * x <= (2 * y - 1) ** 2
-    return shadow_cmp(c, x, Fraction(y))
+    # room left in binom(n-1, c-1) after the counting term; shadow_cmp
+    # rejects y <= 0
+    y = binom(n - 1, c - 1) - _ceil_div((n - num) * s, n)
+    return shadow_cmp(c, (num * s) // n, y)
 
 
 def refined_upper_equals(params: Params, s: int) -> bool:
@@ -58,10 +58,8 @@ def refined_upper(params: Params) -> int | None:
     where no root with q >= c exists, and the resolution construction
     already settles those cases exactly.
     """
-    n, k, c, r = params.n, params.k, params.c, params.r
     if not _in_domain(params):
         return None
-    num = r * (c + 1)
     lo = 0
     hi = max(int(mms(params)) + 2, 4)
     while _bound_satisfied(params, hi):
@@ -76,27 +74,16 @@ def refined_upper(params: Params) -> int | None:
         tested[mid] = lo == mid
     if max(s for s, ok in tested.items() if ok) >= min(s for s, ok in tested.items() if not ok):
         raise AssertionError("bound predicate is not monotone on tested points")
-    lhs_lo = (_ceil_div((n - num) * lo, n)
-              + shadow_bound(c, (num * lo) // n))
-    lhs_hi = (_ceil_div((n - num) * (lo + 1), n)
-              + shadow_bound(c, (num * (lo + 1)) // n))
-    assert lhs_lo <= lhs_hi * (1 + 1e-9) + 1e-9, \
-        "bound left side decreased across the threshold"
     return lo
 
 
 def small_r_ceiling(r: int) -> int:
     """ceil of the shadow root for 3r pairs: t = ceil(q), q(q-1)/2 = 3r."""
     disc = 1 + 24 * r
-    s = _isqrt(disc)
+    s = math.isqrt(disc)
     if s * s == disc and (1 + s) % 2 == 0:
         return (1 + s) // 2
     return (1 + s) // 2 + 1
-
-
-def _isqrt(v: int) -> int:
-    import math
-    return math.isqrt(v)
 
 
 def small_r_upper(k: int, r: int) -> int:
@@ -143,38 +130,35 @@ def best_grouped_lower(n: int, k: int, cases=("a", "b")):
             continue
         h = n // m
         for case in cases:
-            try:
-                plan = plan_grouped(n, k, m, h, case)
-            except ValueError:
+            factors = grouped_factor(c, k, r, m, h, case)
+            if isinstance(factors, str) or factors[-1] <= 0:
                 continue
-            if plan.p > 0 and plan.size > best[0]:
-                best = (plan.size, (m, h, case))
+            size = factors[-1] * binom(m - 1, c - 1)
+            if size > best[0]:
+                best = (size, (m, h, case))
     return best
 
 
 def _exact_rows_for_n(n: int, c_max: int) -> list[ExactRow]:
     rows = []
+    divisors = [m for m in range(2, n) if n % m == 0]
     for k in range(4, (n - 2) // 2 + 1):
-        params = decompose(n, k)
-        c, r = params.c, params.r
+        c, r = divmod(n, k)
         if c < 2 or c > c_max or r < 1:
             continue
         candidates = []
-        for m in range(c, n, c):
-            if n % m != 0:
+        for m in divisors:
+            if m % c != 0:
                 continue
             h = n // m
-            try:
-                plan = plan_grouped(n, k, m, h, "b")
-            except ValueError:
-                continue
-            if plan.p > 0:
-                candidates.append((m, h, plan.size))
+            factors = grouped_factor(c, k, r, m, h, "b")
+            if not isinstance(factors, str) and factors[-1] > 0:
+                candidates.append((m, h, factors[-1] * binom(m - 1, c - 1)))
         if not candidates:
             continue
         # only the best grouped size can meet the upper bound
         best = max(size for _, _, size in candidates)
-        if refined_upper_equals(params, best):
+        if refined_upper_equals(decompose(n, k), best):
             m, h, _ = next(cand for cand in candidates if cand[2] == best)
             rows.append(ExactRow(n, k, m, h, best))
     return rows
@@ -223,7 +207,6 @@ def scan_small_r(r_lo: int = 3, r_hi: int = 10) -> list[SmallRRow]:
             upper = refined_upper(decompose(2 * k + r, k))
             ok[k] = upper is not None and upper <= 2 * k + add
         threshold = None
-        good_tail = True
         for k in range(k_cap, 3, -1):
             if not ok[k]:
                 break

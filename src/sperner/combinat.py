@@ -1,9 +1,10 @@
 """Exact and real-valued combinatorial primitives.
 
-Everything countable is computed with arbitrary-precision integers, every
-bound comparison with exact rationals.  Floats appear only in the real
-binomial extension, the shadow bound, the Stirling approximation and the
-error function, which are inherently approximate.
+Everything countable is computed with arbitrary-precision integers, and
+every bound comparison is exact (the shadow comparison is one integer
+inequality).  Floats appear only in the real binomial extension, the shadow
+bound, the Stirling approximation and the error function, which are
+inherently approximate.
 """
 
 from __future__ import annotations
@@ -116,53 +117,22 @@ def shadow_bound(c: int, x: float) -> float:
     return _binom_real_raw(q, max(c - 1, 0))
 
 
-def shadow_root_int(c: int, x: int) -> int | None:
-    """Integer q with binom(q, c) == x, if one exists on the branch q >= c-1."""
-    if x == 0:
-        return c - 1
-    lo, hi = c, c + x + 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if binom(mid, c) < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if binom(lo, c) == x else None
-
-
 def shadow_cmp(c: int, x: int, y: Fraction | int) -> bool:
     """Decide shadow_bound(c, x) <= y exactly (x a nonnegative integer).
 
-    Uses the closed integer form when the root is integral, else certifies
-    the comparison by rational interval bisection around the root.
+    With f(q) = binom(q, c-1) and binom(q, c) = f(q)(q - c + 1)/c, the root
+    q satisfies q = c*x / f(q) + c - 1, and f increases on q >= c - 1.  So
+    for y > 0 the bound is at most y exactly when f(c*x/y + c - 1) <= y,
+    which after multiplying by y^(c-1) is the closed form
+
+        prod_{j=1}^{c-1} (c*x + j*y) <= (c-1)! * y^c,
+
+    integer arithmetic for integer y and exact for rational y.  For c = 2
+    it reads 1 + 8x <= (2y - 1)^2.
     """
-    if c == 2:
-        # root q = (1+sqrt(1+8x))/2, bound = q:  q <= y  <=>  1+8x <= (2y-1)^2
-        y = Fraction(y)
-        if y < 1:
-            return False
-        lhs = 1 + 8 * x
-        t = 2 * y - 1
-        return lhs <= t * t
-    qi = shadow_root_int(c, x)
-    if qi is not None:
-        return binom(qi, c - 1) <= y
-    y = Fraction(y)
-    lo = Fraction(c)
-    hi = Fraction(c + x + 2)
-    for _ in range(300):
-        blo = binom_frac(lo, c - 1)
-        bhi = binom_frac(hi, c - 1)
-        if bhi <= y:
-            return True
-        if blo > y:
-            return False
-        mid = (lo + hi) / 2
-        if binom_frac(mid, c) < x:
-            lo = mid
-        else:
-            hi = mid
-    raise ArithmeticError(f"shadow comparison did not resolve (c={c}, x={x}, y={y})")
+    if y <= 0:
+        return False
+    return math.prod(c * x + j * y for j in range(1, c)) <= math.factorial(c - 1) * y ** c
 
 
 def stirling_binom_log(x: float, y: float) -> float:

@@ -105,7 +105,16 @@ class PartitionSystem:
             partitions.append(parts)
         if len(partitions) != p:
             raise ValueError(f"expected {p} partition lines, found {len(partitions)}")
+        _reject_extra_lines(lines, p + 1, f"{p} partition lines")
         return cls(n, k, partitions)
+
+
+def _reject_extra_lines(lines: list, used: int, what: str) -> None:
+    """Raise on a non-blank line past the first `used` lines of a file, so
+    that a file is never accepted after being read only in part."""
+    for ln, line in enumerate(lines[used:], start=used + 1):
+        if line.strip():
+            raise ValueError(f"line {ln}: text after the {what} the header declares")
 
 
 def extend_system(system: PartitionSystem) -> PartitionSystem:
@@ -168,6 +177,31 @@ class GroupedPlan:
         return self.p * self.n_classes
 
 
+def grouped_factor(c: int, k: int, r: int, m: int, h: int, case: str):
+    """The factors (p1, p2, p1', p2', p) of the grouped construction on m
+    groups of size h, or the reason the split is rejected as a string.
+
+    Assumes what plan_grouped checks first: c >= 2, k >= 3, 1 <= r < k,
+    c | m and case in ('a', 'b').  Builds nothing and raises nothing, so
+    scans can filter splits by arithmetic alone.
+    """
+    classes = binom(m - 1, c - 1)
+    blocks = binom(h, c + 1)
+    p1 = (m * (h ** c - c - 1)) // (c * (k - r))
+    p2 = (m * (blocks // classes)) // r
+    p1p = (m * h ** c) // (c * (k - r))
+    p2p = (m * blocks) // (r * classes)
+    p = max(min(p1, p2) if case == "a" else min(p1p, p2p), 0)
+    if case == "b" and (p * r) % m != 0:
+        return f"case (b) needs p*r = {p * r} divisible by m = {m}"
+    x = r // m
+    if (r - m * x) % c != 0:
+        return "row surplus (r - m*floor(r/m))/c is not an integer"
+    if p > 0 and h < (c + 1) * (x + (1 if r - m * x else 0)):
+        return "groups too small for the required block counts"
+    return p1, p2, p1p, p2p, p
+
+
 def plan_grouped(n: int, k: int, m: int, h: int, case: str) -> GroupedPlan:
     """Compute the partition-count factor p for the grouped construction."""
     params = decompose(n, k)
@@ -182,20 +216,10 @@ def plan_grouped(n: int, k: int, m: int, h: int, case: str) -> GroupedPlan:
         raise ValueError(f"need m*h = n, got {m}*{h} != {n}")
     if m % c != 0:
         raise ValueError(f"need c | m, got m={m}, c={c}")
-    p1 = (m * (h ** c - c - 1)) // (c * (k - r))
-    p2 = (m * (binom(h, c + 1) // binom(m - 1, c - 1))) // r
-    p1p = (m * h ** c) // (c * (k - r))
-    p2p = (m * binom(h, c + 1)) // (r * binom(m - 1, c - 1))
-    p = min(p1, p2) if case == "a" else min(p1p, p2p)
-    p = max(p, 0)
-    if case == "b" and (p * r) % m != 0:
-        raise ValueError(f"case (b) needs p*r = {p * r} divisible by m = {m}")
-    x = r // m
-    if (r - m * x) % c != 0:
-        raise ValueError("row surplus (r - m*floor(r/m))/c is not an integer")
-    if p > 0 and h < (c + 1) * (x + (1 if r - m * x else 0)):
-        raise ValueError("groups too small for the required block counts")
-    return GroupedPlan(params, m, h, case, p1, p2, p1p, p2p, p)
+    factors = grouped_factor(c, k, r, m, h, case)
+    if isinstance(factors, str):
+        raise ValueError(factors)
+    return GroupedPlan(params, m, h, case, *factors)
 
 
 # --------------------------------------------------------------------------

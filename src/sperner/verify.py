@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .combinat import Params, binom
-from .construction import PartitionSystem
+from .construction import PartitionSystem, _reject_extra_lines
 
 
 @dataclass
@@ -173,6 +173,7 @@ class DetectingArray:
             rows.append(row)
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, found {len(rows)}")
+        _reject_extra_lines(lines, n + 1, f"{n} rows")
         return cls(n, k, p, rows)
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,82 @@ class TestShadow:
                 for y in range(0, 40):
                     if abs(fb - y) > 1e-6:
                         assert shadow_cmp(c, x, y) == (fb <= y)
+
+
+def _shadow_root_int_oracle(c, x):
+    """Integer q with binom(q, c) == x on the branch q >= c-1, if any."""
+    if x == 0:
+        return c - 1
+    lo, hi = c, c + x + 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if binom(mid, c) < x:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if binom(lo, c) == x else None
+
+
+def _shadow_cmp_oracle(c, x, y):
+    """The former comparator: integer square test for c = 2, exact integral
+    roots, else rational bisection around the root until y is separated."""
+    if c == 2:
+        y = Fraction(y)
+        if y < 1:
+            return False
+        t = 2 * y - 1
+        return 1 + 8 * x <= t * t
+    qi = _shadow_root_int_oracle(c, x)
+    if qi is not None:
+        return binom(qi, c - 1) <= y
+    y = Fraction(y)
+    lo = Fraction(c)
+    hi = Fraction(c + x + 2)
+    for _ in range(300):
+        if binom_frac(hi, c - 1) <= y:
+            return True
+        if binom_frac(lo, c - 1) > y:
+            return False
+        mid = (lo + hi) / 2
+        if binom_frac(mid, c) < x:
+            lo = mid
+        else:
+            hi = mid
+    raise ArithmeticError(f"bisection did not resolve (c={c}, x={x}, y={y})")
+
+
+def _differential_cases(count, seed=20201021):
+    rng = random.Random(seed)
+    for i in range(count):
+        c = rng.randint(2, 8)
+        kind = i % 5
+        if kind == 0:
+            # integral root: x = binom(q, c), y one off the exact bound
+            q = rng.randint(c - 1, c + 40)
+            yield c, binom(q, c), binom(q, c - 1) + rng.choice((-1, 0, 1))
+            continue
+        x = 0 if kind == 1 and rng.random() < 0.5 else rng.randint(1, 10 ** rng.randint(1, 6))
+        near = shadow_bound(c, x)
+        if kind == 1:
+            y = rng.randint(-3, 3) if x == 0 else -rng.randint(0, 5)
+        elif kind == 2:
+            d = rng.randint(2, 9)
+            y = Fraction(int(near * d) + rng.randint(-2, 2), d)
+        else:
+            y = max(int(near) + rng.randint(-2, 2), 1)
+        yield c, x, y
+
+
+class TestShadowOracle:
+    def test_closed_form_matches_bisection(self):
+        cases = list(_differential_cases(3000))
+        assert any(isinstance(y, Fraction) and y.denominator > 1 for _, _, y in cases)
+        assert any(y <= 0 for _, _, y in cases) and any(x == 0 for _, x, _ in cases)
+        answers = []
+        for c, x, y in cases:
+            answers.append(shadow_cmp(c, x, y))
+            assert answers[-1] == _shadow_cmp_oracle(c, x, y), (c, x, y)
+        assert 0.2 < sum(answers) / len(answers) < 0.8
 
 
 class TestStirling:

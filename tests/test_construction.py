@@ -1,5 +1,6 @@
 import pytest
 
+from sperner.cli import main
 from sperner.combinat import binom, decompose
 from sperner.construction import (PartitionSystem, balanced_matrix,
                                   construct_grouped, construct_uniform,
@@ -184,3 +185,16 @@ class TestSpsFormat:
             PartitionSystem.from_text("SPS 4 2 1\n0 1 | 2 x\n")
         with pytest.raises(ValueError, match="line 2"):
             PartitionSystem.from_text("SPS 4 3 1\n0 1 | 2 3\n")
+
+    def test_lines_past_the_declared_count_rejected(self, tmp_path, capsys):
+        # the second line would show {0,1} inside {0,1,2}; a parser that
+        # stops after the header's count would pass the file
+        text = "SPS 4 2 1\n0 1 | 2 3\n0 1 2 | 3\n"
+        with pytest.raises(ValueError, match="line 3"):
+            PartitionSystem.from_text(text)
+        path = tmp_path / "extra.sps"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
+        assert "parse error: line 3" in capsys.readouterr().err
+        path.write_text("SPS 4 2 1\n0 1 | 2 3\n\n  \n")
+        assert main(["verify", str(path)]) == 0

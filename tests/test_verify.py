@@ -221,6 +221,18 @@ class TestDetectingArrays:
         with pytest.raises(ValueError, match="line 2"):
             DetectingArray.from_text("DA 2 2 2\n1 9\n2 1\n")
 
+    def test_rows_past_the_declared_count_rejected(self, tmp_path, capsys):
+        text = to_detecting_array(construct_uniform(4, 2)).to_text()
+        path = tmp_path / "extra.da"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 0
+        extra = text + "1 1 1\n"
+        with pytest.raises(ValueError, match="line 6"):
+            DetectingArray.from_text(extra)
+        path.write_text(extra)
+        assert main(["verify", str(path)]) == 2
+        assert "parse error: line 6" in capsys.readouterr().err
+
     def test_detecting_equivalent_to_sperner_small(self):
         for system in small_fleet():
             want = check_sperner(system).ok
