@@ -18,8 +18,8 @@ from .combinat import (Params, binom, binom_frac, binom_real, decompose, erf,
                        erf_inv, mms, shadow_bound, shadow_cmp, shadow_root,
                        stirling_binom)
 from .construction import (ConstructionError, GroupedPlan, PartitionSystem,
-                           RealizationError, balanced_matrix, construct_grouped,
-                           construct_uniform, extend_system, plan_grouped)
+                           balanced_matrix, construct_grouped, construct_uniform,
+                           extend_system, plan_grouped)
 from .ip import (AsymptoticReport, ClosedFormResult, IpInstance, IpSolution,
                  asymptotic_report, build_instance, certificate,
                  closed_form_solve, exact_solve, greedy_gap_bound, greedy_solve,

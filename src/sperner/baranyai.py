@@ -13,11 +13,18 @@ placements, and a staged circulation (exact per-content quotas, windowed
 per-unit and per-parent intake) decides which blocks absorb the next
 element.  A proportional fractional flow always satisfies the bounds, so
 an integral one exists and each stage is solvable.
+
+`partition_ground` also takes stubs: sets from outside the ground that a
+unit carries in, each to be completed by exactly one point.  Equal stubs
+under one parent pass through one node with a windowed intake, so they
+receive distinct points when there are at most h of them.  The grouped
+construction grows its transversals this way, one group at a time, and so
+runs on this engine for every c.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .combinat import binom
@@ -39,7 +46,7 @@ def _stage_bounds(alpha: int, beta: int, remaining: int, sigma: int) -> tuple[in
 
 
 def partition_ground(points, unit_blocks, parents=None, rng=None,
-                     complete: bool = False):
+                     complete: bool = False, stubs=None):
     """Hand every unit blocks of its prescribed sizes, one staged flow per point.
 
     unit_blocks lists, per unit, the sizes of the blocks it must receive.
@@ -49,21 +56,28 @@ def partition_ground(points, unit_blocks, parents=None, rng=None,
     total/|ground| for every unit and every parent group.  For each block
     size the grand total must equal binom(h, size); with complete=True a
     slack unit per size is added to make it so.
+
+    stubs lists, per unit, sets from outside the ground that the unit
+    carries in; each stub takes exactly one point and counts towards the
+    unit's total.  Equal stubs under one parent share a floor/ceil window
+    per point, so they receive distinct points when there are at most h of
+    them.  Filled stubs are returned among the unit's blocks.
     """
     points = list(points)
     h = len(points)
     unit_blocks = [sorted(bl) for bl in unit_blocks]
     nu_real = len(unit_blocks)
-    if parents is None:
-        parents = [0] * nu_real
-    parents = list(parents)
+    parents = [0] * nu_real if parents is None else list(parents)
+    stubs = [[]] * nu_real if stubs is None else [list(st) for st in stubs]
+    ground = frozenset(points)
+    if any(not ground.isdisjoint(st) for unit in stubs for st in unit):
+        raise ValueError("a stub meets the ground")
     size_tot = defaultdict(int)
     for bl in unit_blocks:
         for f in bl:
             if not 0 < f <= h:
                 raise ValueError(f"block size {f} outside 1..{h}")
             size_tot[f] += 1
-    dummy_pad = []
     for f, cnt in sorted(size_tot.items()):
         pool = binom(h, f)
         if cnt > pool:
@@ -72,96 +86,114 @@ def partition_ground(points, unit_blocks, parents=None, rng=None,
             if not complete:
                 raise ValueError(f"size {f} uses {cnt} of {pool} blocks; "
                                  "pass complete=True to pad")
-            dummy_pad.append([f] * (pool - cnt))
-    for pad in dummy_pad:
-        unit_blocks.append(pad)
-        parents.append(("slack", pad[0]))
+            unit_blocks.append([f] * (pool - cnt))
+            parents.append(("slack", f))
+            stubs.append([])
     nu = len(unit_blocks)
     if rng is not None:
         rng.shuffle(points)
 
-    totals = [sum(bl) for bl in unit_blocks]
-    ptotal = defaultdict(int)
+    # remaining intake per unit, per parent and per stub class (parent,
+    # content), each held in the floor/ceil window of its total over h
+    r_unit = [sum(bl) + len(st) for bl, st in zip(unit_blocks, stubs)]
+    r_parent = defaultdict(int)
     for i in range(nu):
-        ptotal[parents[i]] += totals[i]
-    uwin = [_window(t, h) for t in totals]
-    pwin = {p: _window(t, h) for p, t in ptotal.items()}
+        r_parent[parents[i]] += r_unit[i]
+    uwin = [_window(t, h) for t in r_unit]
+    pwin = {p: _window(t, h) for p, t in r_parent.items()}
+    r_stub = defaultdict(int)
+    for i, st in enumerate(stubs):
+        for content in st:
+            r_stub[(parents[i], content)] += 1
+    swin = {key: _window(t, h) for key, t in r_stub.items()}
 
-    # per unit: multiset of (target size, current content)
-    blocks = [defaultdict(int) for _ in range(nu)]
-    for i, bl in enumerate(unit_blocks):
-        for f in bl:
-            blocks[i][(f, frozenset())] += 1
-    r_unit = list(totals)
-    r_parent = dict(ptotal)
+    # open blocks per unit as (size, content) -> count, their census over
+    # all units, and open stubs per unit as (parent, content) -> count;
+    # every dict is updated per move and read in insertion order
+    empty = frozenset()
+    blocks = [Counter((f, empty) for f in bl) for bl in unit_blocks]
+    census = Counter({(f, empty): binom(h, f) for f in sorted(size_tot)})
+    open_stubs = [Counter((parents[i], st) for st in stubs[i]) for i in range(nu)]
+    filled = [[] for _ in range(nu)]
+    # nodes: 0 = source side of the circulation loop, 1 = sink side, then
+    # parents, units, and per stage the block contents and stub classes
+    pnode = {p: nid for nid, p in enumerate(pwin, 2)}
+    ubase = 2 + len(pnode)
+    unit_parent = [(pnode[parents[i]], ubase + i) for i in range(nu)]
 
     for stage, pt in enumerate(points):
         sigma = h - stage
-        gcount = defaultdict(int)
-        for bl in blocks:
-            for (f, content), cnt in bl.items():
-                if len(content) < f:
-                    gcount[(f, content)] += cnt
-        needed = {}
-        for (f, content), g in gcount.items():
+        cnode = {key: nid for nid, key in enumerate(census, ubase + nu)}
+        nid = ubase + nu + len(cnode)
+        snode = {}
+        for key, rem in r_stub.items():
+            if rem:
+                snode[key] = nid; nid += 1
+        # the arcs that move blocks, then those that fill stubs, come first,
+        # in step with moves and stub_moves; a block that needs sigma more
+        # points, and at the last point every stub, must take this one
+        arcs, moves, stub_arcs, stub_moves = [], [], [], []
+        for i in range(nu):
+            u = ubase + i
+            if blocks[i]:
+                arcs += [(u, cnode[key], cnt if key[0] - len(key[1]) == sigma else 0, cnt)
+                         for key, cnt in blocks[i].items()]
+                moves += [(i, key) for key in blocks[i]]
+            if open_stubs[i]:
+                stub_arcs += [(u, snode[key], cnt if sigma == 1 else 0, cnt)
+                              for key, cnt in open_stubs[i].items()]
+                stub_moves += [(i, key) for key in open_stubs[i]]
+        arcs += stub_arcs
+        for p, win in pwin.items():
+            arcs.append((0, pnode[p], *_stage_bounds(*win, r_parent[p], sigma)))
+        for i, (pn, u) in enumerate(unit_parent):
+            arcs.append((pn, u, *_stage_bounds(*uwin[i], r_unit[i], sigma)))
+        for key, g in census.items():
+            f, content = key
             if g != binom(sigma, f - len(content)):
                 raise AllocationError("content census out of balance")
-            needed[(f, content)] = binom(sigma - 1, f - len(content) - 1)
-
-        plist = sorted(pwin, key=str)
-        nid = 0
-        S = nid; nid += 1
-        T = nid; nid += 1
-        pnode = {}
-        for p in plist:
-            pnode[p] = nid; nid += 1
-        unode = list(range(nid, nid + nu)); nid += nu
-        ckeys = sorted(needed, key=lambda key: (key[0], sorted(key[1])))
-        cnode = {}
-        for key in ckeys:
-            cnode[key] = nid; nid += 1
-
-        arcs = []
-        info = []
-        for p in plist:
-            lo, hi = _stage_bounds(*pwin[p], r_parent[p], sigma)
-            arcs.append((S, pnode[p], lo, hi)); info.append(None)
-        for i in range(nu):
-            lo, hi = _stage_bounds(*uwin[i], r_unit[i], sigma)
-            arcs.append((pnode[parents[i]], unode[i], lo, hi)); info.append(None)
-            for key in sorted(blocks[i], key=lambda key: (key[0], sorted(key[1]))):
-                f, content = key
-                cnt = blocks[i][key]
-                if len(content) < f:
-                    forced = cnt if (f - len(content)) == sigma else 0
-                    arcs.append((unode[i], cnode[key], forced, cnt))
-                    info.append((i, key))
-        for key in ckeys:
-            arcs.append((cnode[key], T, needed[key], needed[key]))
-            info.append(None)
-        arcs.append((T, S, 0, 1 << 60)); info.append(None)
+            need = binom(sigma - 1, f - len(content) - 1)
+            arcs.append((cnode[key], 1, need, need))
+        for key, node in snode.items():
+            arcs.append((node, 1, *_stage_bounds(*swin[key], r_stub[key], sigma)))
+        arcs.append((1, 0, 0, 1 << 60))
 
         flows = feasible_circulation(nid, arcs)
         if flows is None:
             raise AllocationError(f"stage {stage} infeasible")
-        for fl, inf in zip(flows, info):
-            if not fl or inf is None:
+        for fl, (i, key) in zip(flows, moves):
+            if not fl:
                 continue
-            i, (f, content) = inf
-            blocks[i][(f, content)] -= fl
-            if not blocks[i][(f, content)]:
-                del blocks[i][(f, content)]
-            blocks[i][(f, content | {pt})] += fl
             r_unit[i] -= fl
             r_parent[parents[i]] -= fl
+            _take(blocks[i], key, fl)
+            _take(census, key, fl)
+            f, content = key
+            grown = content | {pt}
+            if len(grown) == f:
+                filled[i] += [grown] * fl
+            else:
+                blocks[i][(f, grown)] += fl
+                census[(f, grown)] += fl
+        for fl, (i, key) in zip(flows[len(moves):], stub_moves):
+            if not fl:
+                continue
+            r_unit[i] -= fl
+            r_parent[parents[i]] -= fl
+            _take(open_stubs[i], key, fl)
+            r_stub[key] -= fl
+            filled[i] += [key[1] | {pt}] * fl
 
-    out = []
-    for i in range(nu_real):
-        unit = []
-        for (f, content), cnt in blocks[i].items():
-            unit.extend([content] * cnt)
-        out.append(sorted(unit, key=lambda b: (len(b), sorted(b))))
-    return out
+    return [sorted(unit, key=lambda b: (len(b), sorted(b)))
+            for unit in filled[:nu_real]]
+
+
+def _take(counts: dict, key, k: int) -> None:
+    left = counts[key] - k
+    if left:
+        counts[key] = left
+    else:
+        del counts[key]
 
 
 def allocate_blocks(points, size, unit_sizes, parents=None, rng=None):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from fractions import Fraction
@@ -250,7 +251,10 @@ def cmd_asym(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args makes a fresh
+    namespace on every call, so nothing carries over between commands."""
     parser = argparse.ArgumentParser(
         prog="sperner",
         description="Construct, bound and verify Sperner partition systems")
@@ -310,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

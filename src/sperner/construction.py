@@ -8,36 +8,30 @@ takes per group, and a resolution of the group set indexes which groups go
 together.
 
 Turning the counting argument into concrete, globally distinct parts is
-done by a staged detachment: groups are processed one at a time, and for
-each new point a single integral circulation decides, for every class,
-whether the point joins one of the class's (c+1)-blocks or becomes a
-transversal endpoint.  Exact per-content quotas keep the block supply on
-the complete-hypergraph census, capacity-1 "row" nodes make transversal
-pairs distinct, and per-family gates keep future pairings regular.  A
-proportional fractional flow meets all bounds, so every stage has an
-integral solution; for c = 2 this realization is deterministic given the
-seed.  For c >= 3 transversals span more than two groups and are instead
-drawn by seeded shuffles with retries (the instances exercised there have
-plenty of slack).
+one staged allocation per group (`baranyai.partition_ground`, one
+integral circulation per point).  Every class's (c+1)-blocks in the group
+come from the complete census of (c+1)-subsets, so they are distinct; the
+points its blocks leave in the first group of a block of c groups start
+transversals, and each later group of the block adds one point to every
+open transversal.  Transversals of one class with equal content take each
+point in a floor/ceil window, which keeps them distinct to the end.  A
+proportional fractional flow meets every bound at every stage, so an
+integral one exists and the realization needs no retries; it is
+deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
-from .baranyai import Resolution, allocate_blocks, resolve
+from .baranyai import Resolution, partition_ground, resolve
 from .combinat import Params, binom, decompose
-from .flows import feasible_circulation
 
 
 class ConstructionError(RuntimeError):
     pass
-
-
-class RealizationError(ConstructionError):
-    """A colour class could not be realized within the retry budget."""
 
 
 # --------------------------------------------------------------------------
@@ -268,339 +262,80 @@ def _positions(res: Resolution):
     return pos
 
 
-def _realize_c2(plan: GroupedPlan, res: Resolution, T, seed: int, restarts: int = 24):
-    """Staged-flow detachment for c = 2; deterministic given the seed."""
-    m, h = plan.m, plan.h
-    N = plan.n_classes
-    groups = [list(range(w * h, (w + 1) * h)) for w in range(m)]
-    pos = _positions(res)
-    partner = {}
-    for ell in range(N):
-        for block in res.classes[ell]:
-            w1, w2 = sorted(block)
-            partner[(ell, w1)] = w2
-            partner[(ell, w2)] = w1
+def _detach_all(plan: GroupedPlan, res: Resolution, T, seed: int) -> PartitionSystem:
+    """Realize a plan in one pass over the groups, one allocation per group.
 
-    for restart in range(restarts):
-        rng = random.Random(f"{seed}:{restart}:grouped-c2")
-        triples = {}
-        pairs = defaultdict(list)
-        singles = defaultdict(list)
-        if _detach_all(plan, res, T, groups, pos, partner, rng,
-                       triples, pairs, singles):
-            return _assemble_c2(plan, res, groups, triples, pairs)
-    raise RealizationError(
-        f"could not realize plan n={plan.params.n} k={plan.params.k} "
-        f"m={m} h={h} after {restarts} restarts")
-
-
-def _detach_all(plan, res, T, groups, pos, partner, rng, triples, pairs, singles):
-    c = plan.params.c
-    s = c + 1
-    m, h, p = plan.m, plan.h, plan.p
-    N = plan.n_classes
-    empty = frozenset()
-    for w in range(1, m + 1):
-        t_of = {}
-        for ell in range(N):
-            i = pos[(ell, w)]
-            for z in range(p):
-                t_of[(z, ell)] = T[z][i]
-        n_dummy = binom(h, s) - sum(t_of.values())
-        # blocks are frozensets, replaced in place as points join them;
-        # gcount is the census of contents over all blocks not yet full
-        blocks = {u: [empty] * t_of[u] for u in t_of}
-        dummy_blocks = [empty] * n_dummy
-        n_blocks = sum(t_of.values()) + len(dummy_blocks)
-        gcount = {empty: n_blocks} if n_blocks else {}
-        done_ells, later_ells = [], []
-        unpaired = {}
-        for ell in range(N):
-            if partner[(ell, w)] < w:
-                done_ells.append(ell)
-                for z in range(p):
-                    unpaired[(z, ell)] = list(singles[(z, ell, partner[(ell, w)])])
-            else:
-                later_ells.append(ell)
-        r_unit = {u: s * t_of[u] for u in t_of}
-        r_ell = {ell: sum(r_unit[(z, ell)] for z in range(p)) for ell in range(N)}
-        tot_ell = dict(r_ell)
-        r_dummy = s * n_dummy
-        tot_dummy = r_dummy
-
-        pts = list(groups[w - 1])
-        rng.shuffle(pts)
-        for stage, b in enumerate(pts):
-            sigma = h - stage
-            plan_stage = _stage_flow(
-                c, h, p, sigma, blocks, dummy_blocks, gcount, unpaired,
-                done_ells, later_ells, groups, partner, w,
-                r_unit, r_ell, tot_ell, r_dummy, tot_dummy, n_dummy)
-            if plan_stage is None:
-                return False
-            joined = set()
-            for (kind, *rest), f in plan_stage:
-                if kind == "t":
-                    u, content = rest
-                    bl = blocks[u]
-                    bl[bl.index(content)] = _grow(gcount, content, b, s)
-                    joined.add(u)
-                    r_unit[u] -= 1
-                    r_ell[u[1]] -= 1
-                elif kind == "d":
-                    (content,) = rest
-                    i = -1
-                    for _ in range(f):
-                        i = dummy_blocks.index(content, i + 1)
-                        dummy_blocks[i] = _grow(gcount, content, b, s)
-                    r_dummy -= f
-                else:  # pair
-                    u, a = rest
-                    pairs[u].append(frozenset((a, b)))
-                    unpaired[u].remove(a)
-            for ell in later_ells:
-                for z in range(p):
-                    if (z, ell) not in joined:
-                        singles[(z, ell, w)].append(b)
-        for u, bl in blocks.items():
-            if not all(len(bs) == s for bs in bl):
-                return False
-            triples[(u[0], u[1], w)] = bl
-        if any(unpaired.values()):
-            return False
-    return True
-
-
-def _grow(gcount, content, b, s):
-    """content with point b added, moved along in the census."""
-    left = gcount[content] - 1
-    if left:
-        gcount[content] = left
-    else:
-        del gcount[content]
-    grown = content | {b}
-    if len(grown) < s:
-        gcount[grown] = gcount.get(grown, 0) + 1
-    return grown
-
-
-def _stage_flow(c, h, p, sigma, blocks, dummy_blocks, gcount, unpaired,
-                done_ells, later_ells, groups, partner, w,
-                r_unit, r_ell, tot_ell, r_dummy, tot_dummy, n_dummy):
-    s = c + 1
-    contents = sorted(gcount, key=sorted)
-    for content in contents:
-        if gcount[content] != binom(sigma, s - len(content)):
-            raise ConstructionError("block census out of balance")
-
-    def win(total, remaining):
-        alpha, beta = total // h, -(-total // h)
-        return (max(alpha, remaining - beta * (sigma - 1)),
-                min(beta, remaining - alpha * (sigma - 1)))
-
-    nid = 2  # 0 = source side of the circulation loop, 1 = sink side
-    cnode = {}
-    for content in contents:
-        cnode[content] = nid; nid += 1
-    unode = {}
-    for ell in done_ells:
-        for z in range(p):
-            unode[(z, ell)] = nid; nid += 1
-    gnode = {}
-    utnode = {}
-    for ell in later_ells:
-        gnode[ell] = nid; nid += 1
-        for z in range(p):
-            utnode[(z, ell)] = nid; nid += 1
-    dnode = nid; nid += 1
-    rnode = {}
-    for ell in done_ells:
-        for a in groups[partner[(ell, w)] - 1]:
-            rnode[(ell, a)] = nid; nid += 1
-
-    arcs, info = [], []
-
-    def unit_block_arcs(src, u):
-        # one arc per distinct open content, in order of first appearance
-        for content in dict.fromkeys(blocks[u]):
-            if len(content) < s:
-                low = 1 if (s - len(content)) == sigma else 0
-                arcs.append((src, cnode[content], low, 1))
-                info.append(("t", u, content))
-
-    rowcount = defaultdict(int)
-    for ell in done_ells:
-        for z in range(p):
-            u = (z, ell)
-            arcs.append((0, unode[u], 1, 1)); info.append(None)
-            unit_block_arcs(unode[u], u)
-            for a in unpaired[u]:
-                arcs.append((unode[u], rnode[(ell, a)], 0, 1))
-                info.append(("p", u, a))
-                rowcount[(ell, a)] += 1
-    for key, cnt in rowcount.items():
-        low = max(0, cnt - (sigma - 1))
-        if low > 1:
-            return None
-        arcs.append((rnode[key], 1, low, 1)); info.append(None)
-    for ell in later_ells:
-        lo_q, hi_q = win(tot_ell[ell], r_ell[ell])
-        arcs.append((0, gnode[ell], lo_q, hi_q)); info.append(None)
-        for z in range(p):
-            u = (z, ell)
-            lo_u = max(0, r_unit[u] - (sigma - 1))
-            hi_u = min(1, r_unit[u])
-            arcs.append((gnode[ell], utnode[u], lo_u, hi_u)); info.append(None)
-            unit_block_arcs(utnode[u], u)
-    if n_dummy:
-        lo_d, hi_d = win(tot_dummy, r_dummy)
-        arcs.append((0, dnode, lo_d, hi_d)); info.append(None)
-        for content, cnt in Counter(dummy_blocks).items():
-            if len(content) < s:
-                forced = cnt if (s - len(content)) == sigma else 0
-                arcs.append((dnode, cnode[content], forced, cnt))
-                info.append(("d", content))
-    # exact quotas: low = cap leaves these arcs no residual capacity, so
-    # their order changes no flow
-    for content in contents:
-        nd = binom(sigma - 1, s - len(content) - 1)
-        arcs.append((cnode[content], 1, nd, nd)); info.append(None)
-    arcs.append((1, 0, 0, 1 << 60)); info.append(None)
-
-    flows = feasible_circulation(nid, arcs)
-    if flows is None:
-        return None
-    return [(inf, f) for f, inf in zip(flows, info) if f and inf is not None]
-
-
-def _assemble_c2(plan: GroupedPlan, res: Resolution, groups, triples, pairs):
-    n, k = plan.params.n, plan.params.k
-    m, p, N = plan.m, plan.p, plan.n_classes
-    partitions, tags = [], []
-    block_of = {}
-    for ell in range(N):
-        for i, block in enumerate(res.classes[ell]):
-            for w in block:
-                block_of[(ell, w)] = i
-    for ell in range(N):
-        for z in range(p):
-            parts, ptags = [], []
-            for w in range(1, m + 1):
-                for bs in triples.get((z, ell, w), ()):
-                    parts.append(bs)
-                    ptags.append(("B", w))
-            for pr in pairs.get((z, ell), ()):
-                ws = sorted({e // plan.h + 1 for e in pr})
-                parts.append(pr)
-                ptags.append(("A", ell, block_of[(ell, ws[0])]))
-            partitions.append(parts)
-            tags.append(ptags)
-    return PartitionSystem(n, k, partitions, [list(g) for g in groups], tags)
-
-
-def _realize_general(plan: GroupedPlan, res: Resolution, T, seed: int,
-                     restarts: int = 40, zip_tries: int = 400):
-    """Randomized realization for c >= 3 (slack instances)."""
-    c = plan.params.c
+    Partition (z, ell) takes T[z][i] (c+1)-blocks inside every group of
+    block i of class ell, and its other h - (c+1)*T[z][i] points in those
+    groups form as many transversals: the first group of the block starts
+    them, and each later group adds one point to every one of them.
+    """
     m, h, p, N = plan.m, plan.h, plan.p, plan.n_classes
     groups = [list(range(w * h, (w + 1) * h)) for w in range(m)]
     pos = _positions(res)
-    for restart in range(restarts):
-        rng = random.Random(f"{seed}:{restart}:grouped-general")
-        blocks = {}
-        ok = True
-        for w in range(1, m + 1):
-            unit_sizes, parents, units = [], [], []
-            for ell in range(N):
-                for z in range(p):
-                    unit_sizes.append(T[z][pos[(ell, w)]])
-                    parents.append(ell)
-                    units.append((z, ell))
-            n_dummy = binom(h, c + 1) - sum(unit_sizes)
-            if n_dummy < 0:
-                raise ConstructionError("block demand exceeds the group pool")
-            if n_dummy:
-                unit_sizes.append(n_dummy)
-                parents.append(-1)
-                units.append(None)
-            alloc = allocate_blocks(groups[w - 1], c + 1, unit_sizes, parents,
-                                    random.Random(f"{seed}:{restart}:{w}"))
-            for got, unit in zip(alloc, units):
-                if unit is not None:
-                    blocks[(unit[0], unit[1], w)] = got
-        transversals = defaultdict(list)
-        for ell in range(N):
-            if not ok:
-                break
-            for i, gblock in enumerate(res.classes[ell]):
-                used = set()
-                ws = sorted(gblock)
-                for z in range(p):
-                    count = h - (c + 1) * T[z][i]
-                    if count == 0:
-                        continue
-                    sing = {}
-                    for w in ws:
-                        pts = set(groups[w - 1])
-                        for bs in blocks[(z, ell, w)]:
-                            pts -= bs
-                        sing[w] = sorted(pts)
-                    got = None
-                    for _ in range(zip_tries):
-                        for w in ws:
-                            rng.shuffle(sing[w])
-                        cand = [frozenset(sing[w][j] for w in ws) for j in range(count)]
-                        if len(set(cand)) == count and not (set(cand) & used):
-                            got = cand
-                            break
-                    if got is None:
-                        ok = False
-                        break
-                    used.update(got)
-                    transversals[(z, ell)].extend((t, ("A", ell, i)) for t in got)
-                if not ok:
-                    break
-        if not ok:
-            continue
-        partitions, tags = [], []
-        for ell in range(N):
-            for z in range(p):
-                parts, ptags = [], []
-                for w in range(1, m + 1):
-                    for bs in blocks[(z, ell, w)]:
-                        parts.append(bs)
-                        ptags.append(("B", w))
-                for t, tag in transversals[(z, ell)]:
-                    parts.append(t)
-                    ptags.append(tag)
-                partitions.append(parts)
-                tags.append(ptags)
-        return PartitionSystem(plan.params.n, plan.params.k, partitions,
-                               [list(g) for g in groups], tags)
-    raise RealizationError(
-        f"could not realize plan n={plan.params.n} k={plan.params.k} "
-        f"m={plan.m} h={plan.h} after {restarts} restarts")
+    rng = random.Random(f"{seed}:grouped")
+    units = [(z, ell) for ell in range(N) for z in range(p)]
+    transversals = {}   # (z, ell, i) -> open transversals of block i
+    parts = {u: [] for u in units}
+    tags = {u: [] for u in units}
+    for w in range(1, m + 1):
+        keys = [(z, ell, pos[(ell, w)]) for z, ell in units]
+        alloc = _stage_flow(plan, T, keys, groups[w - 1], transversals, rng)
+        for key, (blocks, grown) in zip(keys, alloc):
+            parts[key[:2]] += blocks
+            tags[key[:2]] += [("B", w)] * len(blocks)
+            transversals[key] = grown
+    for (z, ell, i), done in transversals.items():
+        parts[(z, ell)] += done
+        tags[(z, ell)] += [("A", ell, i)] * len(done)
+    return PartitionSystem(plan.params.n, plan.params.k, [parts[u] for u in units],
+                           groups, [tags[u] for u in units])
+
+
+def _stage_flow(plan: GroupedPlan, T, keys, group, transversals, rng):
+    """One group's allocation: per unit (z, ell, i), its (c+1)-blocks and
+    its transversals, grown by one point of the group.
+
+    A unit whose block i starts in this group has no transversals yet; the
+    points its blocks leave start them.  Otherwise its open transversals
+    go in as stubs and fill the rest of the group.  Units of one class
+    share a parent, so in either case the transversals with equal content
+    in a class take each point floor or ceil times; _check_usage keeps
+    their number within h^c, which leaves at most h of them per content in
+    the last group of the block, and so they end distinct.
+    """
+    c = plan.params.c
+    alloc = partition_ground(group, [[c + 1] * T[z][i] for z, _, i in keys],
+                             parents=[ell for _, ell, _ in keys], rng=rng,
+                             complete=True,
+                             stubs=[transversals.get(key, ()) for key in keys])
+    out = []
+    for key, got in zip(keys, alloc):
+        blocks = [b for b in got if len(b) > c]
+        if key in transversals:
+            out.append((blocks, [b for b in got if len(b) <= c]))
+        else:
+            free = set(group).difference(*blocks)
+            out.append((blocks, [frozenset((a,)) for a in sorted(free)]))
+    return out
 
 
 def construct_grouped(plan: GroupedPlan, res: Resolution | None = None,
                       seed: int = 0) -> PartitionSystem:
     """Build the grouped system for a plan; empty system when p = 0."""
     c = plan.params.c
-    if res is None:
-        res = resolve(plan.m, c)
-    if res.m != plan.m or res.c != c:
+    if res is not None and (res.m != plan.m or res.c != c):
         raise ValueError(f"resolution is for (m={res.m}, c={res.c}), "
                          f"plan needs (m={plan.m}, c={c})")
     if plan.p == 0:
         return PartitionSystem(plan.params.n, plan.params.k, [],
                                [list(range(w * plan.h, (w + 1) * plan.h))
                                 for w in range(plan.m)], [])
+    if res is None:
+        res = resolve(plan.m, c)
     T = _t_matrix(plan)
     _check_usage(plan, res, T)
-    if c == 2:
-        system = _realize_c2(plan, res, T, seed)
-    else:
-        system = _realize_general(plan, res, T, seed)
+    system = _detach_all(plan, res, T, seed)
     _check_classes(plan, system)
     return system
 
@@ -611,11 +346,10 @@ def _check_classes(plan: GroupedPlan, system: PartitionSystem):
     for parts in system.partitions:
         if len(parts) != k:
             raise ConstructionError(f"class with {len(parts)} parts, want {k}")
+        used = Counter(e // h for part in parts for e in part)
         for w in range(plan.m):
-            group = frozenset(range(w * h, (w + 1) * h))
-            used = sum(len(part & group) for part in parts)
-            if used != h:
-                raise ConstructionError(f"group {w + 1} degree sum {used}, want {h}")
+            if used[w] != h:
+                raise ConstructionError(f"group {w + 1} degree sum {used[w]}, want {h}")
 
 
 def construct_uniform(n: int, k: int) -> PartitionSystem:

@@ -17,9 +17,9 @@ level-graph arc as a dead end, and its restart re-walks the unsaturated
 prefix through the same current-arc pointers.  Identical inputs therefore
 yield identical arc flows.
 
-The staged allocators call `feasible_circulation` once per ground point,
-on graphs of a few thousand arcs, which it builds in one pass over the
-arc list.
+The staged allocator (`baranyai.partition_ground`) calls
+`feasible_circulation` once per ground point, on graphs of a few thousand
+arcs, which it builds in one pass over the arc list.
 """
 
 from __future__ import annotations

@@ -128,3 +128,70 @@ class TestPartitionGround:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             partition_ground(range(4), [[5]])
+
+
+class TestStubs:
+    """Stubs: sets from outside the ground, each completed by one point."""
+
+    OUTSIDE = frozenset({100})
+
+    @staticmethod
+    def points_of(unit, stubs):
+        """The ground points a unit's output took for its stubs."""
+        return [next(iter(b - st)) for b in unit for st in stubs if st < b]
+
+    def test_equal_stubs_up_to_h_get_distinct_points(self):
+        # 6 units under one parent, each with a pair and the same stub
+        out = partition_ground(range(6), [[2]] * 6, parents=["a"] * 6,
+                               stubs=[[self.OUTSIDE]] * 6, complete=True)
+        got = [p for unit in out for p in self.points_of(unit, [self.OUTSIDE])]
+        assert sorted(got) == list(range(6))
+        for unit in out:
+            assert sorted(len(b) for b in unit) == [2, 2]
+
+    def test_equal_stubs_above_h_share_points_evenly(self):
+        out = partition_ground(range(6), [[]] * 9, parents=["a"] * 9,
+                               stubs=[[self.OUTSIDE]] * 9)
+        got = [p for unit in out for p in self.points_of(unit, [self.OUTSIDE])]
+        assert len(got) == 9
+        assert sorted(got.count(p) for p in range(6)) == [1, 1, 1, 2, 2, 2]
+
+    def test_parents_are_not_coupled(self):
+        # 5 equal stubs under each of two parents over 5 points, next to a
+        # pair per unit: the stubs are distinct within a parent, while the
+        # 10 of them together would only be held to 2 per point
+        parents = ["a"] * 5 + ["b"] * 5
+        for seed in range(3):
+            out = partition_ground(range(5), [[2]] * 10, parents=parents,
+                                   stubs=[[self.OUTSIDE]] * 10, rng=random.Random(seed))
+            got = [self.points_of(unit, [self.OUTSIDE])[0] for unit in out]
+            assert sorted(got[:5]) == sorted(got[5:]) == [0, 1, 2, 3, 4]
+
+    def test_blocks_and_stubs_stay_disjoint(self):
+        # each unit takes a triple and completes three stubs, which uses
+        # all 6 points: the triple's and the stubs' points must be disjoint
+        stubs = [[frozenset({100 + j}), frozenset({200 + j}), frozenset({300 + j})]
+                 for j in range(20)]
+        out = partition_ground(range(6), [[3]] * 20, parents=list(range(20)),
+                               stubs=stubs)
+        triples = set()
+        for unit, st in zip(out, stubs):
+            blocks = [b for b in unit if len(b) == 3]
+            filled = [b for b in unit if len(b) == 2]
+            assert len(blocks) == 1 and len(filled) == 3
+            triples.add(blocks[0])
+            used = sorted(blocks[0] | set(self.points_of(filled, st)))
+            assert used == list(range(6))
+        assert len(triples) == binom(6, 3)
+
+    def test_deterministic_given_rng(self):
+        def run(seed):
+            return partition_ground(range(5), [[2]] * 10, parents=[z % 2 for z in range(10)],
+                                    stubs=[[self.OUTSIDE, frozenset({z + 10})]
+                                           for z in range(10)],
+                                    rng=random.Random(seed))
+        assert run(3) == run(3)
+
+    def test_stub_meeting_the_ground_rejected(self):
+        with pytest.raises(ValueError):
+            partition_ground(range(4), [[]], stubs=[[frozenset({2})]])

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sperner.cli import main
+from sperner.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -71,6 +71,36 @@ class TestConstructAndVerify:
         run(["construct", "--n", "16", "--k", "6", "--m", "2", "--h", "8",
              "--seed", "5", "--out", str(p2)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_c3_plan_with_forced_transversals(self, tmp_path, capsys):
+        # every row of T is 2, so each unit fills all three groups of its
+        # block with transversals that must come out distinct
+        path = tmp_path / "r27.sps"
+        code, out, _ = run(["construct", "--n", "27", "--k", "7", "--m", "3",
+                            "--h", "9", "--out", str(path)], capsys)
+        assert code == 0 and "built 63 partitions" in out
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert code == 0 and out.splitlines()[-1] == "PASS"
+
+    def test_parser_reuse_leaks_no_values(self, tmp_path, capsys):
+        # the parser is built once; a flag given in one call must not
+        # become the default of the next
+        assert build_parser() is build_parser()
+        base = ["construct", "--n", "16", "--k", "6", "--m", "2", "--h", "8"]
+        seeded, default, zero = (tmp_path / f"{name}.sps"
+                                 for name in ("seeded", "default", "zero"))
+        assert run(base + ["--seed", "5", "--case", "a", "--out", str(seeded)],
+                   capsys)[0] == 0
+        assert run(["bounds", "--n", "36", "--k", "15"], capsys)[0] == 0
+        code, out, _ = run(base + ["--out", str(default)], capsys)
+        assert code == 0 and "built 28 partitions" in out
+        assert run(base + ["--seed", "0", "--out", str(zero)], capsys)[0] == 0
+        assert default.read_bytes() == zero.read_bytes()
+        assert default.read_bytes() != seeded.read_bytes()
+        code, out, _ = run(base, capsys)
+        assert code == 0 and "wrote" not in out
+        args = build_parser().parse_args(base)
+        assert (args.seed, args.case, args.out) == (0, "b", None)
 
     def test_verify_corrupted_da(self, tmp_path, capsys):
         from sperner.construction import construct_uniform

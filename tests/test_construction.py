@@ -83,6 +83,31 @@ def profile(parts):
     return sorted(len(p) for p in parts)
 
 
+def _small_plans(n_max: int, size_max: int) -> list:
+    """(n, k, m, h, case) of every nonempty grouped plan with 8 <= n <= n_max
+    and at most size_max partitions."""
+    out = []
+    for n in range(8, n_max + 1):
+        for k in range(3, n):
+            params = decompose(n, k)
+            if params.c < 2 or params.r == 0:
+                continue
+            for m in range(params.c, n + 1, params.c):
+                for case in "ab":
+                    try:
+                        plan = plan_grouped(n, k, m, n // m, case)
+                    except ValueError:
+                        continue
+                    if 0 < plan.size <= size_max:
+                        out.append((n, k, m, n // m, case))
+    return out
+
+
+# includes the c = 3 plans whose transversals are all forced, such as
+# (27,7,3,9), where every row of T is 2
+SMALL_PLANS = _small_plans(36, 2000)
+
+
 class TestConstructGrouped:
     @pytest.mark.parametrize("n,k,m,h", [(8, 3, 2, 4), (10, 4, 2, 5), (16, 6, 2, 8),
                                          (36, 15, 4, 9)])
@@ -106,6 +131,20 @@ class TestConstructGrouped:
         assert check_almost_uniform(system, decompose(36, 11)).ok
         assert check_certificate(system).ok
         assert check_sperner(system).ok
+
+    def test_small_plan_list(self):
+        assert len(SMALL_PLANS) == 178
+        assert (27, 7, 3, 9, "b") in SMALL_PLANS
+
+    @pytest.mark.parametrize("n", range(8, 37))
+    def test_every_small_plan_builds(self, n):
+        for _, k, m, h, case in (key for key in SMALL_PLANS if key[0] == n):
+            plan = plan_grouped(n, k, m, h, case)
+            system = construct_grouped(plan, seed=0)
+            assert system.size == plan.size, (k, m, case)
+            assert check_sperner(system).ok, (k, m, case)
+            assert check_certificate(system).ok, (k, m, case)
+            assert check_almost_uniform(system, decompose(n, k)).ok, (k, m, case)
 
     def test_empty_plan(self):
         plan = plan_grouped(18, 8, 6, 3, "b")
