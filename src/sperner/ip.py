@@ -16,9 +16,10 @@ with rational LP bounds, and the exact-rational LP relaxation.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -434,7 +435,7 @@ def exact_solve(inst: IpInstance, node_budget: int = 100000,
         sol = IpSolution(inst, x)
         assert sol.feasible()
         return sol, True
-    best = _floor_improve(inst, lp_relax(inst)[1])
+    best = zero_solution(inst)
     counter = 0
     heap = []
 
@@ -455,6 +456,8 @@ def exact_solve(inst: IpInstance, node_budget: int = 100000,
         heapq.heappush(heap, (-ibound, counter, lb, ub, xfull))
 
     push({}, {})
+    if heap:    # the incumbent starts from the root relaxation, floored
+        best = _floor_improve(inst, heap[0][4])
     expanded = 0
     optimal = True
     while heap:
@@ -492,40 +495,33 @@ def exact_solve(inst: IpInstance, node_budget: int = 100000,
 # Realization into partition systems
 # --------------------------------------------------------------------------
 
+def _round_robin(supply: dict):
+    """Keys in turn by decreasing supply, each yielded while its supply lasts."""
+    for key in itertools.cycle(sorted(supply, key=lambda key: -supply[key])):
+        if supply[key] > 0:
+            supply[key] -= 1
+            yield key
+
+
 def _class_profiles(inst: IpInstance, sol: IpSolution):
-    """Per-class part profiles [(tag, x1_count), ...] including padding."""
-    d, u, k = inst.d, inst.u, inst.k
-    secA = inst.variant == "secA"
-    profiles = []
+    """Per-class part profiles ((tag, x1_count), ...) including padding,
+    yielded one class at a time: a forward and a mirror class per unit of
+    each x_{i,j}, in index order."""
+    d, u = inst.d, inst.u
+    pair, single, shift = ("EA", "EB", 1) if inst.variant == "secA" else ("EB", "EA", 0)
+    # padding from the untouched family pairs, (k-3)/2 pairs per class,
+    # round-robin over the levels by decreasing slack
+    pairs = (inst.k - 3) // 2
+    slacks = sol.slacks()
+    supply = {ell: slacks[("R", ell)] for ell in range(u + 1, d + 1)}
+    assert sum(supply.values()) >= sol.objective * pairs
+    levels = _round_robin(supply)
     for (i, j) in sorted(sol.x):
-        v = sol.x[(i, j)]
-        if secA:
-            forward = [("EA", d - i), ("EA", d + 1 + j), ("EB", d + 1 + i - j)]
-            mirror = [("EA", d - j), ("EA", d + 1 + i), ("EB", d + 1 + j - i)]
-        else:
-            forward = [("EB", d - i), ("EB", d + 1 + j), ("EA", d + i - j)]
-            mirror = [("EB", d - j), ("EB", d + 1 + i), ("EA", d + j - i)]
-        profiles.extend(list(forward) for _ in range(v))
-        profiles.extend(list(mirror) for _ in range(v))
-    # padding from the untouched family pairs, (k-3)/2 pairs per class
-    pads_needed = len(profiles) * (k - 3) // 2
-    if pads_needed:
-        slacks = sol.slacks()
-        pad_tag = "EA" if secA else "EB"
-        supply = {ell: slacks[("R", ell)] for ell in range(u + 1, d + 1)}
-        assert sum(supply.values()) >= pads_needed
-        levels = sorted(supply, key=lambda ell: -supply[ell])
-        li = 0
-        for prof in profiles:
-            for _ in range((k - 3) // 2):
-                while supply[levels[li % len(levels)]] <= 0:
-                    li += 1
-                ell = levels[li % len(levels)]
-                supply[ell] -= 1
-                li += 1
-                prof.append((pad_tag, d - ell))
-                prof.append((pad_tag, d + 1 + ell))
-    return profiles
+        for a, b in ((i, j), (j, i)):       # the forward and the mirror class
+            base = ((pair, d - a), (pair, d + 1 + b), (single, d + shift + a - b))
+            for _ in range(sol.x[(i, j)]):
+                yield base + tuple(pad for ell in itertools.islice(levels, pairs)
+                                   for pad in ((pair, d - ell), (pair, d + 1 + ell)))
 
 
 def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0,
@@ -548,7 +544,7 @@ def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0,
     if p * k > part_limit:
         raise ValueError(f"{p * k} parts exceed the materialization limit "
                          f"{part_limit}; use certificate() instead")
-    profiles = _class_profiles(inst, sol)
+    profiles = list(_class_profiles(inst, sol))
     assert len(profiles) == p
     sides = (list(range(half)), list(range(half, n)))
     if p == 0:
@@ -638,28 +634,21 @@ def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0,
 
 
 def certificate(inst: IpInstance, sol: IpSolution) -> SystemCertificate:
-    """Aggregated accounting certificate, independent of materialization."""
+    """Aggregated accounting certificate, independent of materialization.
+
+    Counts the class profiles as they stream by; memory grows with the
+    number of distinct profiles, not with the number of classes.
+    """
     half = inst.n // 2
     c = 2 * inst.d + (1 if inst.variant == "secA" else 0)
     size_of = {"EA": c, "EB": c + 1}
-    profiles = _class_profiles(inst, sol)
-    counts = defaultdict(int)
-    for prof in profiles:
-        key = tuple(sorted((tag, size_of[tag], (t, size_of[tag] - t))
-                           for tag, t in prof))
-        counts[key] += 1
-    caps = {}
-    for prof in profiles:
-        for tag, t in prof:
-            sz = size_of[tag]
-            caps[(tag, t)] = binom(half, t) * binom(half, sz - t)
-    # profile tags carry the first-side count, matching the checker's key
-    keyed = []
-    for key, cnt in sorted(counts.items()):
-        prof = tuple(((tag, sig[0]), sz, sig) for tag, sz, sig in key)
-        keyed.append((prof, cnt))
-    return SystemCertificate(inst.n, inst.k, len(profiles), (half, half),
-                             keyed, {(tag, t): cap for (tag, t), cap in caps.items()})
+    counts = Counter()
+    for prof, cnt in Counter(_class_profiles(inst, sol)).items():
+        # profile tags carry the first-side count, matching the checker's key
+        counts[tuple(sorted(((tag, t), size_of[tag], (t, size_of[tag] - t))
+                            for tag, t in prof))] += cnt
+    return SystemCertificate(inst.n, inst.k, sol.objective, (half, half),
+                             sorted(counts.items()))
 
 
 # --------------------------------------------------------------------------

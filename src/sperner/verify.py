@@ -5,7 +5,9 @@ between parts of distinct partitions by hashed subset lookups, in time
 linear in the number of parts for almost-uniform systems.  The
 detecting-array check re-derives the same property from the array side by
 pairwise comparison.  Certificate checking validates the construction's
-family accounting and never does subset tests.
+family accounting and never does subset tests; its proof obligations are
+coded once, over (class profile, count) pairs, which `check_certificate`
+streams one materialized class at a time and an IP certificate aggregates.
 """
 
 from __future__ import annotations
@@ -237,12 +239,25 @@ def check_detecting(arr: DetectingArray) -> VerificationReport:
 # Certificates
 # --------------------------------------------------------------------------
 
-_SMALL_LAYER = ("A", "EA")   # the c-set layer
-_LARGE_LAYER = ("B", "EB")   # the (c+1)-set layer
+_LARGE_LAYER = ("B", "EB")   # the (c+1)-set layer; "A" and "EA" make the c-set layer
 
 
-def _signature(part, groups):
-    return tuple(len(part & g) for g in groups)
+def _family_capacity(tag, size: int, sig: tuple, group_sizes: tuple):
+    """How many parts of this size family `tag` holds, or why a part with
+    this size and group signature is not in it, as a string."""
+    if len(sig) != len(group_sizes) or sum(sig) != size:
+        return f"signature does not split size {size} over the groups"
+    if tag[0] == "B":
+        if not 1 <= tag[1] <= len(sig) or sig[tag[1] - 1] != size:
+            return f"block not inside group {tag[1]}"
+        return binom(group_sizes[tag[1] - 1], size)
+    if tag[0] == "A":
+        return group_sizes[0] ** size if max(sig) <= 1 else "transversal meets a group twice"
+    if tag[0] in ("EA", "EB"):
+        if sig[0] != tag[1]:
+            return f"first-side size {sig[0]}, declared {tag[1]}"
+        return binom(group_sizes[0], tag[1]) * binom(group_sizes[1], size - tag[1])
+    return "unknown family tag"
 
 
 def _layer_separation(rep: VerificationReport, small_sigs, large_sigs):
@@ -260,87 +275,84 @@ def _layer_separation(rep: VerificationReport, small_sigs, large_sigs):
                 return
 
 
+def _check_profiles(rep: VerificationReport, k: int, p: int, group_sizes: tuple,
+                    profiles, what: str) -> None:
+    """The family-accounting proof obligations over (class profile, count)
+    pairs, a profile listing a class's parts as (tag, size, signature).
+
+    Each part fits its family; each class has k parts and the group sizes
+    as degree sums; there are p classes; the layers have one size each, c
+    and c+1, and are separated; no family is used beyond its capacity.
+    """
+    rep.note("family shapes, class sizes and degree sums")
+    total = 0
+    usage, caps = defaultdict(int), {}
+    sizes, sigs = (set(), set()), (set(), set())
+    for idx, (profile, count) in enumerate(profiles):
+        total += count
+        if len(profile) != k:
+            rep.fail(f"{what} {idx}: {len(profile)} parts, want {k}")
+        for tag, size, sig in profile:
+            cap = _family_capacity(tag, size, sig, group_sizes)
+            if isinstance(cap, str):
+                rep.fail(f"{what} {idx}: part {tag!r} of signature {sig}: {cap}")
+                continue
+            usage[tag, size] += count
+            caps[tag, size] = cap
+            large = tag[0] in _LARGE_LAYER
+            sizes[large].add(size)
+            sigs[large].add(sig)
+        degrees = tuple(map(sum, zip(*(sig for _, _, sig in profile))))
+        if degrees != group_sizes:
+            rep.fail(f"{what} {idx}: group degree sums {degrees}, want {group_sizes}")
+    if total != p:
+        rep.fail(f"profiles cover {total} classes, want {p}")
+    small, large = sizes
+    if len(small) > 1 or len(large) > 1 or (small and large and min(small) + 1 != min(large)):
+        rep.fail(f"layer sizes {sorted(small)} / {sorted(large)} are not c and c+1")
+    _layer_separation(rep, *sigs)
+    rep.note("family capacities")
+    for (tag, size), used in usage.items():
+        if used > caps[tag, size]:
+            rep.fail(f"family {tag}: {used} parts of size {size} used, "
+                     f"capacity {caps[tag, size]}")
+
+
 def check_certificate(system: PartitionSystem) -> VerificationReport:
     """Family-level validation without pairwise subset tests.
 
     Needs the construction metadata (groups and per-part family tags).
-    Checks that every part matches its declared family shape, that the
-    family layers are signature-separated (so no cross-layer containments
-    exist), that no part is reused, that classes have k parts, and that
-    per-group degree sums equal the group size.
+    Only the reuse of a part is checked on the parts themselves; each class
+    then goes to the shared family-accounting checks as a profile of count
+    1, with signatures read from one point-to-group table.
     """
     rep = VerificationReport()
     if system.groups is None or system.part_tags is None:
         rep.fail("system carries no family metadata")
         return rep
-    rep.note("family membership and usage")
-    groups = [frozenset(g) for g in system.groups]
+    group_sizes = tuple(len(g) for g in system.groups)
+    group_of = {e: w for w, g in enumerate(system.groups) for e in g}
+    if len(group_of) != sum(group_sizes):
+        rep.fail("groups overlap")
+    rep.note("no part reused")
     seen: dict = {}
-    small_sizes: set = set()
-    large_sizes: set = set()
-    small_sigs: set = set()
-    large_sigs: set = set()
-    usage = defaultdict(int)
-    for idx, (parts, tags) in enumerate(zip(system.partitions, system.part_tags)):
-        if len(parts) != system.k:
-            rep.fail(f"class {idx}: {len(parts)} parts, want {system.k}")
-        for part, tag in zip(parts, tags):
-            if part in seen:
-                rep.fail(f"part {sorted(part)} reused by classes {seen[part]} and {idx}")
-            seen[part] = idx
-            usage[tag] += 1
-            sig = _signature(part, groups)
-            if sum(sig) != len(part):
-                rep.fail(f"class {idx}: part {sorted(part)} leaves the group cover")
-            kind = tag[0]
-            if kind == "B":
-                w = tag[1]
-                if not part <= groups[w - 1]:
-                    rep.fail(f"class {idx}: block {sorted(part)} not inside group {w}")
-            elif kind == "A":
-                if any(x > 1 for x in sig):
-                    rep.fail(f"class {idx}: transversal {sorted(part)} meets a group twice")
-            elif kind == "EA":
-                if sig[0] != tag[1]:
-                    rep.fail(f"class {idx}: part {sorted(part)} has first-side size "
-                             f"{sig[0]}, declared {tag[1]}")
-            elif kind == "EB":
-                if sig[0] != tag[1]:
-                    rep.fail(f"class {idx}: part {sorted(part)} has first-side size "
-                             f"{sig[0]}, declared {tag[1]}")
-            else:
-                rep.fail(f"class {idx}: unknown family tag {tag!r}")
-            if kind in _SMALL_LAYER:
-                small_sizes.add(len(part))
-                small_sigs.add(sig)
-            else:
-                large_sizes.add(len(part))
-                large_sigs.add(sig)
-        for w, g in enumerate(groups, start=1):
-            used = sum(len(part & g) for part in parts)
-            if used != len(g):
-                rep.fail(f"class {idx}: group {w} degree sum {used}, want {len(g)}")
-    if small_sizes and large_sizes:
-        if len(small_sizes) > 1 or len(large_sizes) > 1:
-            rep.fail(f"mixed sizes within a layer: {small_sizes} / {large_sizes}")
-        elif max(small_sizes) + 1 != min(large_sizes):
-            rep.fail(f"layer sizes {small_sizes} / {large_sizes} are not c and c+1")
-    _layer_separation(rep, small_sigs, large_sigs)
-    rep.note("family capacities")
-    for tag, cnt in usage.items():
-        if tag[0] == "B":
-            cap = binom(len(groups[tag[1] - 1]), next(iter(large_sizes)))
-        elif tag[0] == "A":
-            sz = next(iter(small_sizes))
-            cap = len(groups[0]) ** sz
-        elif tag[0] == "EA":
-            sz = next(iter(small_sizes))
-            cap = binom(len(groups[0]), tag[1]) * binom(len(groups[1]), sz - tag[1])
-        else:
-            sz = next(iter(large_sizes))
-            cap = binom(len(groups[0]), tag[1]) * binom(len(groups[1]), sz - tag[1])
-        if cnt > cap:
-            rep.fail(f"family {tag}: {cnt} parts used, capacity {cap}")
+
+    def profiles():
+        for idx, (parts, tags) in enumerate(zip(system.partitions, system.part_tags)):
+            profile = []
+            for part, tag in zip(parts, tags):
+                if part in seen:
+                    rep.fail(f"part {sorted(part)} reused by classes {seen[part]} and {idx}")
+                seen[part] = idx
+                sig = [0] * len(group_sizes)
+                for e in part:
+                    if (w := group_of.get(e)) is not None:
+                        sig[w] += 1
+                profile.append((tag, len(part), tuple(sig)))
+            yield profile, 1
+
+    _check_profiles(rep, system.k, len(system.partitions), group_sizes,
+                    profiles(), "class")
     return rep
 
 
@@ -349,9 +361,9 @@ class SystemCertificate:
     """Aggregated accounting for systems too large to materialize.
 
     Classes are grouped by their profile: the multiset of (tag, size,
-    signature) triples of their parts.  The checks mirror the proof
-    obligations of the underlying colouring: exact class size, per-group
-    degree sums, layer separation, and family usage within capacity.
+    signature) triples of their parts.  The checks are those of
+    `check_certificate`, with each family's capacity derived from its tag,
+    the part size and the group sizes, not declared.
     """
 
     n: int
@@ -359,45 +371,11 @@ class SystemCertificate:
     p: int
     group_sizes: tuple
     profiles: list          # (profile, count); profile = tuple of (tag, size, sig)
-    family_caps: dict       # tag -> capacity
 
 
 def check_certificate_summary(cert: SystemCertificate) -> VerificationReport:
     rep = VerificationReport()
     rep.note("aggregated class profiles")
-    total = 0
-    usage = defaultdict(int)
-    small_sigs, large_sigs = set(), set()
-    small_sizes, large_sizes = set(), set()
-    for profile, count in cert.profiles:
-        total += count
-        if len(profile) != cert.k:
-            rep.fail(f"profile with {len(profile)} parts, want {cert.k}")
-        for gi, gsz in enumerate(cert.group_sizes):
-            used = sum(sig[gi] for _, _, sig in profile)
-            if used != gsz:
-                rep.fail(f"profile group-{gi + 1} degree sum {used}, want {gsz}")
-        for tag, size, sig in profile:
-            usage[tag] += count
-            if sum(sig) != size:
-                rep.fail(f"profile part {tag}: signature {sig} does not sum to {size}")
-            if tag[0] in _SMALL_LAYER:
-                small_sigs.add(sig)
-                small_sizes.add(size)
-            else:
-                large_sigs.add(sig)
-                large_sizes.add(size)
-    if total != cert.p:
-        rep.fail(f"profiles cover {total} classes, want {cert.p}")
-    if small_sizes and large_sizes:
-        if max(small_sizes) + 1 != min(large_sizes) or len(small_sizes) > 1:
-            rep.fail(f"layer sizes {small_sizes} / {large_sizes} are not c and c+1")
-    _layer_separation(rep, small_sigs, large_sigs)
-    rep.note("family capacities")
-    for tag, cnt in usage.items():
-        cap = cert.family_caps.get(tag)
-        if cap is None:
-            rep.fail(f"family {tag} has no declared capacity")
-        elif cnt > cap:
-            rep.fail(f"family {tag}: {cnt} parts used, capacity {cap}")
+    _check_profiles(rep, cert.k, cert.p, tuple(cert.group_sizes), cert.profiles,
+                    "profile")
     return rep

@@ -278,6 +278,18 @@ class TestRealization:
         assert check_sperner(system).ok
         assert check_certificate(system).ok
 
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+        "realize_system needs globally distinct side blocks, but family "
+        "(EA, 4) uses all 70 * 8 pairs of a 4-block and a 1-block, and "
+        "there are only 8 side-two 1-blocks"))
+    def test_16_3_full_secA(self):
+        inst = build_instance(16, 3, "secA")
+        sol = greedy_solve(inst)
+        assert sol.objective * inst.k == 1848
+        system = realize_system(inst, sol, seed=0)
+        assert check_certificate(system).ok
+        assert check_sperner(system).ok
+
     def test_materialization_guard(self):
         inst = build_instance(26, 3, "secB")
         sol, _ = exact_solve(inst)

@@ -4,12 +4,14 @@ from collections import Counter
 import pytest
 
 from sperner.cli import main
-from sperner.combinat import decompose
+from sperner.combinat import binom, decompose
 from sperner.construction import (PartitionSystem, construct_grouped,
                                   construct_uniform, extend_system, plan_grouped)
-from sperner.ip import IpSolution, build_instance, exact_solve, realize_system
-from sperner.verify import (DetectingArray, check_almost_uniform,
-                            check_certificate, check_detecting,
+from sperner.ip import (IpSolution, build_instance, certificate, exact_solve,
+                        realize_system)
+from sperner.verify import (DetectingArray, SystemCertificate,
+                            check_almost_uniform, check_certificate,
+                            check_certificate_summary, check_detecting,
                             check_partition_system, check_sperner,
                             from_detecting_array, to_detecting_array)
 
@@ -245,19 +247,160 @@ class TestDetectingArrays:
         assert not check_detecting(to_detecting_array(bad)).ok
 
 
+def certified_fleet():
+    """Systems with family metadata: grouped constructions in both cases
+    and IP realizations with and without padding."""
+    fleet = [construct_grouped(plan_grouped(n, k, m, h, "b"), seed=0)
+             for (n, k, m, h) in [(8, 3, 2, 4), (10, 4, 2, 5), (16, 6, 2, 8),
+                                  (22, 8, 2, 11), (28, 10, 2, 14),
+                                  (36, 15, 4, 9)]]
+    fleet.append(construct_grouped(plan_grouped(36, 11, 6, 6, "a"), seed=0))
+    inst = build_instance(10, 3, "secA")
+    fleet.append(realize_system(inst, exact_solve(inst)[0], seed=0))
+    inst = build_instance(16, 5, "secA")
+    fleet.append(realize_system(inst, exact_solve(inst)[0], seed=0))
+    inst = build_instance(34, 5, "secB")
+    fleet.append(realize_system(inst, IpSolution(inst, {(1, 1): 2, (2, 2): 1}),
+                                seed=0))
+    return fleet
+
+
+def oracle_check_certificate(system) -> bool:
+    """The former materialized-system certificate check, kept as the oracle:
+    set intersections per part and group, capacities per layer size."""
+    if system.groups is None or system.part_tags is None:
+        return False
+    ok = True
+    groups = [frozenset(g) for g in system.groups]
+    seen = set()
+    small_sizes, large_sizes, small_sigs, large_sigs = set(), set(), set(), set()
+    usage = Counter()
+    for parts, tags in zip(system.partitions, system.part_tags):
+        ok &= len(parts) == system.k
+        for part, tag in zip(parts, tags):
+            ok &= part not in seen
+            seen.add(part)
+            usage[tag] += 1
+            sig = tuple(len(part & g) for g in groups)
+            ok &= sum(sig) == len(part)
+            if tag[0] == "B":
+                ok &= part <= groups[tag[1] - 1]
+            elif tag[0] == "A":
+                ok &= all(x <= 1 for x in sig)
+            elif tag[0] in ("EA", "EB"):
+                ok &= sig[0] == tag[1]
+            else:
+                ok = False
+            if tag[0] in ("A", "EA"):
+                small_sizes.add(len(part))
+                small_sigs.add(sig)
+            else:
+                large_sizes.add(len(part))
+                large_sigs.add(sig)
+        for g in groups:
+            ok &= sum(len(part & g) for part in parts) == len(g)
+    if small_sizes and large_sizes:
+        ok &= len(small_sizes) == 1 and len(large_sizes) == 1
+        ok &= max(small_sizes) + 1 == min(large_sizes)
+    ok &= not any(all(x <= y for x, y in zip(sa, sb))
+                  for sa in small_sigs for sb in large_sigs)
+    if not ok:
+        return False
+    for tag, cnt in usage.items():
+        if tag[0] == "B":
+            cap = binom(len(groups[tag[1] - 1]), next(iter(large_sizes)))
+        elif tag[0] == "A":
+            cap = len(groups[0]) ** next(iter(small_sizes))
+        else:
+            sz = next(iter(small_sizes if tag[0] == "EA" else large_sizes))
+            cap = binom(len(groups[0]), tag[1]) * binom(len(groups[1]), sz - tag[1])
+        ok &= cnt <= cap
+    return ok
+
+
+def _swap(parts, a, b, x, y):
+    """Exchange point x of part a with point y of part b."""
+    parts[a], parts[b] = parts[a] - {x} | {y}, parts[b] - {y} | {x}
+
+
+def _block_out_of_group(parts, tags, groups):
+    a = next(j for j, t in enumerate(tags) if t[0] == "B")
+    home = set(groups[tags[a][1] - 1])
+    b, y = next((j, y) for j, q in enumerate(parts) for y in q if y not in home)
+    _swap(parts, a, b, min(parts[a]), y)
+
+
+def _transversal_twice(parts, tags, groups):
+    group_of = {e: w for w, g in enumerate(groups) for e in g}
+    cross = [j for j, t in enumerate(tags) if t[0] == "A"]
+    for a in cross:
+        for b in cross[cross.index(a) + 1:]:
+            for x in parts[a]:
+                for y in parts[b]:
+                    gy = group_of[y]
+                    if group_of[x] != gy and gy in {group_of[e] for e in parts[a]}:
+                        return _swap(parts, a, b, x, y)
+    raise LookupError("no two transversals to exchange points between")
+
+
+def _retag(new):
+    def mutate(parts, tags, groups):
+        tags[0] = new(tags[0])
+    return mutate
+
+
+def _drop_part(parts, tags, groups):
+    del parts[-1], tags[-1]
+
+
+# name -> (mutation of class 0's parts and tags, violation text, tag kinds)
+MUTATIONS = {
+    "first-side-tag": (_retag(lambda t: (t[0], t[1] + 1)), "first-side size", "E"),
+    "block-out-of-group": (_block_out_of_group, "not inside group", "AB"),
+    "transversal-meets-twice": (_transversal_twice, "meets a group twice", "AB"),
+    "unknown-tag": (_retag(lambda t: ("Z", 0)), "unknown family tag", "ABE"),
+    "class-of-k-1-parts": (_drop_part, "parts, want", "ABE"),
+}
+
+
+def mutants():
+    """(mutated system, violation text) for each planted defect, on a
+    grouped system and on an IP-realized one with padding."""
+    out = []
+    grouped = construct_grouped(plan_grouped(16, 6, 2, 8, "b"), seed=0)
+    inst = build_instance(16, 5, "secA")
+    realized = realize_system(inst, exact_solve(inst)[0], seed=0)
+    for sname, system in (("grouped", grouped), ("ip", realized)):
+        kind = system.part_tags[0][0][0][0]
+        for name, (mutate, text, kinds) in MUTATIONS.items():
+            if kind not in kinds:
+                continue
+            parts = [list(q) for q in system.partitions]
+            tags = [list(t) for t in system.part_tags]
+            mutate(parts[0], tags[0], system.groups)
+            out.append(pytest.param(PartitionSystem(
+                system.n, system.k, parts, system.groups, tags), text,
+                id=f"{sname}-{name}"))
+        parts = [list(q) for q in system.partitions]
+        tags = [list(t) for t in system.part_tags]
+        parts[1], tags[1] = list(parts[0]), list(tags[0])
+        out.append(pytest.param(PartitionSystem(
+            system.n, system.k, parts, system.groups, tags), "reused",
+            id=f"{sname}-reused-part"))
+    return out
+
+
+MUTANTS = mutants()
+
+
+def _summary(k, group_sizes, profiles):
+    p = sum(cnt for _, cnt in profiles)
+    return SystemCertificate(sum(group_sizes), k, p, group_sizes, profiles)
+
+
 class TestCertificates:
     def test_pass_implies_brute_force(self):
-        fleet = [construct_grouped(plan_grouped(n, k, m, h, "b"), seed=0)
-                 for (n, k, m, h) in [(8, 3, 2, 4), (10, 4, 2, 5), (16, 6, 2, 8),
-                                      (22, 8, 2, 11), (28, 10, 2, 14),
-                                      (36, 15, 4, 9)]]
-        fleet.append(construct_grouped(plan_grouped(36, 11, 6, 6, "a"), seed=0))
-        inst = build_instance(10, 3, "secA")
-        fleet.append(realize_system(inst, exact_solve(inst)[0], seed=0))
-        inst = build_instance(34, 5, "secB")
-        fleet.append(realize_system(inst, IpSolution(inst, {(1, 1): 2, (2, 2): 1}),
-                                    seed=0))
-        for system in fleet:
+        for system in certified_fleet():
             assert check_certificate(system).ok
             assert check_sperner(system).ok
 
@@ -276,3 +419,77 @@ class TestCertificates:
         rep = check_certificate(bad)
         assert not rep.ok
         assert any("reused" in v for v in rep.violations)
+
+    @pytest.mark.parametrize("system,text", MUTANTS)
+    def test_planted_mutation(self, system, text):
+        rep = check_certificate(system)
+        assert not rep.ok
+        assert any(text in v for v in rep.violations), rep.violations
+        assert not oracle_check_certificate(system)
+
+    def test_mutation_list(self):
+        assert len(MUTANTS) == 9
+
+    def test_oracle_agrees_on_fleet(self):
+        fleet = certified_fleet() + small_fleet()
+        for system in fleet:
+            assert check_certificate(system).ok == oracle_check_certificate(system)
+        assert sum(oracle_check_certificate(s) for s in fleet) == 15
+
+
+class TestCertificateSummary:
+    def test_real_certificates_pass(self):
+        for n, k, variant in ((10, 3, "secA"), (16, 5, "secA"), (26, 3, "secB")):
+            inst = build_instance(n, k, variant)
+            rep = check_certificate_summary(certificate(inst, exact_solve(inst)[0]))
+            assert rep.ok, rep.summary()
+
+    def test_certificate_counts_the_realized_profiles(self):
+        for n, k, variant in ((10, 3, "secA"), (16, 5, "secA")):
+            inst = build_instance(n, k, variant)
+            sol = exact_solve(inst)[0]
+            system = realize_system(inst, sol, seed=0)
+            half = set(system.groups[0])
+            counts = Counter(
+                tuple(sorted((tag, len(part), (len(part & half), len(part - half)))
+                             for part, tag in zip(parts, tags)))
+                for parts, tags in zip(system.partitions, system.part_tags))
+            assert certificate(inst, sol).profiles == sorted(counts.items())
+
+    def test_over_capacity(self):
+        # ("EA", 3) with groups of 6 holds binom(6, 3) = 20 parts
+        profile = ((("EA", 3), 3, (3, 0)), (("EA", 3), 3, (3, 0)),
+                   (("EA", 0), 3, (0, 3)), (("EA", 0), 3, (0, 3)))
+        assert check_certificate_summary(_summary(4, (6, 6), [(profile, 10)])).ok
+        rep = check_certificate_summary(_summary(4, (6, 6), [(profile, 1000)]))
+        assert not rep.ok
+        assert any("capacity 20" in v for v in rep.violations), rep.violations
+
+    def test_mixed_large_layer(self):
+        profile = ((("A", 1, 1), 2, (1, 1)), (("B", 1), 3, (3, 0)),
+                   (("B", 1), 4, (4, 0)), (("B", 2), 3, (0, 3)),
+                   (("B", 2), 4, (0, 4)))
+        rep = check_certificate_summary(_summary(5, (8, 8), [(profile, 1)]))
+        assert rep.violations == ["layer sizes [2] / [3, 4] are not c and c+1"]
+
+    def test_dominated_signature(self):
+        profile = ((("EA", 2), 3, (2, 1)), (("EA", 1), 3, (1, 2)),
+                   (("EB", 2), 4, (2, 2)))
+        rep = check_certificate_summary(_summary(3, (5, 5), [(profile, 1)]))
+        assert len(rep.violations) == 1
+        assert "dominated" in rep.violations[0]
+
+    def test_first_side_tag(self):
+        profile = ((("EA", 2), 3, (3, 0)), (("EA", 3), 3, (3, 0)),
+                   (("EA", 0), 3, (0, 3)), (("EA", 0), 3, (0, 3)))
+        rep = check_certificate_summary(_summary(4, (6, 6), [(profile, 1)]))
+        assert len(rep.violations) == 1
+        assert "first-side size 3, declared 2" in rep.violations[0]
+
+    def test_count_differs_from_p(self):
+        inst = build_instance(10, 3, "secA")
+        cert = certificate(inst, exact_solve(inst)[0])
+        for p in (cert.p - 1, cert.p + 1):
+            bad = SystemCertificate(cert.n, cert.k, p, cert.group_sizes, cert.profiles)
+            rep = check_certificate_summary(bad)
+            assert rep.violations == [f"profiles cover {cert.p} classes, want {p}"]
