@@ -230,8 +230,8 @@ def cmd_asym(args) -> int:
     n = 2 * args.k + 1
     while n <= args.n_max:
         if n % (2 * args.k) == rem:
-            rep = ipm.asymptotic_report(n, args.k, args.variant)
             inst = ipm.build_instance(n, args.k, args.variant)
+            rep = ipm.asymptotic_report(inst)
             obj = ""
             lp = ""
             if args.variant == "secA" and not inst.trivial:

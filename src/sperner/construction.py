@@ -10,7 +10,7 @@ together.
 Turning the counting argument into concrete, globally distinct parts is
 one staged allocation per group (`baranyai.partition_ground`, one
 integral circulation per point).  Every class's (c+1)-blocks in the group
-come from the complete census of (c+1)-subsets, so they are distinct; the
+come from one census of (c+1)-subsets, so they are distinct; the
 points its blocks leave in the first group of a block of c groups start
 transversals, and each later group of the block adds one point to every
 open transversal.  Transversals of one class with equal content take each
@@ -307,7 +307,6 @@ def _stage_flow(plan: GroupedPlan, T, keys, group, transversals, rng):
     c = plan.params.c
     alloc = partition_ground(group, [[c + 1] * T[z][i] for z, _, i in keys],
                              parents=[ell for _, ell, _ in keys], rng=rng,
-                             complete=True,
                              stubs=[transversals.get(key, ()) for key in keys])
     out = []
     for key, got in zip(keys, alloc):

@@ -3,8 +3,9 @@
 The Sperner check is exact for every system: it finds each containment
 between parts of distinct partitions by hashed subset lookups, in time
 linear in the number of parts for almost-uniform systems.  The
-detecting-array check re-derives the same property from the array side by
-pairwise comparison.  Certificate checking validates the construction's
+detecting-array check reads the columns as partitions and runs the same
+exact check, so the Sperner and detecting properties agree by
+construction.  Certificate checking validates the construction's
 family accounting and never does subset tests; its proof obligations are
 coded once, over (class profile, count) pairs, which `check_certificate`
 streams one materialized class at a time and an IP certificate aggregates.
@@ -77,9 +78,18 @@ def check_sperner(system: PartitionSystem) -> VerificationReport:
     """
     rep = VerificationReport()
     rep.note("exact subset test")
+    for pa, ja, pb, jb in _containments(system.partitions):
+        rep.fail(f"part {ja} of partition {pa} is contained in "
+                 f"part {jb} of partition {pb}")
+    return rep
+
+
+def _containments(partitions):
+    """(pa, ja, pb, jb) for each part ja of partition pa that lies in part
+    jb of a distinct partition pb, found as `check_sperner` describes."""
     first = defaultdict(dict)   # size -> {part: first partition holding it}
     more = {}                   # part -> later partitions holding it
-    for idx, parts in enumerate(system.partitions):
+    for idx, parts in enumerate(partitions):
         for part in parts:
             part = frozenset(part)
             table = first[len(part)]
@@ -91,18 +101,15 @@ def check_sperner(system: PartitionSystem) -> VerificationReport:
     def holders(part):
         return [first[len(part)][part], *more.get(part, ())]
 
-    def report(pa, a, pb, b):
-        ja = _position(system.partitions[pa], a)
-        jb = _position(system.partitions[pb], b)
-        rep.fail(f"part {ja} of partition {pa} is contained in "
-                 f"part {jb} of partition {pb}")
+    def found(pa, a, pb, b):
+        return pa, _position(partitions[pa], a), pb, _position(partitions[pb], b)
 
     for part in more:
         hs = holders(part)
         for x in range(len(hs)):
             for y in range(x + 1, len(hs)):
                 if hs[x] != hs[y]:
-                    report(hs[x], part, hs[y], part)
+                    yield found(hs[x], part, hs[y], part)
     sizes = sorted(first)
     for si, s in enumerate(sizes):
         small = first[s]
@@ -117,8 +124,7 @@ def check_sperner(system: PartitionSystem) -> VerificationReport:
                 for pa in holders(a):
                     for pb in holders(b):
                         if pa != pb:
-                            report(pa, a, pb, b)
-    return rep
+                            yield found(pa, a, pb, b)
 
 
 def _position(parts, part) -> int:
@@ -207,31 +213,25 @@ def from_detecting_array(arr: DetectingArray) -> PartitionSystem:
 
 
 def check_detecting(arr: DetectingArray) -> VerificationReport:
-    """Row sets of (column, symbol) pairs are pairwise incomparable."""
+    """Row sets of (column, symbol) pairs are pairwise incomparable.
+
+    Read column j as the partition of the rows by symbol: the row sets
+    are then its parts (part i is symbol i + 1), and the detecting
+    property is the Sperner property of the column partitions, decided by
+    the exact engine of `check_sperner`.  A symbol missing from a column
+    is a violation (an empty row set lies in every other).
+    """
     rep = VerificationReport()
-    rep.note("detecting-array row-set comparisons")
-    rowsets = {}
+    rep.note("detecting property: exact subset test on the column partitions")
+    symbols = set(range(1, arr.k + 1))
     for j in range(arr.p):
-        for s in range(1, arr.k + 1):
-            mask = 0
-            for i in range(arr.n):
-                if arr.rows[i][j] == s:
-                    mask |= 1 << i
-            if mask == 0:
-                rep.fail(f"column {j}: symbol {s} never appears")
-            rowsets[(j, s)] = mask
-    keys = sorted(rowsets)
-    for ai in range(len(keys)):
-        ka = keys[ai]
-        ma = rowsets[ka]
-        for bi in range(len(keys)):
-            if ai == bi:
-                continue
-            kb = keys[bi]
-            mb = rowsets[kb]
-            if ma & ~mb == 0:
-                rep.fail(f"rows of symbol {ka[1]} in column {ka[0]} are contained "
-                         f"in rows of symbol {kb[1]} in column {kb[0]}")
+        missing = sorted(symbols.difference(row[j] for row in arr.rows))
+        if missing:
+            rep.fail(f"column {j}: symbol(s) {missing} never appear")
+    if rep.ok:
+        for col_a, ja, col_b, jb in _containments(from_detecting_array(arr).partitions):
+            rep.fail(f"rows of symbol {ja + 1} in column {col_a} are contained "
+                     f"in rows of symbol {jb + 1} in column {col_b}")
     return rep
 
 

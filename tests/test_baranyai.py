@@ -102,13 +102,10 @@ class TestPartitionGround:
         assert len(pairs) == 10 and len(triples) == 10
 
     def test_complete_pads_slack(self):
-        out = partition_ground(range(6), [[2], [2], [2]], complete=True)
+        # 3 of the 15 pairs: the rest of the pool is padded implicitly
+        out = partition_ground(range(6), [[2], [2], [2]])
         blocks = [b for unit in out for b in unit]
         assert len(blocks) == 3 and len(set(blocks)) == 3
-
-    def test_incomplete_rejected_without_flag(self):
-        with pytest.raises(ValueError):
-            partition_ground(range(6), [[2], [2]])
 
     def test_over_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -143,7 +140,7 @@ class TestStubs:
     def test_equal_stubs_up_to_h_get_distinct_points(self):
         # 6 units under one parent, each with a pair and the same stub
         out = partition_ground(range(6), [[2]] * 6, parents=["a"] * 6,
-                               stubs=[[self.OUTSIDE]] * 6, complete=True)
+                               stubs=[[self.OUTSIDE]] * 6)
         got = [p for unit in out for p in self.points_of(unit, [self.OUTSIDE])]
         assert sorted(got) == list(range(6))
         for unit in out:
@@ -195,3 +192,54 @@ class TestStubs:
     def test_stub_meeting_the_ground_rejected(self):
         with pytest.raises(ValueError):
             partition_ground(range(4), [[]], stubs=[[frozenset({2})]])
+
+
+class TestSides:
+    """A ground split into sides, with block sizes as per-side tuples."""
+
+    SIDES = (range(3), range(3, 7))
+    FIRST = frozenset(range(3))
+
+    def blocks_by_type(self, out):
+        """Every unit partitions the ground; its blocks grouped by type."""
+        by_type = {}
+        for unit in out:
+            assert sorted(e for b in unit for e in b) == list(range(7))
+            for b in unit:
+                by_type.setdefault((len(b & self.FIRST), len(b - self.FIRST)), []).append(b)
+        return by_type
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partial_family(self, seed):
+        # 6 units split 3 + 4 points into (2,1), (1,1) and (0,2) blocks:
+        # 6 of the 12 (2,1) and (1,1) blocks, all 6 (0,2) blocks
+        out = partition_ground(range(7), [[(2, 1), (1, 1), (0, 2)]] * 6,
+                               sides=self.SIDES, rng=random.Random(seed))
+        by_type = self.blocks_by_type(out)
+        assert sorted(by_type) == [(0, 2), (1, 1), (2, 1)]
+        for blocks in by_type.values():
+            assert len(set(blocks)) == len(blocks) == 6
+
+    def test_side_blocks_repeat_with_distinct_completions(self):
+        # 9 of the 12 (2,1) blocks: some side-one pair occurs more than
+        # once, which only the typed census allows
+        out = partition_ground(range(7), [[(2, 1), (1, 3)]] * 9, sides=self.SIDES,
+                               rng=random.Random(0))
+        by_type = self.blocks_by_type(out)
+        for blocks in by_type.values():
+            assert len(set(blocks)) == len(blocks) == 9
+        pairs = [b & self.FIRST for b in by_type[(2, 1)]]
+        assert len(set(pairs)) < len(pairs)
+
+    def test_over_pool_rejected(self):
+        with pytest.raises(ValueError, match="exceed the pool"):
+            partition_ground(range(7), [[(0, 2), (3, 2)]] * 7, sides=self.SIDES)
+
+    def test_bad_split_rejected(self):
+        with pytest.raises(ValueError):
+            partition_ground(range(7), [[(1, 1)]], sides=(range(3), range(4, 7)))
+        with pytest.raises(ValueError):
+            partition_ground(range(7), [[2]], sides=self.SIDES)
+        with pytest.raises(ValueError):
+            partition_ground(range(7), [[(1, 1)]], sides=self.SIDES,
+                             stubs=[[frozenset({100})]])

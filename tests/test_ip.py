@@ -12,6 +12,34 @@ from sperner.verify import (check_certificate, check_certificate_summary,
                             check_partition_system, check_sperner)
 
 
+def solve(inst, solver):
+    if solver == "exact":
+        return exact_solve(inst)[0]
+    if solver == "greedy":
+        return greedy_solve(inst)
+    return closed_form_solve(inst).solution
+
+
+def small_solutions(parts=3000, n_max=60):
+    """(n, k, variant, solver) for every solution with at most `parts` parts."""
+    cases = []
+    for k in (3, 5):
+        for variant, other in (("secA", "greedy"), ("secB", "closed")):
+            for n in range(2 * k + 1, n_max):
+                try:
+                    inst = build_instance(n, k, variant)
+                except ValueError:
+                    continue
+                for solver in ("exact", other):
+                    sol = solve(inst, solver)
+                    if sol is not None and sol.objective * k <= parts:
+                        cases.append((n, k, variant, solver))
+    return cases
+
+
+SMALL_SOLUTIONS = small_solutions()
+
+
 def family_sizes_by_enumeration(n, c):
     """Oracle: count c-sets and (c+1)-sets of a split n-set by first-half size."""
     half = n // 2
@@ -278,36 +306,39 @@ class TestRealization:
         assert check_sperner(system).ok
         assert check_certificate(system).ok
 
-    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-        "realize_system needs globally distinct side blocks, but family "
-        "(EA, 4) uses all 70 * 8 pairs of a 4-block and a 1-block, and "
-        "there are only 8 side-two 1-blocks"))
     def test_16_3_full_secA(self):
+        # family (EA, 4) uses all 70 * 8 pairs of a side-one 4-block and a
+        # side-two point, so side blocks repeat and only the pairs differ
         inst = build_instance(16, 3, "secA")
         sol = greedy_solve(inst)
         assert sol.objective * inst.k == 1848
         system = realize_system(inst, sol, seed=0)
+        assert check_partition_system(system).ok
         assert check_certificate(system).ok
         assert check_sperner(system).ok
+        first = frozenset(range(8))
+        quads = [p & first for parts in system.partitions for p in parts
+                 if len(p) == 5 and len(p & first) == 4]
+        assert len(quads) == 560 and len(set(quads)) == 70
 
-    def test_materialization_guard(self):
-        inst = build_instance(26, 3, "secB")
-        sol, _ = exact_solve(inst)
-        with pytest.raises(ValueError):
-            realize_system(inst, sol)
+    @pytest.mark.parametrize("n,k,variant,solver", SMALL_SOLUTIONS,
+                             ids=["-".join(map(str, case)) for case in SMALL_SOLUTIONS])
+    def test_every_small_solution_realizes(self, n, k, variant, solver):
+        inst = build_instance(n, k, variant)
+        sol = solve(inst, solver)
+        system = realize_system(inst, sol, seed=0)
+        assert system.size == sol.objective
+        assert check_partition_system(system).ok
+        assert check_sperner(system).ok
+        assert check_certificate(system).ok
 
-    def test_guard_precedes_class_profiles(self, monkeypatch):
-        import sperner.ip as ipm
-
-        def no_profiles(*args):
-            raise AssertionError("class profiles built before the part limit test")
-
-        inst = build_instance(22, 3, "secA")
-        sol = greedy_solve(inst)
-        assert sol.objective * inst.k > 6000
-        monkeypatch.setattr(ipm, "_class_profiles", no_profiles)
-        with pytest.raises(ValueError, match="materialization limit"):
-            realize_system(inst, sol)
+    def test_small_solution_list(self):
+        # the nonempty ones; the others are trivial secB programs
+        assert [case for case in SMALL_SOLUTIONS
+                if solve(build_instance(*case[:3]), case[3]).objective] == [
+            (10, 3, "secA", "exact"), (10, 3, "secA", "greedy"),
+            (16, 3, "secA", "exact"), (16, 3, "secA", "greedy"),
+            (16, 5, "secA", "exact"), (16, 5, "secA", "greedy")]
 
     def test_certificate_of_full_solution(self):
         inst = build_instance(22, 3, "secA")
@@ -327,7 +358,7 @@ class TestRealization:
 
 class TestAsymptotics:
     def test_26_3_ratios(self):
-        rep = asymptotic_report(26, 3, "secB")
+        rep = asymptotic_report(build_instance(26, 3, "secB"))
         assert rep.estar_ratios[0] == pytest.approx(920205 / 1022450)
         assert rep.gauss_ratios[0] == pytest.approx(1.0)
         # mms(26, 3) = binom(26, 8) / 2 = 781137.5 exactly
@@ -336,5 +367,5 @@ class TestAsymptotics:
 
     def test_gauss_ratio_at_zero_always_one(self):
         for n, k, variant in [(22, 3, "secA"), (26, 3, "secB"), (174, 5, "secB")]:
-            rep = asymptotic_report(n, k, variant)
+            rep = asymptotic_report(build_instance(n, k, variant))
             assert rep.gauss_ratios[0] == pytest.approx(1.0)

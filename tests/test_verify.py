@@ -186,6 +186,28 @@ class TestAlmostUniform:
         assert not rep.ok
 
 
+def oracle_check_detecting(arr):
+    """The pairwise row-set comparison, kept as a test-only oracle: every
+    (column, symbol) row set as a bit mask, each tested against every other
+    for containment; True iff none is contained in another."""
+    rowsets = {}
+    for j in range(arr.p):
+        for s in range(1, arr.k + 1):
+            rowsets[(j, s)] = sum(1 << i for i in range(arr.n) if arr.rows[i][j] == s)
+    return all(ma & ~mb for ka, ma in rowsets.items()
+               for kb, mb in rowsets.items() if ka != kb)
+
+
+def random_arrays(count=300, seed=5):
+    """Small seeded arrays over few symbols; at this seed a third are
+    detecting and a quarter miss a symbol in some column."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, k, p = rng.randint(5, 8), rng.randint(2, 3), rng.randint(1, 4)
+        cols = [[rng.randint(1, k) for _ in range(n)] for _ in range(p)]
+        yield DetectingArray(n, k, p, [tuple(col[i] for col in cols) for i in range(n)])
+
+
 class TestDetectingArrays:
     def test_round_trip_and_shape(self):
         system = construct_uniform(6, 3)
@@ -245,6 +267,17 @@ class TestDetectingArrays:
         bad = PartitionSystem(4, 2, [parts, list(parts)])
         assert not check_sperner(bad).ok
         assert not check_detecting(to_detecting_array(bad)).ok
+
+    def test_agrees_with_mask_oracle(self):
+        arrays = [to_detecting_array(system) for system in small_fleet()]
+        verdicts = Counter()
+        for arr in random_arrays():
+            want = oracle_check_detecting(arr)
+            assert check_detecting(arr).ok == want
+            verdicts[want] += 1
+        assert verdicts[True] >= 90 and verdicts[False] >= 190
+        for arr in (to_detecting_array(system) for system in small_fleet()):
+            assert check_detecting(arr).ok == oracle_check_detecting(arr)
 
 
 def certified_fleet():
