@@ -10,7 +10,11 @@ objective is 2 * sum x and its optimum is bounded by the even integer Q.
 
 Solvers: a batched version of the slack-consuming greedy (variant secA),
 the sparse closed-form candidate (variant secB), exact branch-and-bound
-with rational LP bounds, and the exact-rational LP relaxation.
+with exact LP bounds, and the exact LP relaxation.  The LPs go to the
+fraction-free integer simplex of `simplex.py`, whose values and vertices
+are exact rationals; their constraints are built in one pass over Phi
+with integer coefficients.  Family sizes come from one row of binomials
+binom(n/2, j), j <= 2d+2, and u from running sums of them, in O(d).
 """
 
 from __future__ import annotations
@@ -92,21 +96,21 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
         if n % (2 * k) != (k + 1) % (2 * k):
             raise ValueError(f"variant secA needs n = k+1 (mod 2k), got n={n}, k={k}")
         d = (n - k - 1) // (2 * k)
-        e = tuple(binom(half, d - ell) * binom(half, d + 1 + ell)
-                  for ell in range(d + 1))
-        estar = tuple(binom(half, d + 1 - ell) * binom(half, d + 1 + ell)
-                      for ell in range(d + 2))
-
-        def a(x):
-            return 2 * sum(e[x + 1:])
-
-        def b(x):
-            return estar[0] + sum(estar[1:x + 1])
-
-        u = next(x for x in range(d + 1) if a(x) <= (k - 1) * b(x))
+        row = _binom_row(half, 2 * d + 2)
+        e = tuple(row[d - ell] * row[d + 1 + ell] for ell in range(d + 1))
+        estar = tuple(row[d + 1 - ell] * row[d + 1 + ell] for ell in range(d + 2))
+        # a(x) = 2 (e_{x+1} + ... + e_d) falls and b(x) = estar_0 + ... +
+        # estar_x grows; u is the first x with a(x) <= (k-1) b(x).
+        a = 2 * sum(e[1:])
+        b = estar[0]
+        u = 0
+        while a > (k - 1) * b:
+            u += 1
+            a -= 2 * e[u]
+            b += estar[u]
         if u > d - 1:
             raise ArithmeticError(f"instance ({n},{k}): u = {u} exceeds d-1")
-        q = 2 * (a(u) // (2 * (k - 1)))
+        q = 2 * (a // (2 * (k - 1)))
         eta = _eta_sequence(q, estar, u)
         cap_diag = eta[0] // 2
         cap_off = {ell: eta[ell] for ell in range(1, u + 1)}
@@ -119,18 +123,18 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
     if n % (2 * k) != (k - 1) % (2 * k):
         raise ValueError(f"variant secB needs n = k-1 (mod 2k), got n={n}, k={k}")
     d = (n + 1 - k) // (2 * k)
-    e = tuple(binom(half, d - ell) * binom(half, d + ell) for ell in range(d + 1))
-    estar = tuple(binom(half, d - ell) * binom(half, d + 1 + ell)
-                  for ell in range(d + 1))
-
-    def a(x):
-        return 0 if x < 0 else e[0] + 2 * sum(e[1:x + 1])
-
-    def b(x):
-        return binom(n, 2 * d + 1) if x < 0 else 2 * sum(estar[x + 1:])
-
-    u = max(x for x in range(-1, d) if (k - 1) * a(x) <= b(x))
-    au = a(u)
+    row = _binom_row(half, 2 * d + 1)
+    e = tuple(row[d - ell] * row[d + ell] for ell in range(d + 1))
+    estar = tuple(row[d - ell] * row[d + 1 + ell] for ell in range(d + 1))
+    # a(x) = e_0 + 2 (e_1 + ... + e_x) grows and b(x) = 2 (estar_{x+1} + ...
+    # + estar_d) falls; u is the last x < d with (k-1) a(x) <= b(x), or -1,
+    # where a(-1) = 0.
+    u, au = -1, 0
+    a, b = e[0], 2 * sum(estar[1:])
+    while u + 1 < d and (k - 1) * a <= b:
+        u, au = u + 1, a
+        a += 2 * e[u + 1]
+        b -= 2 * estar[u + 1]
     q = au - (au & 1)
     cap_diag = e[0] // 2
     cap_off = {ell: e[ell] for ell in range(1, u + 1)}
@@ -142,6 +146,15 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
     assert mms(params) == Fraction(binom(n, 2 * d), 2)
     assert Fraction(q) <= mms(params)
     return inst
+
+
+def _binom_row(h: int, top: int) -> list:
+    """[binom(h, 0), ..., binom(h, top)] by the exact recurrence
+    binom(h, j+1) = binom(h, j) (h - j) / (j + 1)."""
+    row = [1]
+    for j in range(top):
+        row.append(row[-1] * (h - j) // (j + 1))
+    return row
 
 
 def _eta_sequence(q: int, estar: tuple, u: int) -> tuple:
@@ -182,20 +195,21 @@ class IpSolution:
 
     def slacks(self) -> dict:
         inst = self.instance
-        out = {("D",): inst.cap_diag - sum(v for (i, j), v in self.x.items() if i == j)}
-        for ell, cap in inst.cap_off.items():
-            out[("O", ell)] = cap - sum(v for (i, j), v in self.x.items()
-                                        if j - i == ell)
-        for ell, cap in inst.cap_row.items():
-            used = sum(v for (i, j), v in self.x.items() if i == ell)
-            used += sum(v for (i, j), v in self.x.items() if j == ell)
-            out[("R", ell)] = cap - used
+        out = {("D",): inst.cap_diag}
+        out.update((("O", ell), cap) for ell, cap in inst.cap_off.items())
+        out.update((("R", ell), cap) for ell, cap in inst.cap_row.items())
+        for (i, j), v in self.x.items():
+            band = ("D",) if i == j else ("O", j - i)
+            for key in (band, ("R", i), ("R", j)):
+                if key in out:
+                    out[key] -= v
         return out
 
     def feasible(self) -> bool:
         if any(v < 0 for v in self.x.values()):
             return False
-        if any((i, j) not in set(self.instance.phi) for (i, j) in self.x):
+        phi = set(self.instance.phi)
+        if any(v not in phi for v in self.x):
             return False
         return all(s >= 0 for s in self.slacks().values())
 
@@ -343,6 +357,8 @@ def closed_form_solve(inst: IpInstance) -> ClosedFormResult:
 # --------------------------------------------------------------------------
 
 def _build_lp(inst: IpInstance, lb=None, ub=None):
+    """The LP relaxation with lb <= x <= ub, shifted to x - lb >= 0;
+    (lp, column of each index, sum of lb)."""
     phi = inst.phi
     idx = {v: i for i, v in enumerate(phi)}
     lb = lb or {}
@@ -350,25 +366,25 @@ def _build_lp(inst: IpInstance, lb=None, ub=None):
     lp = LinearProgram(len(phi))
     lp.set_objective([2] * len(phi))
     shift = sum(lb.get(v, 0) for v in phi)
-
-    def adj(row: dict, cap):
-        red = cap - sum(coef * lb.get(phi[j], 0) for j, coef in row.items())
-        lp.add_constraint(row, red)
-
-    for ell, cap in sorted(inst.cap_off.items()):
-        adj({idx[(i, j)]: 1 for (i, j) in phi if j - i == ell}, cap)
-    adj({idx[(i, j)]: 1 for (i, j) in phi if i == j}, inst.cap_diag)
-    for ell, cap in sorted(inst.cap_row.items()):
-        row: dict = {}
-        for (i, j) in phi:
-            coef = (i == ell) + (j == ell)
-            if coef:
-                row[idx[(i, j)]] = coef
-        if row:
-            adj(row, cap)
+    # one pass over Phi fills the band, diagonal and row constraints
+    bands = {ell: {} for ell in inst.cap_off}
+    diag: dict = {}
+    rows = {ell: {} for ell in inst.cap_row}
+    for col, (i, j) in enumerate(phi):
+        if i == j:
+            diag[col] = 1
+        else:
+            bands[j - i][col] = 1
+        for ell in (i, j):
+            rows[ell][col] = rows[ell].get(col, 0) + 1
+    caps = [(bands[ell], cap) for ell, cap in sorted(inst.cap_off.items())]
+    caps.append((diag, inst.cap_diag))
+    caps += [(rows[ell], cap) for ell, cap in sorted(inst.cap_row.items()) if rows[ell]]
+    lb_cols = [(idx[v], lo) for v, lo in lb.items() if lo]
+    for row, cap in caps:
+        lp.add_constraint(row, cap - sum(row.get(col, 0) * lo for col, lo in lb_cols))
     for v, bound in sorted(ub.items()):
-        extra = bound - lb.get(v, 0)
-        lp.add_constraint({idx[v]: 1}, extra)
+        lp.add_constraint({idx[v]: 1}, bound - lb.get(v, 0))
     return lp, idx, shift
 
 

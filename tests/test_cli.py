@@ -209,6 +209,29 @@ class TestScan:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestLpGolden:
+    """The LP column of `asym` and exact-solver dumps, byte for byte against
+    files written by the rational simplex."""
+
+    @pytest.mark.parametrize("variant,n_max", (("secB", 800), ("secA", 300)))
+    def test_asym_matches_golden(self, tmp_path, capsys, variant, n_max):
+        path = tmp_path / "asym.csv"
+        code, _, _ = run(["asym", "--k", "3", "--variant", variant,
+                          "--n-max", str(n_max), "--out", str(path)], capsys)
+        assert code == 0
+        golden = GOLDEN / f"asym-{variant}-k3-{n_max}.csv"
+        assert path.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("n,variant", ((202, "secA"), (304, "secA"), (302, "secB")))
+    def test_exact_dump_matches_golden(self, tmp_path, capsys, n, variant):
+        path = tmp_path / "ip.dump"
+        code, _, _ = run(["ip", "--n", str(n), "--k", "3", "--variant", variant,
+                          "--solver", "exact", "--dump", str(path)], capsys)
+        assert code == 0
+        golden = GOLDEN / f"ip-exact-{n}-3-{variant}.dump"
+        assert path.read_bytes() == golden.read_bytes()
+
+
 class TestAsym:
     def test_secB_rows(self, tmp_path, capsys):
         path = tmp_path / "asym.csv"

@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from sperner.combinat import binom, mms
-from sperner.ip import (IpSolution, asymptotic_report, build_instance,
+from sperner.combinat import binom, decompose, mms
+from sperner.ip import (IpInstance, IpSolution, _build_lp, _eta_sequence, _phi,
+                        asymptotic_report, build_instance,
                         certificate, closed_form_solve, exact_solve,
                         greedy_gap_bound, greedy_solve, lp_relax,
                         realize_system, zero_solution)
@@ -54,7 +56,60 @@ def family_sizes_by_enumeration(n, c):
     return e, estar
 
 
+def oracle_instance(n, k, variant):
+    """The instance from the defining formulas: one math.comb per binomial,
+    and u found by summing the families afresh for every candidate x."""
+    params = decompose(n, k)
+    half = n // 2
+    if variant == "secA":
+        d = (n - k - 1) // (2 * k)
+        e = tuple(binom(half, d - ell) * binom(half, d + 1 + ell)
+                  for ell in range(d + 1))
+        estar = tuple(binom(half, d + 1 - ell) * binom(half, d + 1 + ell)
+                      for ell in range(d + 2))
+
+        def a(x):
+            return 2 * sum(e[x + 1:])
+
+        def b(x):
+            return estar[0] + sum(estar[1:x + 1])
+
+        u = next(x for x in range(d + 1) if a(x) <= (k - 1) * b(x))
+        q = 2 * (a(u) // (2 * (k - 1)))
+        eta = _eta_sequence(q, estar, u)
+        return IpInstance("secA", params, d, u, q, e, estar, eta, _phi(u, d),
+                          eta[0] // 2, {ell: eta[ell] for ell in range(1, u + 1)},
+                          {ell: e[ell] for ell in range(u + 1, d + 1)})
+    d = (n + 1 - k) // (2 * k)
+    e = tuple(binom(half, d - ell) * binom(half, d + ell) for ell in range(d + 1))
+    estar = tuple(binom(half, d - ell) * binom(half, d + 1 + ell)
+                  for ell in range(d + 1))
+
+    def a(x):
+        return 0 if x < 0 else e[0] + 2 * sum(e[1:x + 1])
+
+    def b(x):
+        return binom(n, 2 * d + 1) if x < 0 else 2 * sum(estar[x + 1:])
+
+    u = max(x for x in range(-1, d) if (k - 1) * a(x) <= b(x))
+    q = a(u) - (a(u) & 1)
+    return IpInstance("secB", params, d, u, q, e, estar, None, _phi(u, d),
+                      e[0] // 2, {ell: e[ell] for ell in range(1, u + 1)},
+                      {ell: estar[ell] for ell in range(u + 1, d + 1)})
+
+
 class TestInstances:
+    @pytest.mark.parametrize("k", (3, 5, 7))
+    @pytest.mark.parametrize("variant", ("secA", "secB"))
+    def test_matches_defining_formulas(self, k, variant):
+        rem = (k + 1) % (2 * k) if variant == "secA" else (k - 1) % (2 * k)
+        ns = [n for n in range(2 * k + 1, 401) if n % (2 * k) == rem]
+        assert len(ns) >= 27
+        for n in ns:
+            inst = build_instance(n, k, variant)
+            expect = oracle_instance(n, k, variant)
+            assert inst == expect, (n, k, variant)
+
     def test_secA_22_3(self):
         inst = build_instance(22, 3, "secA")
         assert inst.d == 3
@@ -142,6 +197,36 @@ class TestInstances:
         assert "x 1 1 5" in lines
 
 
+class TestSolutionChecks:
+    def test_slacks_match_constraint_sums(self):
+        rng = random.Random(5)
+        for n, k, variant in ((76, 3, "secA"), (202, 3, "secA"), (302, 3, "secB")):
+            inst = build_instance(n, k, variant)
+            keys = list(inst.phi) + [(inst.u, inst.u), (inst.d + 1, inst.d + 2)]
+            for _ in range(20):
+                x = {v: rng.randint(0, 3) for v in rng.sample(keys, 6)}
+                expect = {("D",): inst.cap_diag - sum(v for (i, j), v in x.items()
+                                                      if i == j)}
+                for ell, cap in inst.cap_off.items():
+                    expect[("O", ell)] = cap - sum(v for (i, j), v in x.items()
+                                                   if j - i == ell)
+                for ell, cap in inst.cap_row.items():
+                    expect[("R", ell)] = cap - sum(v * ((i == ell) + (j == ell))
+                                                   for (i, j), v in x.items())
+                got = IpSolution(inst, x).slacks()
+                assert got == expect and list(got) == list(expect)
+
+    def test_variable_outside_phi_rejected(self):
+        inst = build_instance(302, 3, "secB")
+        assert inst.u == 2
+        assert IpSolution(inst, {inst.phi[-1]: 1}).feasible()
+        for outside in ((inst.d + 1, inst.d + 1), (inst.u, inst.u),
+                        (inst.d, inst.d - 1), (inst.u + 1, inst.d)):
+            assert outside not in inst.phi
+            assert not IpSolution(inst, {outside: 1}).feasible()
+            assert not IpSolution(inst, {inst.phi[-1]: 1, outside: 0}).feasible()
+
+
 class TestGreedy:
     def test_attains_q_22_3(self):
         inst = build_instance(22, 3, "secA")
@@ -203,7 +288,54 @@ class TestClosedForm:
             closed_form_solve(build_instance(22, 3, "secA"))
 
 
+def oracle_lp_rows(inst, lb, ub):
+    """The LP's constraints, one scan of Phi per band and per row:
+    [(row, bound)] in the order the solver sees them."""
+    phi = inst.phi
+    idx = {v: i for i, v in enumerate(phi)}
+    out = []
+
+    def adj(row, cap):
+        out.append((row, cap - sum(coef * lb.get(phi[j], 0) for j, coef in row.items())))
+
+    for ell, cap in sorted(inst.cap_off.items()):
+        adj({idx[(i, j)]: 1 for (i, j) in phi if j - i == ell}, cap)
+    adj({idx[(i, j)]: 1 for (i, j) in phi if i == j}, inst.cap_diag)
+    for ell, cap in sorted(inst.cap_row.items()):
+        row = {idx[(i, j)]: (i == ell) + (j == ell) for (i, j) in phi
+               if i == ell or j == ell}
+        if row:
+            adj(row, cap)
+    for v, bound in sorted(ub.items()):
+        out.append(({idx[v]: 1}, bound - lb.get(v, 0)))
+    return out
+
+
 class TestExactAndLp:
+    def test_lp_rows_match_per_constraint_scan(self):
+        rng = random.Random(11)
+        built = 0
+        for k in (3, 5):
+            for variant in ("secA", "secB"):
+                rem = (k + 1) % (2 * k) if variant == "secA" else (k - 1) % (2 * k)
+                for n in range(2 * k + 1, 320):
+                    if n % (2 * k) != rem:
+                        continue
+                    inst = build_instance(n, k, variant)
+                    if inst.trivial:
+                        continue
+                    picks = rng.sample(inst.phi, min(3, len(inst.phi)))
+                    lb = {v: rng.randint(0, 2) for v in picks[:2]}
+                    ub = {v: rng.randint(2, 5) for v in picks[1:]}
+                    for bounds in (({}, {}), (lb, ub)):
+                        lp, idx, shift = _build_lp(inst, *bounds)
+                        expect = oracle_lp_rows(inst, *bounds)
+                        assert list(zip(lp.rows, lp.b)) == expect, (n, k, variant)
+                        assert lp.c == [2] * len(inst.phi)
+                        assert shift == sum(bounds[0].values())
+                        built += 1
+        assert built >= 200
+
     def test_exact_matches_q(self):
         inst = build_instance(22, 3, "secA")
         sol, optimal = exact_solve(inst)

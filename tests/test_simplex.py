@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from sperner import ip
 from sperner.simplex import Infeasible, LinearProgram, Unbounded
 
 
@@ -142,3 +144,224 @@ class TestSimplexAgainstEnumeration:
             assert all(xi >= 0 for xi in x)
             for row, bi in zip(rows, b):
                 assert sum(row.get(j, 0) * x[j] for j in range(n)) <= bi
+
+
+# --------------------------------------------------------------------------
+# Differential oracle: the revised simplex on Fractions that the
+# fraction-free solver replaced, recording its (entering, leaving) pivots.
+# --------------------------------------------------------------------------
+
+def _oracle_simplex(cols, cost, basis, b_inv, x_b, artificial_from, pivots):
+    m = len(x_b)
+    ncols = len(cols)
+    in_basis = [False] * ncols
+    for j in basis:
+        in_basis[j] = True
+    while True:
+        y = [Fraction(0)] * m
+        for krow in range(m):
+            cb = cost[basis[krow]]
+            if cb:
+                row = b_inv[krow]
+                for i in range(m):
+                    if row[i]:
+                        y[i] += cb * row[i]
+        enter = -1
+        for j in range(min(ncols, artificial_from)):
+            if in_basis[j]:
+                continue
+            red = cost[j]
+            for i, v in cols[j].items():
+                if y[i]:
+                    red -= y[i] * v
+            if red > 0:
+                enter = j
+                break
+        if enter < 0:
+            return
+        w = [Fraction(0)] * m
+        for i, v in cols[enter].items():
+            for krow in range(m):
+                if b_inv[krow][i]:
+                    w[krow] += b_inv[krow][i] * v
+        leave = -1
+        best = None
+        for krow in range(m):
+            ok = w[krow] > 0
+            if not ok and basis[krow] >= artificial_from and x_b[krow] == 0 and w[krow] != 0:
+                ok = True  # degenerate pivot that evicts an artificial
+            if not ok:
+                continue
+            ratio = x_b[krow] / w[krow] if w[krow] > 0 else Fraction(0)
+            if best is None or ratio < best or (ratio == best and basis[krow] < basis[leave]):
+                best = ratio
+                leave = krow
+        if leave < 0:
+            raise Unbounded("objective is unbounded above")
+        piv = w[leave]
+        inv_piv = Fraction(1) / piv
+        row_l = b_inv[leave]
+        for i in range(m):
+            row_l[i] *= inv_piv
+        x_b[leave] *= inv_piv
+        for krow in range(m):
+            if krow == leave or not w[krow]:
+                continue
+            f = w[krow]
+            rk = b_inv[krow]
+            for i in range(m):
+                if row_l[i]:
+                    rk[i] -= f * row_l[i]
+            x_b[krow] -= f * x_b[leave]
+        pivots.append((enter, basis[leave]))
+        in_basis[basis[leave]] = False
+        in_basis[enter] = True
+        basis[leave] = enter
+
+
+def oracle_solve(rows, b, c, pivots):
+    """The rational two-phase method; appends every pivot to `pivots`."""
+    rows = [{j: Fraction(v) for j, v in row.items() if v} for row in rows]
+    b = [Fraction(v) for v in b]
+    c = [Fraction(v) for v in c]
+    m = len(rows)
+    n = len(c)
+    if m == 0:
+        if any(v > 0 for v in c):
+            raise Unbounded("no constraints bound a profitable variable")
+        return Fraction(0), [Fraction(0)] * n
+    work_rows = []
+    work_b = []
+    art_rows = []
+    for i, (row, bi) in enumerate(zip(rows, b)):
+        if bi < 0:
+            work_rows.append({j: -v for j, v in row.items()})
+            work_b.append(-bi)
+            art_rows.append(i)
+        else:
+            work_rows.append(dict(row))
+            work_b.append(bi)
+    n_slack = m
+    n_art = len(art_rows)
+    cols = [dict() for _ in range(n)]
+    for i, row in enumerate(work_rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    for i in range(m):
+        cols.append({i: Fraction(-1) if i in art_rows else Fraction(1)})
+    art_at = {}
+    for idx, i in enumerate(art_rows):
+        art_at[i] = n + n_slack + idx
+        cols.append({i: Fraction(1)})
+    basis = [art_at.get(i, n + i) for i in range(m)]
+    b_inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    x_b = list(work_b)
+    if n_art:
+        phase1 = [Fraction(0)] * (n + n_slack) + [Fraction(-1)] * n_art
+        _oracle_simplex(cols, phase1, basis, b_inv, x_b, n + n_slack, pivots)
+        if sum((x_b[k] for k in range(m) if basis[k] >= n + n_slack), Fraction(0)):
+            raise Infeasible("no feasible point")
+    cost = c + [Fraction(0)] * (n_slack + n_art)
+    _oracle_simplex(cols, cost, basis, b_inv, x_b, n + n_slack, pivots)
+    x = [Fraction(0)] * n
+    for krow in range(m):
+        if basis[krow] < n:
+            x[basis[krow]] = x_b[krow]
+    value = sum((c[j] * x[j] for j in range(n) if x[j]), Fraction(0))
+    return value, x
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
+def assert_matches_oracle(lp: LinearProgram):
+    """Same value, vertex and pivot sequence as the rational method, or the
+    same exception after the same pivots; returns (outcome, pivots)."""
+    want: list = []
+    expect = (_outcome(lambda: oracle_solve(lp.rows, lp.b, lp.c, want)), want)
+    got = (_outcome(lp.solve), lp.pivots)
+    assert got == expect
+    if isinstance(got[0], tuple):
+        assert type(got[0][0]) is Fraction
+        assert all(type(v) is Fraction for v in got[0][1])
+    return got
+
+
+def _lp(rows, b, c) -> LinearProgram:
+    lp = LinearProgram(len(c))
+    lp.set_objective(c)
+    for row, bi in zip(rows, b):
+        lp.add_constraint(row, bi)
+    return lp
+
+
+class TestAgainstRationalOracle:
+    def test_seeded_random_lps(self):
+        rng = random.Random(7)
+        outcomes = Counter()
+        for trial in range(300):
+            n = rng.randint(1, 6)
+            m = rng.randint(1, 6)
+            fractional = trial % 2 == 1
+
+            def coef(lo, hi):
+                v = rng.randint(lo, hi)
+                return Fraction(v, rng.randint(1, 6)) if fractional else v
+
+            rows = [{j: coef(-3, 5) for j in range(n) if rng.random() < 0.7}
+                    for _ in range(m)]
+            b = [coef(-4, 9) for _ in range(m)]
+            c = [coef(-2, 5) for _ in range(n)]
+            result, pivots = assert_matches_oracle(_lp(rows, b, c))
+            outcomes[result if isinstance(result, type) else "optimal"] += 1
+            outcomes["phase one"] += any(bi < 0 for bi in b)
+            outcomes["pivots"] += len(pivots)
+        # the sample reaches every outcome and phase one
+        assert outcomes["optimal"] >= 50
+        assert outcomes[Infeasible] >= 20 and outcomes[Unbounded] >= 20
+        assert outcomes["phase one"] >= 100 and outcomes["pivots"] >= 300
+
+    def test_beale_cycling_example(self):
+        lp = _lp([{0: Fraction(1, 4), 1: -60, 2: Fraction(-1, 25), 3: 9},
+                  {0: Fraction(1, 2), 1: -90, 2: Fraction(-1, 50), 3: 3},
+                  {2: 1}],
+                 [0, 0, 1], [Fraction(3, 4), -150, Fraction(1, 50), -6])
+        (value, _), pivots = assert_matches_oracle(lp)
+        assert value == Fraction(1, 20) and pivots
+
+    def test_infeasible_and_unbounded(self):
+        lp = _lp([{0: 1}, {0: -1}], [1, -2], [1])
+        assert assert_matches_oracle(lp)[0] is Infeasible
+        lp = _lp([{1: 1}], [1], [1, 0])
+        assert assert_matches_oracle(lp)[0] is Unbounded
+        lp = _lp([{0: -1, 1: 1}], [-1], [1, 0])     # unbounded after phase one
+        result, pivots = assert_matches_oracle(lp)
+        assert result is Unbounded and pivots
+
+    def test_degenerate_artificial_eviction(self):
+        # x = 1 exactly: phase one leaves the artificial of -x <= -1 basic at
+        # zero, and only the degenerate pivot that evicts it keeps x = 1
+        lp = _lp([{0: 1}, {0: -1}], [1, -1], [-1])
+        (value, x), pivots = assert_matches_oracle(lp)
+        assert value == -1 and x == [1]
+        assert pivots == [(0, 1), (1, 3)]
+
+    @pytest.mark.parametrize("k", (3, 5))
+    @pytest.mark.parametrize("variant", ip.VARIANTS)
+    def test_root_lps_of_ip_instances(self, k, variant):
+        rem = (k + 1) % (2 * k) if variant == "secA" else (k - 1) % (2 * k)
+        solved = 0
+        for n in range(2 * k + 1, 401):
+            if n % (2 * k) != rem:
+                continue
+            inst = ip.build_instance(n, k, variant)
+            if inst.trivial:
+                continue
+            lp, _, _ = ip._build_lp(inst)
+            assert_matches_oracle(lp)
+            solved += 1
+        assert solved >= 36
