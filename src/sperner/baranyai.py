@@ -38,16 +38,29 @@ one point.  Equal stubs under one parent pass through one node with a
 windowed intake, so they receive distinct points when there are at most h
 of them.  The grouped construction grows its transversals this way, one
 group at a time, and so runs on this engine for every c.
+
+All stages of one call share one persistent network (`flows.Circulation`).
+The loop, parent and unit nodes are fixed.  A census key (need, content)
+or a stub class (parent, content) takes a node slot and a sink arc when it
+first has open members, and frees both when its count reaches 0.  A
+unit's arc to a key carries the unit's open members of it as its upper
+bound.  A stage recomputes only the parent, unit, census and stub-class
+bounds and the forced lower bounds (a block that needs every remaining
+point of the side, and every stub at the last point); the solve resets
+the residual capacities from the bounds in one pass.  Afterwards only the
+arcs that carried flow are read: f blocks that grew move to their grown
+key (the arc is pointed at it when all of its blocks grew), f stubs are
+filled, and an arc left with no members is unlinked, its slot reused.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .combinat import binom
-from .flows import feasible_circulation
+from .flows import Circulation
 
 
 class AllocationError(RuntimeError):
@@ -57,11 +70,6 @@ class AllocationError(RuntimeError):
 def _window(total: int, h: int) -> tuple[int, int]:
     lo, rem = divmod(total, h)
     return lo, lo + (1 if rem else 0)
-
-
-def _stage_bounds(alpha: int, beta: int, remaining: int, sigma: int) -> tuple[int, int]:
-    return (max(alpha, remaining - beta * (sigma - 1)),
-            min(beta, remaining - alpha * (sigma - 1)))
 
 
 def partition_ground(points, unit_blocks, parents=None, rng=None, stubs=None,
@@ -111,123 +119,167 @@ def partition_ground(points, unit_blocks, parents=None, rng=None, stubs=None,
     if rng is not None:
         rng.shuffle(points)
 
-    # remaining intake per unit and per parent on each side, and per stub
+    # remaining intake per side of every unit and parent, and per stub
     # class (parent, content), each held in the floor/ceil window of its
     # total over the side's size
-    r_unit = [[sum(f[x] for f in bl) for x in range(len(hs))] for bl in unit_blocks]
-    for i, st in enumerate(stubs):
-        r_unit[i][0] += len(st)
-    r_parent = {}
-    for p, r in zip(parents, r_unit):
-        r_parent[p] = [a + b for a, b in zip(r_parent.get(p, [0] * len(hs)), r)]
-    uwin = [[_window(t, b) for t, b in zip(r, hs)] for r in r_unit]
-    pwin = {p: [_window(t, b) for t, b in zip(r, hs)] for p, r in r_parent.items()}
-    r_stub = defaultdict(int)
-    for i, st in enumerate(stubs):
-        for content in st:
-            r_stub[(parents[i], content)] += 1
-    swin = {key: _window(t, h) for key, t in r_stub.items()}
+    pid = {p: j for j, p in enumerate(dict.fromkeys(parents))}
+    upar = [pid[p] for p in parents]
+    u_rem = [[sum(f[x] for f in bl) for bl in unit_blocks] for x in range(len(hs))]
+    u_rem[0] = [r + len(st) for r, st in zip(u_rem[0], stubs)]
+    p_rem = [[0] * len(pid) for _ in hs]
+    for rem, prem in zip(u_rem, p_rem):
+        for j, r in zip(upar, rem):
+            prem[j] += r
+    uwin = [[_window(t, b) for t in rem] for rem, b in zip(u_rem, hs)]
+    pwin = [[_window(t, b) for t in rem] for rem, b in zip(p_rem, hs)]
+    swin = {key: _window(t, h) for key, t in
+            Counter((parents[i], st) for i, unit in enumerate(stubs) for st in unit).items()}
 
-    # open blocks per unit as (need, content) -> count, with need the
-    # points still to take per side, their census over all units, and
-    # open stubs per unit as (parent, content) -> count; every dict is
-    # updated per move and read in insertion order
+    # One network serves every stage: a loop from the sink side back to
+    # the source side, source -> parent -> unit, unit -> content node ->
+    # sink for open blocks, and unit -> stub class node -> sink for open
+    # stubs.  A census key (need, content), with need the points still to
+    # take per side, or a stub class (parent, content) holds a node and
+    # its sink arc while it has open members: census[key] =
+    # [count, node, sink arc].  A unit's arc to a key carries the unit's
+    # open members of it as its upper bound and is tagged (unit, key,
+    # is_stub); a stage patches only the arcs that carried flow.
+    net = Circulation()
+    low, hi, head = net.low, net.hi, net.head
+    src, snk = net.add_node(), net.add_node()
+    net.link(snk, src, 0, 1 << 60)
+    pnode = [net.add_node() for _ in pid]
+    parc = [net.link(src, v, 0, 0) for v in pnode]
+    unode = [net.add_node() for _ in range(nu)]
+    uarc = [net.link(pnode[j], v, 0, 0) for j, v in zip(upar, unode)]
+    census, stub_census = {}, {}
+
+    def enter(members, key, cnt):
+        """Count cnt more open members of key; returns its node."""
+        ent = members.get(key)
+        if ent is None:
+            v = net.add_node()
+            members[key] = ent = [0, v, net.link(v, snk, 0, 0)]
+        ent[0] += cnt
+        return ent[1]
+
+    def add(i, key, cnt, arcs, members, is_stub):
+        """Give unit i cnt more open members of key."""
+        v = enter(members, key, cnt)
+        e = arcs.get(key)
+        if e is None:
+            arcs[key] = net.link(unode[i], v, 0, cnt, (i, key, is_stub))
+        else:
+            hi[e] += cnt
+
+    def leave(members, key, cnt):
+        """Count cnt fewer open members of key, freeing its node at 0."""
+        ent = members[key]
+        ent[0] -= cnt
+        if not ent[0]:
+            net.unlink(ent[2])
+            net.free_node(ent[1])
+            del members[key]
+
+    def remove(e, key, cnt, arcs, members):
+        """Take cnt open members of key off a unit's arc e."""
+        if hi[e] == cnt:
+            net.unlink(e)
+            del arcs[key]
+        else:
+            hi[e] -= cnt
+        leave(members, key, cnt)
+
+    # a unit's open blocks and open stubs, each key -> its arc
     empty = frozenset()
-    blocks = [Counter((f, empty) for f in bl) for bl in unit_blocks]
-    census = Counter({(f, empty): cnt for f, cnt in sorted(size_tot.items())})
-    open_stubs = [Counter((parents[i], st) for st in stubs[i]) for i in range(nu)]
+    blocks = [{} for _ in range(nu)]
+    open_stubs = [{} for _ in range(nu)]
+    for i in range(nu):
+        for f in unit_blocks[i]:
+            add(i, (f, empty), 1, blocks[i], census, False)
+        for st in stubs[i]:
+            add(i, (parents[i], st), 1, open_stubs[i], stub_census, True)
     filled = [[] for _ in range(nu)]
-    # nodes: 0 = source side of the circulation loop, 1 = sink side, then
-    # parents, units, and per stage the block contents and stub classes
-    pnode = {p: nid for nid, p in enumerate(pwin, 2)}
-    ubase = 2 + len(pnode)
-    unit_parent = [(pnode[parents[i]], ubase + i) for i in range(nu)]
     sigma = list(hs)
 
     for stage, pt in enumerate(points):
         x = side_of[pt]
         s = sigma[x]
-        cnode = {key: nid for nid, key in enumerate(
-            (key for key in census if key[0][x]), ubase + nu)}
-        nid = ubase + nu + len(cnode)
-        snode = {}
-        for key, rem in r_stub.items():
-            if rem:
-                snode[key] = nid; nid += 1
-        # the arcs that move blocks, then those that fill stubs, come first,
-        # in step with moves and stub_moves; a block that needs s more
-        # points of this side, and at the last point every stub, must take
-        # this one
-        arcs, moves, stub_arcs, stub_moves = [], [], [], []
-        for i in range(nu):
-            u = ubase + i
-            if blocks[i]:
-                live = [(key, cnt) for key, cnt in blocks[i].items() if key[0][x]]
-                arcs += [(u, cnode[key], cnt if key[0][x] == s else 0, cnt)
-                         for key, cnt in live]
-                moves += [(i, key) for key, _ in live]
-            if open_stubs[i]:
-                stub_arcs += [(u, snode[key], cnt if s == 1 else 0, cnt)
-                              for key, cnt in open_stubs[i].items()]
-                stub_moves += [(i, key) for key in open_stubs[i]]
-        arcs += stub_arcs
-        for p, win in pwin.items():
-            arcs.append((0, pnode[p], *_stage_bounds(*win[x], r_parent[p][x], s)))
-        for i, (pn, u) in enumerate(unit_parent):
-            arcs.append((pn, u, *_stage_bounds(*uwin[i][x], r_unit[i][x], s)))
+        _window_bounds(low, hi, s, zip(parc, pwin[x], p_rem[x]))
+        _window_bounds(low, hi, s, zip(uarc, uwin[x], u_rem[x]))
+        _window_bounds(low, hi, s, ((e, swin[key], r)
+                                    for key, (r, _, e) in stub_census.items()))
         # a content with C completions, N of them through this point, and
         # r open blocks: at most N of them take the point, at least
-        # r - (C - N) must (the census bounds of the module docstring)
+        # r - (C - N) must (the census bounds of the module docstring); a
+        # block that needs s more points of this side, and at the last
+        # point every stub, must take this one
         completions = {}
-        for key in cnode:
+        for key, (r, v, e) in census.items():
             need = key[0]
             if need not in completions:
                 cc = math.prod(binom(a, b) for a, b in zip(sigma, need))
                 completions[need] = (cc, cc * need[x] // s)
             cc, nn = completions[need]
-            r = census[key]
-            arcs.append((cnode[key], 1, max(0, r - cc + nn), min(nn, r)))
-        for key, node in snode.items():
-            arcs.append((node, 1, *_stage_bounds(*swin[key], r_stub[key], s)))
-        arcs.append((1, 0, 0, 1 << 60))
+            low[e], hi[e] = max(0, r - cc + nn), min(nn, r)
+            if need[x] == s:
+                _force(head[v], low, hi)
+        if s == 1:
+            for _, v, _ in stub_census.values():
+                _force(head[v], low, hi)
 
-        flows = feasible_circulation(nid, arcs)
-        if flows is None:
+        if not net.solve():
             raise AllocationError(f"stage {stage} infeasible")
-        for fl, (i, key) in zip(flows, moves):
-            if not fl:
+        # each arc that carried f moves f members of its key: f stubs are
+        # filled, and f blocks grow by pt into key `new`, onto the arc the
+        # unit holds for it, or onto this arc when all its blocks grew
+        grown = {}
+        urem, prem, tag = u_rem[x], p_rem[x], net.tag
+        for e, f in net.carrying():
+            i, key, is_stub = tag[e]
+            urem[i] -= f
+            prem[upar[i]] -= f
+            if is_stub:
+                filled[i] += [key[1] | {pt}] * f
+                remove(e, key, f, open_stubs[i], stub_census)
                 continue
-            r_unit[i][x] -= fl
-            r_parent[parents[i]][x] -= fl
-            _take(blocks[i], key, fl)
-            _take(census, key, fl)
-            need, content = key
-            need = need[:x] + (need[x] - 1,) + need[x + 1:]
-            grown = content | {pt}
-            if any(need):
-                blocks[i][(need, grown)] += fl
-                census[(need, grown)] += fl
+            new = grown.get(key)
+            if new is None:
+                need, content = key
+                grown[key] = new = (need[:x] + (need[x] - 1,) + need[x + 1:],
+                                    content | {pt})
+            if not any(new[0]):
+                filled[i] += [new[1]] * f
+                remove(e, key, f, blocks[i], census)
+            elif hi[e] == f and new not in blocks[i]:
+                net.retarget(e, enter(census, new, f), (i, new, False))
+                del blocks[i][key]
+                blocks[i][new] = e
+                leave(census, key, f)
             else:
-                filled[i] += [grown] * fl
-        for fl, (i, key) in zip(flows[len(moves):], stub_moves):
-            if not fl:
-                continue
-            r_unit[i][0] -= fl
-            r_parent[parents[i]][0] -= fl
-            _take(open_stubs[i], key, fl)
-            r_stub[key] -= fl
-            filled[i] += [key[1] | {pt}] * fl
+                remove(e, key, f, blocks[i], census)
+                add(i, new, f, blocks[i], census, False)
         sigma[x] -= 1
 
     return [sorted(unit, key=lambda b: (len(b), sorted(b))) for unit in filled]
 
 
-def _take(counts: dict, key, k: int) -> None:
-    left = counts[key] - k
-    if left:
-        counts[key] = left
-    else:
-        del counts[key]
+def _window_bounds(low, hi, s, arcs) -> None:
+    """Stage bounds for (arc, (alpha, beta), remaining) with s points left:
+    the arc takes alpha to beta now and leaves a remainder that the other
+    s - 1 stages can still take within the same window."""
+    s1 = s - 1
+    for e, (alpha, beta), rem in arcs:
+        lo, up = rem - beta * s1, rem - alpha * s1
+        low[e] = alpha if alpha > lo else lo
+        hi[e] = beta if beta < up else up
+
+
+def _force(arcs, low, hi) -> None:
+    """Set the lower bound of every arc into a node to its upper bound."""
+    for a in arcs:
+        if a & 1:
+            low[a >> 1] = hi[a >> 1]
 
 
 def allocate_blocks(points, size, unit_sizes, parents=None, rng=None):
@@ -238,7 +290,8 @@ def allocate_blocks(points, size, unit_sizes, parents=None, rng=None):
     same window holds per parent group when `parents` labels units.  The
     rng only shuffles the placement order of points.
     """
-    total = binom(len(list(points)), size)
+    points = list(points)
+    total = binom(len(points), size)
     if sum(unit_sizes) != total:
         raise ValueError(f"unit sizes sum to {sum(unit_sizes)}, need {total}")
     return partition_ground(points, [[size] * cnt for cnt in unit_sizes],

@@ -88,6 +88,14 @@ class TestPartitionGround:
         for unit in out:
             assert not unit[0] & unit[1]
 
+    def test_uniform_wrapper_takes_an_iterator(self):
+        # the points are read once, so a one-shot iterable gives the same
+        # allocation as the range it came from
+        want = allocate_blocks(range(4), 2, [2, 2, 2])
+        assert allocate_blocks(iter(range(4)), 2, [2, 2, 2]) == want
+        assert sorted(sorted(b) for unit in want for b in unit) == \
+            [list(pair) for pair in itertools.combinations(range(4), 2)]
+
     def test_mixed_sizes_partition(self):
         # ten classes each splitting a 5-set into a 3-block and a 2-block
         out = partition_ground(range(5), [[3, 2]] * 10)

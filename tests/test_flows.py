@@ -3,7 +3,7 @@ import random
 import networkx as nx
 import pytest
 
-from sperner.flows import FlowNet, feasible_circulation
+from sperner.flows import Circulation, FlowNet, feasible_circulation
 
 
 class RecursiveDinic:
@@ -194,3 +194,110 @@ def test_identical_to_recursive_dinic(seed):
         assert new.cap == old.cap
         n, arcs = random_bounded(rng)
         assert feasible_circulation(n, arcs) == recursive_circulation(n, arcs)
+
+
+def test_phases_and_paths_of_last_max_flow():
+    # s -> a -> t is a shortest path; s -> c -> b -> t waits for phase 2
+    net = build(FlowNet, 5, [(0, 1, 1), (1, 4, 1), (0, 3, 1), (3, 2, 1), (2, 4, 1)])
+    assert net.max_flow(0, 4) == 2
+    assert (net.phases, net.paths) == (2, 2)
+    assert net.max_flow(0, 4) == 0
+    assert (net.phases, net.paths) == (0, 0)
+    # a diamond: one phase, two paths, the second found after retreating
+    net = build(FlowNet, 4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
+    assert net.max_flow(0, 3) == 2
+    assert (net.phases, net.paths) == (1, 2)
+    # one path of capacity 3 is a single augmentation
+    net = build(FlowNet, 3, [(0, 1, 3), (1, 2, 5)])
+    assert net.max_flow(0, 2) == 3
+    assert (net.phases, net.paths) == (1, 1)
+
+
+def random_bounds(rng):
+    low = rng.choice((0, 0, 0, 1, 2))
+    return low, low + rng.randint(-1 if low else 0, 3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_persistent_network_matches_fresh_builds(seed):
+    """One Circulation through links, unlinks, slot reuse, retargets, node
+    reuse and bound edits: after every solve its verdict is that of a fresh
+    `feasible_circulation` and of networkx, its flows meet every bound and
+    are conserved at every node, and `carrying` lists the tagged arcs with
+    flow."""
+    rng = random.Random(f"flows:persistent:{seed}")
+    net = Circulation()
+    nodes = [net.add_node() for _ in range(rng.randint(3, 6))]
+    live = {}          # arc -> (tail, head)
+    tagged = set()
+    ever, reused, outcomes = set(), 0, set()
+    freed, nodes_reused = set(), 0
+    e = net.link(nodes[1], nodes[0], 0, 1 << 30)   # a loop, as in the stages
+    live[e] = (nodes[1], nodes[0])
+    ever.add(e)
+    for _ in range(80):
+        op = rng.random()
+        if op < 0.35 or len(live) < 2:
+            u, v = rng.sample(nodes, 2)
+            tag = rng.choice((None, "tag"))
+            e = net.link(u, v, *random_bounds(rng), tag)
+            tagged.discard(e)
+            if tag:
+                tagged.add(e)
+            reused += e in ever
+            ever.add(e)
+            live[e] = (u, v)
+        elif op < 0.55:
+            e = rng.choice(sorted(live))
+            net.unlink(e)
+            del live[e]
+        elif op < 0.75:
+            e = rng.choice(sorted(live))
+            net.low[e], net.hi[e] = random_bounds(rng)
+        elif op < 0.85:
+            e = rng.choice(sorted(live))
+            u, _ = live[e]
+            v = rng.choice([w for w in nodes if w != u])
+            up = net.hi[e]
+            net.retarget(e, v, "tag")
+            assert (net.low[e], net.hi[e]) == (0, up)
+            tagged.add(e)
+            live[e] = (u, v)
+        elif op < 0.93:
+            nodes.append(net.add_node())
+            nodes_reused += nodes[-1] in freed
+        elif len(nodes) > 3:
+            # unlink a node's arcs, then give the node back
+            w = rng.choice(nodes)
+            for e in [e for e, ends in live.items() if w in ends]:
+                net.unlink(e)
+                del live[e]
+            nodes.remove(w)
+            net.free_node(w)
+            freed.add(w)
+        # every live arc is listed once, at its tail, and nothing else is
+        listed = sorted((a, v) for v in nodes for a in net.head[v])
+        assert listed == sorted(ends for e, (u, v) in live.items()
+                                for ends in ((2 * e, u), (2 * e + 1, v)))
+        assert all(net.to[2 * e:2 * e + 2] == [v, u] for e, (u, v) in live.items())
+        index = {w: i for i, w in enumerate(nodes)}
+        arcs = [(index[u], index[v], net.low[e], net.hi[e])
+                for e, (u, v) in sorted(live.items())]
+        ok = net.solve()
+        outcomes.add(ok)
+        assert ok == (feasible_circulation(len(nodes), arcs) is not None)
+        assert ok == nx_feasible(len(nodes), arcs)
+        if not ok:
+            continue
+        flows = net.flows()
+        balance = dict.fromkeys(nodes, 0)
+        for e, (u, v) in live.items():
+            assert net.low[e] <= flows[e] <= net.hi[e]
+            balance[u] -= flows[e]
+            balance[v] += flows[e]
+        assert set(balance.values()) == {0}
+        assert not any(flows[e] for e in range(len(flows)) if e not in live)
+        assert net.carrying() == [(e, flows[e]) for e in sorted(live)
+                                  if e in tagged and flows[e]]
+    assert outcomes == {True, False}
+    assert reused and nodes_reused
