@@ -14,9 +14,8 @@ from .baranyai import (AllocationError, Resolution, allocate_blocks,
 from .bounds import (BoundsReport, ExactRow, SmallRRow, best_grouped_lower,
                      bounds_report, refined_upper, scan_exact, scan_small_r,
                      small_r_upper, two_value_range)
-from .combinat import (Params, binom, binom_frac, binom_real, decompose, erf,
-                       erf_inv, mms, shadow_bound, shadow_cmp, shadow_root,
-                       stirling_binom)
+from .combinat import (ERF_INV_HALF, Params, binom, binom_frac, decompose, mms,
+                       shadow_bound, shadow_cmp, shadow_root)
 from .construction import (ConstructionError, GroupedPlan, PartitionSystem,
                            balanced_matrix, construct_grouped, construct_uniform,
                            extend_system, plan_grouped)
@@ -25,8 +24,8 @@ from .ip import (AsymptoticReport, ClosedFormResult, IpInstance, IpSolution,
                  closed_form_solve, exact_solve, greedy_gap_bound, greedy_solve,
                  lp_relax, realize_system, zero_solution)
 from .simplex import Infeasible, LinearProgram, SimplexError, Unbounded
-from .verify import (DetectingArray, SystemCertificate, VerificationReport,
-                     check_almost_uniform, check_certificate,
+from .verify import (DetectingArray, PartIndex, SystemCertificate,
+                     VerificationReport, check_almost_uniform, check_certificate,
                      check_certificate_summary, check_detecting,
                      check_partition_system, check_sperner,
                      from_detecting_array, to_detecting_array)

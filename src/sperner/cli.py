@@ -20,11 +20,9 @@ from . import ip as ipm
 from .combinat import decompose, mms
 from .construction import (PartitionSystem, construct_grouped, construct_uniform,
                            plan_grouped)
-from .verify import (DetectingArray, check_almost_uniform, check_certificate,
-                     check_detecting, check_partition_system, check_sperner,
-                     from_detecting_array)
-
-BRUTE_LIMIT = 6000
+from .verify import (DetectingArray, PartIndex, check_almost_uniform,
+                     check_certificate, check_detecting, check_partition_system,
+                     check_sperner, from_detecting_array)
 
 
 def _write(text: str, out: str | None):
@@ -56,6 +54,8 @@ def cmd_bounds(args) -> int:
 
 
 def _verify_system(system: PartitionSystem, params=None) -> tuple[list, bool]:
+    """Every check that applies, each system checked exactly: one part index
+    serves both the certificate's reuse test and the subset test."""
     notes = []
     ok = True
     rep = check_partition_system(system)
@@ -65,20 +65,14 @@ def _verify_system(system: PartitionSystem, params=None) -> tuple[list, bool]:
         rep = check_almost_uniform(system, params)
         notes.append(f"almost uniform: {'ok' if rep.ok else 'FAIL'}")
         ok &= rep.ok
-    certified = system.part_tags is not None
-    if certified:
-        rep = check_certificate(system)
+    index = PartIndex(system.partitions)
+    if system.part_tags is not None:
+        rep = check_certificate(system, index)
         notes.append(f"certificate: {'ok' if rep.ok else 'FAIL'}")
         ok &= rep.ok
-    n_parts = sum(len(parts) for parts in system.partitions)
-    if certified and n_parts > BRUTE_LIMIT:
-        # the certificate rules out containments family by family; the
-        # exact test's index of every part would only add to peak memory
-        notes.append(f"brute-force subset test: skipped ({n_parts} parts)")
-    else:
-        rep = check_sperner(system)
-        notes.append(f"brute-force subset test: {'ok' if rep.ok else 'FAIL'}")
-        ok &= rep.ok
+    rep = check_sperner(system, index)
+    notes.append(f"exact subset test: {'ok' if rep.ok else 'FAIL'}")
+    ok &= rep.ok
     return notes, ok
 
 
@@ -102,6 +96,14 @@ def cmd_construct(args) -> int:
     return 0 if ok else 1
 
 
+def _exact(inst):
+    """Branch and bound under `ip`'s search policy, with its verdict printed."""
+    sol, optimal = ipm.exact_solve(inst)
+    print(f"exact objective = {sol.objective}, gap to Q = {inst.q - sol.objective}"
+          f"{'' if optimal else ' (budget exhausted, may be suboptimal)'}")
+    return sol
+
+
 def cmd_ip(args) -> int:
     inst = ipm.build_instance(args.n, args.k, args.variant)
     print(f"instance {inst.variant} n={inst.n} k={inst.k}: "
@@ -112,7 +114,6 @@ def cmd_ip(args) -> int:
     solver = args.solver
     if solver == "auto":
         solver = "greedy" if inst.variant == "secA" else "ladder"
-    sol = None
     if inst.trivial:
         sol = ipm.zero_solution(inst)
         print("trivial program, objective 0")
@@ -120,9 +121,7 @@ def cmd_ip(args) -> int:
         sol = ipm.greedy_solve(inst)
         print(f"greedy objective = {sol.objective}, gap to Q = {inst.q - sol.objective}")
     elif solver == "exact":
-        sol, optimal = ipm.exact_solve(inst, phi_limit=args.exact_limit)
-        print(f"exact objective = {sol.objective}, gap to Q = {inst.q - sol.objective}"
-              f"{'' if optimal else ' (budget exhausted, may be suboptimal)'}")
+        sol = _exact(inst)
     elif solver == "closed":
         res = ipm.closed_form_solve(inst)
         if res.feasible:
@@ -132,7 +131,7 @@ def cmd_ip(args) -> int:
             print(f"closed form infeasible: violated {', '.join(res.violations)}")
             return 1
     elif solver == "lp":
-        value, xs = ipm.lp_relax(inst, phi_limit=args.lp_limit)
+        value, xs = ipm.lp_relax(inst)
         print(f"lp optimum = {_fmt_fraction(value)}")
         sol = ipm.IpSolution(inst, {v: int(val) for v, val in xs.items() if int(val)})
         print(f"floor-rounded objective = {sol.objective}")
@@ -141,22 +140,19 @@ def cmd_ip(args) -> int:
         if res.feasible:
             sol = res.solution
             print(f"closed-form objective = {sol.objective} (= Q)")
-        elif len(inst.phi) <= args.exact_limit:
+        elif len(inst.phi) <= ipm.EXACT_PHI_LIMIT:
             print(f"closed form infeasible ({', '.join(res.violations)}); "
                   "falling back to exact search")
-            sol, optimal = ipm.exact_solve(inst, phi_limit=args.exact_limit)
-            print(f"exact objective = {sol.objective}, gap to Q = {inst.q - sol.objective}")
+            sol = _exact(inst)
         else:
-            value, xs = ipm.lp_relax(inst, phi_limit=args.lp_limit)
+            value, xs = ipm.lp_relax(inst)
             sol = ipm.IpSolution(inst, {v: int(val) for v, val in xs.items() if int(val)})
             print(f"lp optimum = {_fmt_fraction(value)}, "
                   f"floor-rounded objective = {sol.objective}")
-    if args.dump and sol is not None:
+    if args.dump:
         with open(args.dump, "w") as fh:
             fh.write(inst.to_text(sol))
     if args.build:
-        if sol is None:
-            return 1
         system = ipm.realize_system(inst, sol, seed=args.seed)
         notes, ok = _verify_system(system, inst.params)
         print(f"built {system.size} partitions")
@@ -239,8 +235,8 @@ def cmd_asym(args) -> int:
                 obj = sol.objective
                 gap = Fraction(inst.q - sol.objective)
                 assert gap <= ipm.greedy_gap_bound(inst)
-            if not inst.trivial and len(inst.phi) <= args.lp_limit:
-                lp = _fmt_fraction(ipm.lp_relax(inst, phi_limit=args.lp_limit)[0])
+            if not inst.trivial:
+                lp = _fmt_fraction(ipm.lp_relax(inst)[0])
             writer.writerow([n, args.k, args.variant, rep.d, rep.u, rep.q,
                              _fmt_fraction(rep.mms_value), obj, lp,
                              f"{rep.estar_ratios[0]:.9f}",
@@ -287,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="realize the solution as a partition system")
     p.add_argument("--out", help="write the built system here")
     p.add_argument("--dump", help="write the instance/solution dump here")
-    p.add_argument("--exact-limit", type=int, default=2000)
-    p.add_argument("--lp-limit", type=int, default=20000)
     p.set_defaults(func=cmd_ip)
 
     p = sub.add_parser("scan", help="reproduce the exact-value and small-r tables")
@@ -307,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--variant", choices=ipm.VARIANTS, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--lp-limit", type=int, default=20000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_asym)
     return parser

@@ -2,9 +2,8 @@
 
 Everything countable is computed with arbitrary-precision integers, and
 every bound comparison is exact (the shadow comparison is one integer
-inequality).  Floats appear only in the real binomial extension, the shadow
-bound, the Stirling approximation and the error function, which are
-inherently approximate.
+inequality).  Floats appear only in the real-valued shadow bound and its
+root, and in the constant erf^-1(1/2), which are inherently approximate.
 """
 
 from __future__ import annotations
@@ -54,17 +53,8 @@ def _binom_real_raw(q: float, t: int) -> float:
     return out
 
 
-def binom_real(q: float, t: int) -> float:
-    """Real extension (1/t!) * prod_{i<t} (q - i), for q >= t >= 0."""
-    if t < 0:
-        raise ValueError(f"negative lower index {t}")
-    if q < t:
-        raise ValueError(f"need q >= t, got q={q}, t={t}")
-    return _binom_real_raw(q, t)
-
-
 def binom_frac(q: Fraction, t: int) -> Fraction:
-    """binom_real computed exactly at a rational point."""
+    """The real binomial (1/t!) * prod_{i<t} (q - i), exactly at a rational q."""
     out = Fraction(1)
     for i in range(t):
         out *= q - i
@@ -90,7 +80,7 @@ _ROOT_TOL = 1e-12
 
 
 def shadow_root(c: int, x: float) -> float:
-    """The unique q >= c - 1 with binom_real(q, c) = x, for x >= 0."""
+    """The unique q >= c - 1 with (1/c!) prod_{i<c} (q - i) = x, for x >= 0."""
     if c < 2:
         raise ValueError(f"need c >= 2, got {c}")
     if x < 0:
@@ -135,49 +125,5 @@ def shadow_cmp(c: int, x: int, y: Fraction | int) -> bool:
     return math.prod(c * x + j * y for j in range(1, c)) <= math.factorial(c - 1) * y ** c
 
 
-def stirling_binom_log(x: float, y: float) -> float:
-    """Natural log of the Stirling approximation to binom(x, y)."""
-    if not 0 < y < x:
-        raise ValueError(f"need 0 < y < x, got x={x}, y={y}")
-    return ((x + 0.5) * math.log(x)
-            - 0.5 * math.log(2.0 * math.pi)
-            - (y + 0.5) * math.log(y)
-            - (x - y + 0.5) * math.log(x - y))
-
-
-def stirling_binom(x: float, y: float) -> float:
-    """Stirling approximation x^(x+1/2) / (sqrt(2 pi) y^(y+1/2) (x-y)^(x-y+1/2)).
-
-    Values past the float range come back as inf; compare ratios through
-    stirling_binom_log in that regime.
-    """
-    lg = stirling_binom_log(x, y)
-    try:
-        return math.exp(lg)
-    except OverflowError:
-        return math.inf
-
-
-def erf(x: float) -> float:
-    """Standard error function (2/sqrt(pi)) * int_0^x exp(-t^2) dt."""
-    return math.erf(x)
-
-
-def erf_inv(p: float) -> float:
-    """Inverse of the standard error function on (-1, 1)."""
-    if not -1.0 < p < 1.0:
-        raise ValueError(f"need |p| < 1, got {p}")
-    if p == 0.0:
-        return 0.0
-    lo, hi = -6.0, 6.0
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if math.erf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    x = (lo + hi) / 2.0
-    # Newton polish; derivative of erf is 2/sqrt(pi) exp(-x^2)
-    for _ in range(4):
-        x -= (math.erf(x) - p) * math.sqrt(math.pi) / 2.0 * math.exp(x * x)
-    return x
+# erf^-1(1/2): the limit of u / sqrt(d (k-1) / k) in the IP diagnostics.
+ERF_INV_HALF = 0.4769362762044699

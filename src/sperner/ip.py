@@ -10,7 +10,9 @@ objective is 2 * sum x and its optimum is bounded by the even integer Q.
 
 Solvers: a batched version of the slack-consuming greedy (variant secA),
 the sparse closed-form candidate (variant secB), exact branch-and-bound
-with exact LP bounds, and the exact LP relaxation.  The LPs go to the
+with exact LP bounds, and the exact LP relaxation.  Branch and bound is
+the one solver with size limits, EXACT_PHI_LIMIT variables and
+NODE_BUDGET search nodes, documented where they are set.  The LPs go to the
 fraction-free integer simplex of `simplex.py`, whose values and vertices
 are exact rationals; their constraints are built in one pass over Phi
 with integer coefficients.  Family sizes come from one row of binomials
@@ -28,12 +30,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .baranyai import partition_ground
-from .combinat import Params, binom, decompose, erf_inv, mms
+from .combinat import ERF_INV_HALF, Params, binom, decompose, mms
 from .construction import PartitionSystem
 from .simplex import Infeasible, LinearProgram
 from .verify import SystemCertificate
 
 VARIANTS = ("secA", "secB")
+
+# The one size policy of the solvers, read at call time.  Branch and bound
+# runs only on index sets of at most EXACT_PHI_LIMIT variables; above it,
+# `exact_solve` raises and the `ip` ladder falls back to the LP floor.  The
+# first instance above it is (1802, 3, secB), |Phi| = 2037.  The search
+# stops after NODE_BUDGET expanded nodes and reports that it did.  The LP
+# relaxation has no limit: over k in {3, 5, 7}, both variants and
+# n <= 3000, the largest |Phi| is 3908, at k = 3, secB.
+EXACT_PHI_LIMIT = 2000
+NODE_BUDGET = 100000
 
 
 @dataclass(frozen=True)
@@ -388,10 +400,8 @@ def _build_lp(inst: IpInstance, lb=None, ub=None):
     return lp, idx, shift
 
 
-def lp_relax(inst: IpInstance, phi_limit: int = 20000):
+def lp_relax(inst: IpInstance):
     """Exact rational optimum of the LP relaxation; (value, solution dict)."""
-    if len(inst.phi) > phi_limit:
-        raise ValueError(f"|Phi| = {len(inst.phi)} exceeds the limit {phi_limit}")
     if inst.trivial:
         return Fraction(0), {}
     lp, idx, _ = _build_lp(inst)
@@ -428,15 +438,17 @@ def _floor_improve(inst: IpInstance, base: dict) -> IpSolution:
     return out
 
 
-def exact_solve(inst: IpInstance, node_budget: int = 100000,
-                phi_limit: int = 2000, method: str = "auto"):
+def exact_solve(inst: IpInstance, method: str = "auto"):
     """Exact optimum by branch and bound; (solution, proved_optimal).
 
-    Diagonal-only index sets decouple into min(D, sum floor(R_l / 2)) and
-    are solved directly unless method="bb" forces the search.
+    Raises ValueError above EXACT_PHI_LIMIT variables; proved_optimal is
+    False when the search stopped at NODE_BUDGET nodes.  Diagonal-only
+    index sets decouple into min(D, sum floor(R_l / 2)) and are solved
+    directly unless method="bb" forces the search.
     """
-    if len(inst.phi) > phi_limit:
-        raise ValueError(f"|Phi| = {len(inst.phi)} exceeds the limit {phi_limit}")
+    if len(inst.phi) > EXACT_PHI_LIMIT:
+        raise ValueError(f"|Phi| = {len(inst.phi)} exceeds the branch-and-bound "
+                         f"limit EXACT_PHI_LIMIT = {EXACT_PHI_LIMIT}")
     if inst.trivial:
         return zero_solution(inst), True
     diag_only = all(i == j for (i, j) in inst.phi)
@@ -480,7 +492,7 @@ def exact_solve(inst: IpInstance, node_budget: int = 100000,
         nbound, _, lb, ub, xfull = heapq.heappop(heap)
         if -nbound <= best.objective:
             continue
-        if expanded >= node_budget:
+        if expanded >= NODE_BUDGET:
             optimal = False
             break
         expanded += 1
@@ -604,7 +616,7 @@ class AsymptoticReport:
     mms_value: Fraction
     estar_ratios: list    # estar_l / ((k-1) e_l) for l up to ceil(sqrt(d))
     gauss_ratios: list    # e_l / (e_0 exp(-k l^2 / (d (k-1))))
-    u_ratio: float        # u / (erf_inv(1/2) sqrt(d (k-1) / k))
+    u_ratio: float        # u / (erf^-1(1/2) sqrt(d (k-1) / k))
     q_over_mms: float
 
 
@@ -617,7 +629,7 @@ def asymptotic_report(inst: IpInstance) -> AsymptoticReport:
     gauss_ratios = [float(Fraction(inst.e[ell], inst.e[0]))
                     / math.exp(-k * ell * ell / (d * (k - 1)))
                     for ell in range(lmax + 1)]
-    u_pred = erf_inv(0.5) * math.sqrt(d * (k - 1) / k)
+    u_pred = ERF_INV_HALF * math.sqrt(d * (k - 1) / k)
     mv = mms(inst.params)
     return AsymptoticReport(n, k, inst.variant, d, u, q, mv, estar_ratios,
                             gauss_ratios, u / u_pred if u_pred else float("nan"),

@@ -9,6 +9,9 @@ construction.  Certificate checking validates the construction's
 family accounting and never does subset tests; its proof obligations are
 coded once, over (class profile, count) pairs, which `check_certificate`
 streams one materialized class at a time and an IP certificate aggregates.
+Both checks of a materialized system read one `PartIndex` of its parts:
+the Sperner check for equal parts and subset lookups, the certificate for
+reused parts, so a system checked both ways is indexed once.
 """
 
 from __future__ import annotations
@@ -66,45 +69,64 @@ def check_partition_system(system: PartitionSystem) -> VerificationReport:
     return rep
 
 
-def check_sperner(system: PartitionSystem) -> VerificationReport:
+class PartIndex:
+    """Every part of a system, indexed once by size.
+
+    `first` maps each size to {part: first partition holding it}; `more`
+    maps each part held more than once to its later holders, in order.
+    `check_sperner` reads equal parts from `more` and containments from
+    `first`; `check_certificate` reads reused parts from `more`.  A caller
+    running both builds one index and passes it to each.
+    """
+
+    def __init__(self, partitions):
+        self.first = defaultdict(dict)
+        self.more = {}
+        for idx, parts in enumerate(partitions):
+            for part in parts:
+                part = frozenset(part)
+                table = self.first[len(part)]
+                if part in table:
+                    self.more.setdefault(part, []).append(idx)
+                else:
+                    table[part] = idx
+
+    def holders(self, part) -> list:
+        """The partitions holding `part`, in order, with repeats."""
+        return [self.first[len(part)][part], *self.more.get(part, ())]
+
+
+def check_sperner(system: PartitionSystem, index: PartIndex | None = None
+                  ) -> VerificationReport:
     """Exact subset test across parts of distinct partitions.
 
-    Parts are hashed by size.  Equal parts meet in the hash table.  A part
-    of size s inside a part of size t > s is one of the t-part's binom(t, s)
-    s-subsets, each looked up in the table of s-parts; for the c / c+1
-    layers of an almost-uniform system that is c+1 lookups per large part.
-    Size pairs with more subsets per large part than there are small parts
-    fall back to comparing every pair.
+    Parts are hashed by size (`PartIndex`, built here unless given).  Equal
+    parts meet in the hash table.  A part of size s inside a part of size
+    t > s is one of the t-part's binom(t, s) s-subsets, each looked up in
+    the table of s-parts; for the c / c+1 layers of an almost-uniform
+    system that is c+1 lookups per large part.  Size pairs with more
+    subsets per large part than there are small parts fall back to
+    comparing every pair.
     """
     rep = VerificationReport()
     rep.note("exact subset test")
-    for pa, ja, pb, jb in _containments(system.partitions):
+    for pa, ja, pb, jb in _containments(system.partitions, index):
         rep.fail(f"part {ja} of partition {pa} is contained in "
                  f"part {jb} of partition {pb}")
     return rep
 
 
-def _containments(partitions):
+def _containments(partitions, index: PartIndex | None = None):
     """(pa, ja, pb, jb) for each part ja of partition pa that lies in part
     jb of a distinct partition pb, found as `check_sperner` describes."""
-    first = defaultdict(dict)   # size -> {part: first partition holding it}
-    more = {}                   # part -> later partitions holding it
-    for idx, parts in enumerate(partitions):
-        for part in parts:
-            part = frozenset(part)
-            table = first[len(part)]
-            if part in table:
-                more.setdefault(part, []).append(idx)
-            else:
-                table[part] = idx
-
-    def holders(part):
-        return [first[len(part)][part], *more.get(part, ())]
+    if index is None:
+        index = PartIndex(partitions)
+    first, holders = index.first, index.holders
 
     def found(pa, a, pb, b):
         return pa, _position(partitions[pa], a), pb, _position(partitions[pb], b)
 
-    for part in more:
+    for part in index.more:
         hs = holders(part)
         for x in range(len(hs)):
             for y in range(x + 1, len(hs)):
@@ -318,13 +340,15 @@ def _check_profiles(rep: VerificationReport, k: int, p: int, group_sizes: tuple,
                      f"capacity {caps[tag, size]}")
 
 
-def check_certificate(system: PartitionSystem) -> VerificationReport:
+def check_certificate(system: PartitionSystem, index: PartIndex | None = None
+                      ) -> VerificationReport:
     """Family-level validation without pairwise subset tests.
 
     Needs the construction metadata (groups and per-part family tags).
-    Only the reuse of a part is checked on the parts themselves; each class
-    then goes to the shared family-accounting checks as a profile of count
-    1, with signatures read from one point-to-group table.
+    Only the reuse of a part is checked on the parts themselves, as the
+    repeated parts of the system's `PartIndex` (built here unless given);
+    each class then goes to the shared family-accounting checks as a
+    profile of count 1, with signatures read from one point-to-group table.
     """
     rep = VerificationReport()
     if system.groups is None or system.part_tags is None:
@@ -335,15 +359,17 @@ def check_certificate(system: PartitionSystem) -> VerificationReport:
     if len(group_of) != sum(group_sizes):
         rep.fail("groups overlap")
     rep.note("no part reused")
-    seen: dict = {}
+    if index is None:
+        index = PartIndex(system.partitions)
+    for part in index.more:
+        hs = index.holders(part)
+        for a, b in zip(hs, hs[1:]):
+            rep.fail(f"part {sorted(part)} reused by classes {a} and {b}")
 
     def profiles():
-        for idx, (parts, tags) in enumerate(zip(system.partitions, system.part_tags)):
+        for parts, tags in zip(system.partitions, system.part_tags):
             profile = []
             for part, tag in zip(parts, tags):
-                if part in seen:
-                    rep.fail(f"part {sorted(part)} reused by classes {seen[part]} and {idx}")
-                seen[part] = idx
                 sig = [0] * len(group_sizes)
                 for e in part:
                     if (w := group_of.get(e)) is not None:

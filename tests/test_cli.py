@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from sperner import ip as ipm
 from sperner.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -63,6 +64,14 @@ class TestConstructAndVerify:
         code, out, _ = run(["construct", "--n", "36", "--k", "15", "--m", "4",
                             "--h", "9", "--case", "b"], capsys)
         assert code == 0 and "built 54 partitions" in out
+
+    def test_large_row_checked_exactly(self, capsys):
+        # (88,33,4,22): 8,712 parts
+        code, out, _ = run(["construct", "--n", "88", "--k", "33", "--m", "4",
+                            "--h", "22"], capsys)
+        assert code == 0
+        assert "  exact subset test: ok" in out.splitlines()
+        assert "skipped" not in out
 
     def test_determinism(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.sps", tmp_path / "b.sps"
@@ -172,6 +181,24 @@ class TestIp:
         text = path.read_text()
         assert text.startswith("IP secA 10 3 1 0 10\n")
         assert "x 1 1 5" in text
+
+    def test_exhausted_budget_marked(self, monkeypatch, capsys):
+        # the closed form is infeasible at (26,3,secB), so the ladder runs
+        # the exact search; a search that stops early must say so
+        real = ipm.exact_solve
+        monkeypatch.setattr(ipm, "exact_solve", lambda inst: (real(inst)[0], False))
+        code, out, _ = run(["ip", "--n", "26", "--k", "3", "--variant", "secB"],
+                           capsys)
+        assert code == 0
+        assert "falling back to exact search" in out
+        assert ("exact objective = 511224, gap to Q = 0 "
+                "(budget exhausted, may be suboptimal)") in out
+        monkeypatch.setattr(ipm, "exact_solve", real)
+        monkeypatch.setattr(ipm, "NODE_BUDGET", 0)
+        code, out, _ = run(["ip", "--n", "406", "--k", "3", "--variant", "secA",
+                            "--solver", "exact"], capsys)
+        assert code == 0
+        assert out.rstrip().endswith("(budget exhausted, may be suboptimal)")
 
     def test_wrong_congruence_exit_2(self, capsys):
         code, _, err = run(["ip", "--n", "24", "--k", "3", "--variant", "secA"],

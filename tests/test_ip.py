@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from sperner import ip
+from sperner.cli import main
 from sperner.combinat import binom, decompose, mms
-from sperner.ip import (IpInstance, IpSolution, _build_lp, _eta_sequence, _phi,
+from sperner.ip import (EXACT_PHI_LIMIT, IpInstance, IpSolution, _build_lp, _eta_sequence, _phi,
                         asymptotic_report, build_instance,
                         certificate, closed_form_solve, exact_solve,
                         greedy_gap_bound, greedy_solve, lp_relax,
@@ -386,12 +388,24 @@ class TestExactAndLp:
             assert floored.feasible()
             assert floored.objective >= lp_val - 2 * len(inst.phi)
 
-    def test_phi_limit(self):
-        inst = build_instance(26, 3, "secB")
-        with pytest.raises(ValueError):
-            exact_solve(inst, phi_limit=2)
-        with pytest.raises(ValueError):
-            lp_relax(inst, phi_limit=2)
+    def test_exact_limit(self):
+        # (1802,3,secB) is the first instance above the branch-and-bound limit
+        inst = build_instance(1802, 3, "secB")
+        assert len(inst.phi) == 2037 > EXACT_PHI_LIMIT
+        with pytest.raises(ValueError, match="EXACT_PHI_LIMIT = 2000"):
+            exact_solve(inst)
+
+    def test_exact_limit_exits_2(self, capsys):
+        code = main(["ip", "--n", "1802", "--k", "3", "--variant", "secB",
+                     "--solver", "exact"])
+        assert code == 2
+        assert "EXACT_PHI_LIMIT" in capsys.readouterr().err
+
+    def test_search_budget_read_at_call_time(self, monkeypatch):
+        inst = build_instance(406, 3, "secA")
+        monkeypatch.setattr(ip, "NODE_BUDGET", 0)
+        sol, optimal = exact_solve(inst)
+        assert not optimal and sol.feasible()
 
 
 class TestRealization:

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from sperner import cli, verify
 from sperner.cli import main
 from sperner.combinat import binom, decompose
 from sperner.construction import (PartitionSystem, construct_grouped,
@@ -81,7 +82,7 @@ class TestSperner:
         path.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "brute-force subset test: FAIL" in out
+        assert "exact subset test: FAIL" in out
         assert out.splitlines()[-1] == "FAIL"
 
     def test_pairwise_fallback(self):
@@ -462,6 +463,36 @@ class TestCertificates:
 
     def test_mutation_list(self):
         assert len(MUTANTS) == 9
+
+    def test_reuse_above_6000_parts_fails_through_shared_index(self, monkeypatch):
+        # (88,33,4,22): 8,712 parts, the size range where certified systems
+        # once skipped the subset test
+        system = construct_grouped(plan_grouped(88, 33, 4, 22, "b"), seed=0)
+        assert sum(len(parts) for parts in system.partitions) > 6000
+        parts = [list(q) for q in system.partitions]
+        tags = [list(t) for t in system.part_tags]
+        parts[5], tags[5] = list(parts[2]), list(tags[2])
+        bad = PartitionSystem(system.n, system.k, parts, system.groups, tags)
+        built = []
+        real = verify.PartIndex
+
+        def counting(partitions):
+            built.append(len(partitions))
+            return real(partitions)
+
+        monkeypatch.setattr(verify, "PartIndex", counting)
+        monkeypatch.setattr(cli, "PartIndex", counting)
+        notes, ok = cli._verify_system(bad, decompose(88, 33))
+        assert not ok
+        assert "certificate: FAIL" in notes
+        assert "exact subset test: FAIL" in notes
+        assert built == [len(bad.partitions)]
+        index = real(bad.partitions)
+        rep = check_certificate(bad, index)
+        assert any("reused by classes 2 and 5" in v for v in rep.violations)
+        rep = check_sperner(bad, index)
+        assert any("of partition 2 is contained in" in v and "of partition 5" in v
+                   for v in rep.violations)
 
     def test_oracle_agrees_on_fleet(self):
         fleet = certified_fleet() + small_fleet()
