@@ -28,10 +28,12 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .baranyai import partition_ground
 from .combinat import ERF_INV_HALF, Params, binom, decompose, mms
 from .construction import PartitionSystem
+from .roundrobin import round_robin, window_counts
 from .simplex import Infeasible, LinearProgram
 from .verify import SystemCertificate
 
@@ -41,7 +43,9 @@ VARIANTS = ("secA", "secB")
 # runs only on index sets of at most EXACT_PHI_LIMIT variables; above it,
 # `exact_solve` raises and the `ip` ladder falls back to the LP floor.  The
 # first instance above it is (1802, 3, secB), |Phi| = 2037.  The search
-# stops after NODE_BUDGET expanded nodes and reports that it did.  The LP
+# stops after NODE_BUDGET expanded nodes and reports that it did.  A node
+# is one exact LP: about 0.09 to 0.15 s each on (406, 3, secA), |Phi| = 192,
+# so the budget is hours of search (2.5 to 4 h), not a quick cutoff.  The LP
 # relaxation has no limit: over k in {3, 5, 7}, both variants and
 # n <= 3000, the largest |Phi| is 3908, at k = 3, secB.
 EXACT_PHI_LIMIT = 2000
@@ -523,33 +527,46 @@ def exact_solve(inst: IpInstance, method: str = "auto"):
 # Realization into partition systems
 # --------------------------------------------------------------------------
 
-def _round_robin(supply: dict):
-    """Keys in turn by decreasing supply, each yielded while its supply lasts."""
-    for key in itertools.cycle(sorted(supply, key=lambda key: -supply[key])):
-        if supply[key] > 0:
-            supply[key] -= 1
-            yield key
+class _ClassStream(NamedTuple):
+    """A solution's classes in stream order, as runs of one base profile:
+    a forward and a mirror run of x_{i,j} classes per index, in index
+    order, each class padded with the next `width` levels of the round
+    robin over `supply`."""
+    runs: list          # (base profile, number of classes)
+    supply: dict        # padding level -> untouched row slack
+    width: int          # padding levels per class, (k - 3) / 2
+    tag: str            # the family of the padding pairs
+    d: int
+
+    def padded(self, base: tuple, levels) -> tuple:
+        tag, d = self.tag, self.d
+        return base + tuple(pad for ell in levels
+                            for pad in ((tag, d - ell), (tag, d + 1 + ell)))
+
+
+def _class_stream(inst: IpInstance, sol: IpSolution) -> _ClassStream:
+    """Profiles are ((tag, x1_count), ...); the padding comes from the
+    untouched family pairs, (k-3)/2 pairs per class, round-robin over the
+    levels by decreasing slack."""
+    d, u = inst.d, inst.u
+    pair, single, shift = ("EA", "EB", 1) if inst.variant == "secA" else ("EB", "EA", 0)
+    width = (inst.k - 3) // 2
+    slacks = sol.slacks()
+    supply = {ell: slacks[("R", ell)] for ell in range(u + 1, d + 1)}
+    assert sum(supply.values()) >= sol.objective * width
+    runs = [(((pair, d - a), (pair, d + 1 + b), (single, d + shift + a - b)), x)
+            for (i, j), x in sorted(sol.x.items()) for a, b in ((i, j), (j, i))]
+    return _ClassStream(runs, supply, width, pair, d)
 
 
 def _class_profiles(inst: IpInstance, sol: IpSolution):
-    """Per-class part profiles ((tag, x1_count), ...) including padding,
-    yielded one class at a time: a forward and a mirror class per unit of
-    each x_{i,j}, in index order."""
-    d, u = inst.d, inst.u
-    pair, single, shift = ("EA", "EB", 1) if inst.variant == "secA" else ("EB", "EA", 0)
-    # padding from the untouched family pairs, (k-3)/2 pairs per class,
-    # round-robin over the levels by decreasing slack
-    pairs = (inst.k - 3) // 2
-    slacks = sol.slacks()
-    supply = {ell: slacks[("R", ell)] for ell in range(u + 1, d + 1)}
-    assert sum(supply.values()) >= sol.objective * pairs
-    levels = _round_robin(supply)
-    for (i, j) in sorted(sol.x):
-        for a, b in ((i, j), (j, i)):       # the forward and the mirror class
-            base = ((pair, d - a), (pair, d + 1 + b), (single, d + shift + a - b))
-            for _ in range(sol.x[(i, j)]):
-                yield base + tuple(pad for ell in itertools.islice(levels, pairs)
-                                   for pad in ((pair, d - ell), (pair, d + 1 + ell)))
+    """Per-class part profiles, including padding, yielded one class at a
+    time in the order of `_class_stream`."""
+    stream = _class_stream(inst, sol)
+    levels = round_robin(stream.supply)
+    for base, count in stream.runs:
+        for _ in range(count):
+            yield stream.padded(base, itertools.islice(levels, stream.width))
 
 
 def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0) -> PartitionSystem:
@@ -563,10 +580,12 @@ def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0) -> Partitio
     solution's capacities keep each type within its pool.  The seed only
     orders the placement of points.
 
-    Memory grows with the parts held: about 1.85 KiB of peak RSS per part
-    on (22,3,secA), 92,466 parts.  For systems too large to hold,
-    `certificate()` checks the same family accounting without building
-    a part.
+    The flow needs one unit per class, so this is the one consumer of the
+    class-at-a-time stream `_class_profiles`, and its cost and memory grow
+    with the number of classes: about 1.85 KiB of peak RSS per part on
+    (22,3,secA), 92,466 parts.  For systems too large to hold,
+    `certificate()` checks the same family accounting from the runs of
+    that stream, without building a class.
     """
     n, k = inst.n, inst.k
     half = n // 2
@@ -586,17 +605,24 @@ def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0) -> Partitio
 def certificate(inst: IpInstance, sol: IpSolution) -> SystemCertificate:
     """Aggregated accounting certificate, independent of materialization.
 
-    Counts the class profiles as they stream by; memory grows with the
-    number of distinct profiles, not with the number of classes.
+    Reads the stream of `_class_profiles` run by run and counts each run's
+    padding windows in closed form (`roundrobin.window_counts`), never
+    producing a class: O(|supp x| + d) steps over runs and padding phases
+    plus one step per distinct profile, independent of the number of
+    classes.  On (8750, 13, secA), Q of 3,414 bits, the greedy optimum
+    certifies in 578 profiles.
     """
     half = inst.n // 2
     c = 2 * inst.d + (1 if inst.variant == "secA" else 0)
     size_of = {"EA": c, "EB": c + 1}
+    stream = _class_stream(inst, sol)
+    windows = window_counts(stream.supply, stream.width, [m for _, m in stream.runs])
     counts = Counter()
-    for prof, cnt in Counter(_class_profiles(inst, sol)).items():
-        # profile tags carry the first-side count, matching the checker's key
-        counts[tuple(sorted(((tag, t), size_of[tag], (t, size_of[tag] - t))
-                            for tag, t in prof))] += cnt
+    for (base, _), run in zip(stream.runs, windows):
+        for levels, cnt in run.items():
+            # profile tags carry the first-side count, matching the checker's key
+            counts[tuple(sorted(((tag, t), size_of[tag], (t, size_of[tag] - t))
+                                for tag, t in stream.padded(base, levels)))] += cnt
     return SystemCertificate(inst.n, inst.k, sol.objective, (half, half),
                              sorted(counts.items()))
 

@@ -305,17 +305,22 @@ def _check_profiles(rep: VerificationReport, k: int, p: int, group_sizes: tuple,
     Each part fits its family; each class has k parts and the group sizes
     as degree sums; there are p classes; the layers have one size each, c
     and c+1, and are separated; no family is used beyond its capacity.
+    Each distinct part shape's capacity is derived once.
     """
     rep.note("family shapes, class sizes and degree sums")
     total = 0
     usage, caps = defaultdict(int), {}
+    fits = {}       # (tag, size, sig) -> capacity or why the part does not fit
     sizes, sigs = (set(), set()), (set(), set())
     for idx, (profile, count) in enumerate(profiles):
         total += count
         if len(profile) != k:
             rep.fail(f"{what} {idx}: {len(profile)} parts, want {k}")
         for tag, size, sig in profile:
-            cap = _family_capacity(tag, size, sig, group_sizes)
+            cap = fits.get((tag, size, sig))
+            if cap is None:
+                cap = fits[tag, size, sig] = _family_capacity(tag, size, sig,
+                                                              group_sizes)
             if isinstance(cap, str):
                 rep.fail(f"{what} {idx}: part {tag!r} of signature {sig}: {cap}")
                 continue

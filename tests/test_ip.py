@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from sperner import ip
+from sperner import ip, roundrobin
 from sperner.cli import main
 from sperner.combinat import binom, decompose, mms
 from sperner.ip import (EXACT_PHI_LIMIT, IpInstance, IpSolution, _build_lp, _eta_sequence, _phi,
@@ -500,6 +501,103 @@ class TestRealization:
         cert = certificate(inst, sol)
         assert cert.p == 511224
         assert check_certificate_summary(cert).ok
+
+
+def streamed_certificate(inst, sol):
+    """Oracle: the certificate's profiles counted one streamed class at a
+    time, as `_class_profiles` hands them to the realization."""
+    c = 2 * inst.d + (1 if inst.variant == "secA" else 0)
+    size_of = {"EA": c, "EB": c + 1}
+    counts = Counter()
+    for prof, cnt in Counter(ip._class_profiles(inst, sol)).items():
+        counts[tuple(sorted(((tag, t), size_of[tag], (t, size_of[tag] - t))
+                            for tag, t in prof))] += cnt
+    return sorted(counts.items())
+
+
+def round_robin_windows(supply, width, runs):
+    """Oracle: cut `round_robin` into windows of `width`, run after run."""
+    levels = roundrobin.round_robin(dict(supply))
+    return [Counter(tuple(sorted(itertools.islice(levels, width))) for _ in range(m))
+            for m in runs]
+
+
+def random_composition(rng, total, parts):
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+class TestClosedFormCertificate:
+    def test_matches_the_streamed_counter(self):
+        cases = []
+        for k in (3, 5, 7, 9):
+            for variant in ip.VARIANTS:
+                for n in range(2 * k + 1, 401):
+                    try:
+                        inst = build_instance(n, k, variant)
+                    except ValueError:
+                        continue
+                    if inst.trivial:
+                        continue
+                    sols = {"greedy": greedy_solve(inst)} if variant == "secA" else \
+                        {"closed": closed_form_solve(inst).solution}
+                    if len(inst.phi) <= 60:
+                        sols["exact"] = exact_solve(inst)[0]
+                    # each solution capped at 3 per index stays feasible
+                    # and reaches the instances whose optima are too large
+                    for solver, sol in list(sols.items()):
+                        if sol is not None:
+                            sols["capped " + solver] = IpSolution(
+                                inst, {v: min(x, 3) for v, x in sol.x.items()})
+                    for solver, sol in sols.items():
+                        if sol is None or sol.objective > 10 ** 5:
+                            continue
+                        cases.append((n, k, variant, solver))
+                        assert certificate(inst, sol).profiles == \
+                            streamed_certificate(inst, sol), cases[-1]
+        assert len(cases) == 490
+        assert sum(not solver.startswith("capped") for *_, solver in cases) == 18
+        assert {k for _, k, _, _ in cases} == {3, 5, 7, 9}
+        assert {v for _, _, v, _ in cases} == {"secA", "secB"}
+
+    def test_window_counts_match_the_round_robin(self):
+        straddles = longer_than_a_round = used_up = 0
+        for seed in range(1000):
+            rng = random.Random(seed)
+            width = rng.randint(1, 9)
+            windows = rng.randint(0, 30)
+            spare = 0 if seed % 3 == 0 else rng.randint(1, 20)
+            keys = rng.sample(range(20), rng.randint(1, 6))
+            supply = dict(zip(keys, random_composition(rng, windows * width + spare,
+                                                       len(keys))))
+            if seed % 5 == 0:       # equal supplies keep the order of the keys
+                supply = dict.fromkeys(supply, max(supply.values()))
+                windows = sum(supply.values()) // width
+            runs = random_composition(rng, windows, rng.randint(1, 5))
+            assert roundrobin.window_counts(supply, width, runs) == \
+                round_robin_windows(supply, width, runs), seed
+            phases = roundrobin.phases(supply)
+            total = sum(supply.values())
+            assert [key for start, stop, keys in phases
+                    for key in roundrobin.cycle_piece(keys, 0, stop - start)] == \
+                list(itertools.islice(roundrobin.round_robin(dict(supply)), total))
+            used = sum(runs) * width
+            straddles += sum(any(s < stop < s + width for _, stop, _ in phases)
+                             for s in range(0, used, width))
+            longer_than_a_round += any(width > len(keys) for _, _, keys in phases)
+            used_up += used == total
+        assert straddles and longer_than_a_round and used_up
+
+    def test_8750_13_secA(self):
+        # Q has 3,414 bits; the classes could never be streamed
+        inst = build_instance(8750, 13, "secA")
+        sol = greedy_solve(inst)
+        cert = certificate(inst, sol)
+        assert cert.p == sol.objective == inst.q
+        assert inst.q.bit_length() == 3414
+        assert len(cert.profiles) == 578
+        rep = check_certificate_summary(cert)
+        assert rep.ok, rep.summary()
 
 
 class TestAsymptotics:
