@@ -97,14 +97,22 @@ def cmd_construct(args) -> int:
 
 
 def _exact(inst):
-    """Branch and bound under `ip`'s search policy, with its verdict printed."""
+    """The floored root LP with its verdict printed: nothing more when the
+    band dual proves it, the parity cut by name when the cut does, and
+    `(not proved optimal)` when it falls short of the bound."""
     sol, optimal = ipm.exact_solve(inst)
-    print(f"exact objective = {sol.objective}, gap to Q = {inst.q - sol.objective}"
-          f"{'' if optimal else ' (budget exhausted, may be suboptimal)'}")
+    note = ""
+    if not optimal:
+        note = " (not proved optimal)"
+    elif ipm.upper_bound(inst)[1] == "parity cut":
+        note = " (optimal by the parity cut)"
+    print(f"exact objective = {sol.objective}, gap to Q = {inst.q - sol.objective}{note}")
     return sol
 
 
 def cmd_ip(args) -> int:
+    if args.out and not args.build:
+        raise ValueError("ip --out writes the built system, so it needs --build")
     inst = ipm.build_instance(args.n, args.k, args.variant)
     print(f"instance {inst.variant} n={inst.n} k={inst.k}: "
           f"d={inst.d} u={inst.u} Q={inst.q} |Phi|={len(inst.phi)}")
@@ -140,15 +148,10 @@ def cmd_ip(args) -> int:
         if res.feasible:
             sol = res.solution
             print(f"closed-form objective = {sol.objective} (= Q)")
-        elif len(inst.phi) <= ipm.EXACT_PHI_LIMIT:
+        else:
             print(f"closed form infeasible ({', '.join(res.violations)}); "
                   "falling back to exact search")
             sol = _exact(inst)
-        else:
-            value, xs = ipm.lp_relax(inst)
-            sol = ipm.IpSolution(inst, {v: int(val) for v, val in xs.items() if int(val)})
-            print(f"lp optimum = {_fmt_fraction(value)}, "
-                  f"floor-rounded objective = {sol.objective}")
     if args.dump:
         with open(args.dump, "w") as fh:
             fh.write(inst.to_text(sol))

@@ -9,10 +9,10 @@ diagonal budget D, off-diagonal band budgets O_l and row budgets R_l; the
 objective is 2 * sum x and its optimum is bounded by the even integer Q.
 
 Solvers: a batched version of the slack-consuming greedy (variant secA),
-the sparse closed-form candidate (variant secB), exact branch-and-bound
-with exact LP bounds, and the exact LP relaxation.  Branch and bound is
-the one solver with size limits, EXACT_PHI_LIMIT variables and
-NODE_BUDGET search nodes, documented where they are set.  The LPs go to the
+the sparse closed-form candidate (variant secB), the exact LP relaxation,
+and the exact solver: the floored root LP, proved optimal when it meets
+`upper_bound`, the band dual or the parity cut, read off the caps in
+O(d).  No solver has a size limit.  The LPs go to the
 fraction-free integer simplex of `simplex.py`, whose values and vertices
 are exact rationals; their constraints are built in one pass over Phi
 with integer coefficients.  Family sizes come from one row of binomials
@@ -21,7 +21,6 @@ binom(n/2, j), j <= 2d+2, and u from running sums of them, in O(d).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
@@ -34,22 +33,10 @@ from .baranyai import partition_ground
 from .combinat import ERF_INV_HALF, Params, binom, decompose, mms
 from .construction import PartitionSystem
 from .roundrobin import round_robin, window_counts
-from .simplex import Infeasible, LinearProgram
+from .simplex import LinearProgram
 from .verify import SystemCertificate
 
 VARIANTS = ("secA", "secB")
-
-# The one size policy of the solvers, read at call time.  Branch and bound
-# runs only on index sets of at most EXACT_PHI_LIMIT variables; above it,
-# `exact_solve` raises and the `ip` ladder falls back to the LP floor.  The
-# first instance above it is (1802, 3, secB), |Phi| = 2037.  The search
-# stops after NODE_BUDGET expanded nodes and reports that it did.  A node
-# is one exact LP: about 0.09 to 0.15 s each on (406, 3, secA), |Phi| = 192,
-# so the budget is hours of search (2.5 to 4 h), not a quick cutoff.  The LP
-# relaxation has no limit: over k in {3, 5, 7}, both variants and
-# n <= 3000, the largest |Phi| is 3908, at k = 3, secB.
-EXACT_PHI_LIMIT = 2000
-NODE_BUDGET = 100000
 
 
 @dataclass(frozen=True)
@@ -442,85 +429,38 @@ def _floor_improve(inst: IpInstance, base: dict) -> IpSolution:
     return out
 
 
-def exact_solve(inst: IpInstance, method: str = "auto"):
-    """Exact optimum by branch and bound; (solution, proved_optimal).
+def upper_bound(inst: IpInstance) -> tuple:
+    """A bound on the optimum from the caps alone, in O(d); (bound, reason).
 
-    Raises ValueError above EXACT_PHI_LIMIT variables; proved_optimal is
-    False when the search stopped at NODE_BUDGET nodes.  Diagonal-only
-    index sets decouple into min(D, sum floor(R_l / 2)) and are solved
-    directly unless method="bb" forces the search.
+    Every index (i, j) lies in exactly one band, the diagonal or O_{j-i},
+    so weight 2 on the band constraints is a dual solution: the band dual
+    2 (D + sum O_l), which the caps make equal to Q, bounds the objective.
+    An objective equal to it saturates every band, and if sum R_l equals
+    it too, every row, since each index meets the rows twice.  An index of
+    odd length has one end on an even row; loops and even lengths put even
+    amounts there.  So a saturated solution has sum_{even l} R_l congruent
+    to sum_{odd l} O_l (mod 2); when it is not, the parity cut, a
+    {0, 1/2}-Chvatal-Gomory cut, lowers the even bound by 2.
     """
-    if len(inst.phi) > EXACT_PHI_LIMIT:
-        raise ValueError(f"|Phi| = {len(inst.phi)} exceeds the branch-and-bound "
-                         f"limit EXACT_PHI_LIMIT = {EXACT_PHI_LIMIT}")
     if inst.trivial:
-        return zero_solution(inst), True
-    diag_only = all(i == j for (i, j) in inst.phi)
-    if diag_only and method == "auto":
-        x: dict = {}
-        left = inst.cap_diag
-        for (i, _) in inst.phi:
-            take = min(inst.cap_row[i] // 2, left)
-            if take:
-                x[(i, i)] = take
-            left -= take
-        sol = IpSolution(inst, x)
-        assert sol.feasible()
-        return sol, True
-    best = zero_solution(inst)
-    counter = 0
-    heap = []
+        return 0, "empty index set"
+    band = 2 * (inst.cap_diag + sum(inst.cap_off.values()))
+    even_rows = sum(cap for ell, cap in inst.cap_row.items() if ell % 2 == 0)
+    odd_bands = sum(cap for ell, cap in inst.cap_off.items() if ell % 2)
+    if sum(inst.cap_row.values()) == band and (even_rows - odd_bands) % 2:
+        return band - 2, "parity cut"
+    return band, "band dual"
 
-    def push(lb, ub):
-        nonlocal counter
-        try:
-            lp, idx, shift = _build_lp(inst, lb, ub)
-            value, xs = lp.solve()
-        except Infeasible:
-            return
-        bound = value + 2 * shift
-        ibound = math.floor(bound)
-        ibound -= ibound & 1
-        if ibound <= best.objective:
-            return
-        xfull = {v: xs[idx[v]] + lb.get(v, 0) for v in inst.phi}
-        counter += 1
-        heapq.heappush(heap, (-ibound, counter, lb, ub, xfull))
 
-    push({}, {})
-    if heap:    # the incumbent starts from the root relaxation, floored
-        best = _floor_improve(inst, heap[0][4])
-    expanded = 0
-    optimal = True
-    while heap:
-        nbound, _, lb, ub, xfull = heapq.heappop(heap)
-        if -nbound <= best.objective:
-            continue
-        if expanded >= NODE_BUDGET:
-            optimal = False
-            break
-        expanded += 1
-        frac = {v: val for v, val in xfull.items()
-                if val != int(val)}
-        if not frac:
-            cand = IpSolution(inst, {v: int(val) for v, val in xfull.items() if val})
-            assert cand.feasible()
-            if cand.objective > best.objective:
-                best = cand
-            continue
-        cand = _floor_improve(inst, xfull)
-        if cand.objective > best.objective:
-            best = cand
-        v = min(frac, key=lambda vv: (abs(frac[vv] - int(frac[vv]) - Fraction(1, 2)), vv))
-        val = frac[v]
-        ub1 = dict(ub)
-        ub1[v] = math.floor(val)
-        push(lb, ub1)
-        lb1 = dict(lb)
-        lb1[v] = math.floor(val) + 1
-        push(lb1, ub)
-    assert best.objective <= inst.q
-    return best, optimal
+def exact_solve(inst: IpInstance):
+    """The floored root LP, proved by `upper_bound`; (solution, proved_optimal).
+
+    One exact LP, floored and grown by `_floor_improve`; proved_optimal
+    says its objective meets the bound.  Over k in {3, 5, 7}, both variants
+    and n <= 1500 it does on every instance, ten of them by the parity cut.
+    """
+    sol = _floor_improve(inst, lp_relax(inst)[1])
+    return sol, sol.objective == upper_bound(inst)[0]
 
 
 # --------------------------------------------------------------------------

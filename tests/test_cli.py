@@ -182,23 +182,31 @@ class TestIp:
         assert text.startswith("IP secA 10 3 1 0 10\n")
         assert "x 1 1 5" in text
 
-    def test_exhausted_budget_marked(self, monkeypatch, capsys):
+    def test_unproved_result_marked(self, monkeypatch, capsys):
         # the closed form is infeasible at (26,3,secB), so the ladder runs
-        # the exact search; a search that stops early must say so
+        # the exact solver; a result the bound does not prove must say so
         real = ipm.exact_solve
         monkeypatch.setattr(ipm, "exact_solve", lambda inst: (real(inst)[0], False))
         code, out, _ = run(["ip", "--n", "26", "--k", "3", "--variant", "secB"],
                            capsys)
         assert code == 0
         assert "falling back to exact search" in out
-        assert ("exact objective = 511224, gap to Q = 0 "
-                "(budget exhausted, may be suboptimal)") in out
-        monkeypatch.setattr(ipm, "exact_solve", real)
-        monkeypatch.setattr(ipm, "NODE_BUDGET", 0)
+        assert out.rstrip().endswith(
+            "exact objective = 511224, gap to Q = 0 (not proved optimal)")
+
+    def test_parity_cut_named(self, capsys):
         code, out, _ = run(["ip", "--n", "406", "--k", "3", "--variant", "secA",
                             "--solver", "exact"], capsys)
         assert code == 0
-        assert out.rstrip().endswith("(budget exhausted, may be suboptimal)")
+        assert out.rstrip().endswith(", gap to Q = 2 (optimal by the parity cut)")
+
+    def test_out_needs_build(self, tmp_path, capsys):
+        path = tmp_path / "ip.sps"
+        code, out, err = run(["ip", "--n", "10", "--k", "3", "--variant", "secA",
+                              "--out", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "--out writes the built system, so it needs --build" in err
+        assert not path.exists()
 
     def test_wrong_congruence_exit_2(self, capsys):
         code, _, err = run(["ip", "--n", "24", "--k", "3", "--variant", "secA"],

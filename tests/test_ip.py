@@ -1,4 +1,7 @@
+import dataclasses
+import heapq
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,11 +11,12 @@ import pytest
 from sperner import ip, roundrobin
 from sperner.cli import main
 from sperner.combinat import binom, decompose, mms
-from sperner.ip import (EXACT_PHI_LIMIT, IpInstance, IpSolution, _build_lp, _eta_sequence, _phi,
-                        asymptotic_report, build_instance,
+from sperner.ip import (IpInstance, IpSolution, _build_lp, _eta_sequence, _floor_improve,
+                        _phi, asymptotic_report, build_instance,
                         certificate, closed_form_solve, exact_solve,
                         greedy_gap_bound, greedy_solve, lp_relax,
-                        realize_system, zero_solution)
+                        realize_system, upper_bound, zero_solution)
+from sperner.simplex import Infeasible
 from sperner.verify import (check_certificate, check_certificate_summary,
                             check_partition_system, check_sperner)
 
@@ -314,6 +318,143 @@ def oracle_lp_rows(inst, lb, ub):
     return out
 
 
+def search_oracle(inst, node_budget):
+    """Branch and bound with exact LP bounds, best bound first from the
+    floored root LP: the search `exact_solve` replaced.  (solution,
+    finished), where finished is False if it stopped at node_budget."""
+    best = zero_solution(inst)
+    counter = 0
+    heap = []
+
+    def push(lb, ub):
+        nonlocal counter
+        try:
+            lp, idx, shift = _build_lp(inst, lb, ub)
+            value, xs = lp.solve()
+        except Infeasible:
+            return
+        bound = value + 2 * shift
+        ibound = math.floor(bound)
+        ibound -= ibound & 1
+        if ibound <= best.objective:
+            return
+        xfull = {v: xs[idx[v]] + lb.get(v, 0) for v in inst.phi}
+        counter += 1
+        heapq.heappush(heap, (-ibound, counter, lb, ub, xfull))
+
+    push({}, {})
+    if heap:    # the incumbent starts from the root relaxation, floored
+        best = _floor_improve(inst, heap[0][4])
+    expanded = 0
+    optimal = True
+    while heap:
+        nbound, _, lb, ub, xfull = heapq.heappop(heap)
+        if -nbound <= best.objective:
+            continue
+        if expanded >= node_budget:
+            optimal = False
+            break
+        expanded += 1
+        frac = {v: val for v, val in xfull.items()
+                if val != int(val)}
+        if not frac:
+            cand = IpSolution(inst, {v: int(val) for v, val in xfull.items() if val})
+            assert cand.feasible()
+            if cand.objective > best.objective:
+                best = cand
+            continue
+        cand = _floor_improve(inst, xfull)
+        if cand.objective > best.objective:
+            best = cand
+        v = min(frac, key=lambda vv: (abs(frac[vv] - int(frac[vv]) - Fraction(1, 2)), vv))
+        val = frac[v]
+        ub1 = dict(ub)
+        ub1[v] = math.floor(val)
+        push(lb, ub1)
+        lb1 = dict(lb)
+        lb1[v] = math.floor(val) + 1
+        push(lb1, ub)
+    assert best.objective <= inst.q
+    return best, optimal
+
+
+def sandwich_cases():
+    cases = []
+    for n in range(10, 141):
+        if n % 6 == 4:
+            cases.append((n, 3, "secA"))
+        if n % 6 == 2 and n >= 26:
+            cases.append((n, 3, "secB"))
+    cases += [(16, 5, "secA"), (36, 5, "secA"), (174, 5, "secB")]
+    return [inst for inst in (build_instance(*case) for case in cases) if not inst.trivial]
+
+
+def milp_optimum(inst):
+    """Oracle: the IP optimum by HiGHS branch and cut (scipy.optimize.milp)."""
+    np = pytest.importorskip("numpy")
+    opt = pytest.importorskip("scipy.optimize")
+    phi = inst.phi
+    rows = [[int(i == j) for i, j in phi]]
+    caps = [inst.cap_diag]
+    for ell, cap in inst.cap_off.items():
+        rows.append([int(j - i == ell) for i, j in phi])
+        caps.append(cap)
+    for ell, cap in inst.cap_row.items():
+        rows.append([(i == ell) + (j == ell) for i, j in phi])
+        caps.append(cap)
+    res = opt.milp(-2 * np.ones(len(phi)),
+                   constraints=opt.LinearConstraint(np.array(rows), -np.inf, caps),
+                   integrality=np.ones(len(phi)), bounds=opt.Bounds(0, np.inf))
+    assert res.success
+    return round(-res.fun)
+
+
+# small real instances with no, one and two off-diagonal bands
+SYNTHETIC_BASES = ((26, 3, "secB"), (100, 3, "secA"), (174, 5, "secB"), (674, 9, "secB"))
+
+
+def synthetic_instance(seed):
+    """(instance, kind, saturating x or None): a small real instance with
+    its caps replaced.  "random" draws every cap from 0..6, and "random
+    tight" then moves row caps until sum R_l is the band dual.  The other
+    kinds set the caps to the loads of a random x, which then saturates
+    every band and row; "row slack" adds 1 to one even row, so sum R_l
+    exceeds the band dual and no cut applies, and "cut" adds 1 to D, to
+    an even row and to an odd row, which keeps sum R_l at the band dual
+    and flips the parity, so the cut fires and x attains it."""
+    rng = random.Random(seed)
+    base = build_instance(*SYNTHETIC_BASES[seed % len(SYNTHETIC_BASES)])
+    kinds = ("random", "random tight", "saturated", "row slack", "cut")
+    kind = kinds[seed // len(SYNTHETIC_BASES) % len(kinds)]
+    if kind.startswith("random"):
+        cap_diag = rng.randint(0, 6)
+        cap_off = {ell: rng.randint(0, 6) for ell in base.cap_off}
+        cap_row = {ell: rng.randint(0, 6) for ell in base.cap_row}
+        if kind == "random tight":
+            excess = sum(cap_row.values()) - 2 * (cap_diag + sum(cap_off.values()))
+            while excess:
+                ell = rng.choice([ell for ell in cap_row if excess < 0 or cap_row[ell]])
+                cap_row[ell] -= 1 if excess > 0 else -1
+                excess -= 1 if excess > 0 else -1
+        return dataclasses.replace(base, cap_diag=cap_diag, cap_off=cap_off,
+                                   cap_row=cap_row), kind, None
+    support = rng.sample(base.phi, rng.randint(1, min(8, len(base.phi))))
+    x = {v: rng.randint(1, 2) for v in support}
+    cap_diag = sum(v for (i, j), v in x.items() if i == j)
+    cap_off = {ell: sum(v for (i, j), v in x.items() if j - i == ell) for ell in base.cap_off}
+    cap_row = {ell: sum(v * ((i == ell) + (j == ell)) for (i, j), v in x.items())
+               for ell in base.cap_row}
+    even = rng.choice([ell for ell in cap_row if ell % 2 == 0])
+    if kind == "row slack":
+        cap_row[even] += 1
+    elif kind == "cut":
+        cap_diag += 1
+        cap_row[even] += 1
+        cap_row[rng.choice([ell for ell in cap_row if ell % 2])] += 1
+    inst = dataclasses.replace(base, cap_diag=cap_diag, cap_off=cap_off, cap_row=cap_row)
+    return inst, kind, IpSolution(inst, x)
+
+
 class TestExactAndLp:
     def test_lp_rows_match_per_constraint_scan(self):
         rng = random.Random(11)
@@ -353,33 +494,57 @@ class TestExactAndLp:
         sol, optimal = exact_solve(build_instance(24, 5, "secB"))
         assert optimal and sol.objective == 0
 
-    def test_bb_agrees_with_diagonal_formula(self):
-        for n, k, variant in [(22, 3, "secA"), (26, 3, "secB"), (16, 5, "secA")]:
-            inst = build_instance(n, k, variant)
-            fast, opt1 = exact_solve(inst)
-            slow, opt2 = exact_solve(inst, method="bb")
-            assert opt1 and opt2
-            assert fast.objective == slow.objective
+    def test_exact_agrees_with_search_oracle(self):
+        for inst in sandwich_cases():
+            sol, optimal = exact_solve(inst)
+            best, finished = search_oracle(inst, node_budget=100)
+            assert optimal and finished, (inst.n, inst.k, inst.variant)
+            assert sol.objective == best.objective, (inst.n, inst.k, inst.variant)
+
+    def test_upper_bound_against_highs(self):
+        # sound everywhere, attained wherever a saturating x exists; on
+        # random caps the cut may still fall short of the optimum's bound
+        seen = Counter()
+        for seed in range(200):
+            inst, kind, x = synthetic_instance(seed)
+            bound, reason = upper_bound(inst)
+            best = milp_optimum(inst)
+            assert bound >= best and bound % 2 == 0, (seed, kind)
+            if x is not None:
+                assert x.feasible() and x.objective == best == bound, (seed, kind)
+            seen[kind, reason, bound == best] += 1
+        assert seen == {("random", "band dual", True): 38, ("random", "band dual", False): 2,
+                        ("random tight", "band dual", True): 6,
+                        ("random tight", "band dual", False): 18,
+                        ("random tight", "parity cut", True): 7,
+                        ("random tight", "parity cut", False): 9,
+                        ("saturated", "band dual", True): 40,
+                        ("row slack", "band dual", True): 40,
+                        ("cut", "parity cut", True): 40}
+
+    def test_parity_cut_instances(self):
+        # the k = 3 secA instances where the greedy stops at Q - 2
+        cut = [n for n in range(10, 1001, 6)
+               if upper_bound(build_instance(n, 3, "secA"))[1] == "parity cut"]
+        assert cut == [406, 430, 478, 502, 766, 790, 814, 862, 892, 988]
+        for k in (3, 5, 7):
+            for variant in ip.VARIANTS:
+                rem = (k + 1) % (2 * k) if variant == "secA" else (k - 1) % (2 * k)
+                for n in range(2 * k + 1, 1501):
+                    if n % (2 * k) == rem:
+                        inst = build_instance(n, k, variant)
+                        bound, reason = upper_bound(inst)
+                        assert bound == inst.q - 2 * (reason == "parity cut")
 
     def test_lp_values(self):
         assert lp_relax(build_instance(26, 3, "secB"))[0] == 511224
         assert lp_relax(build_instance(10, 3, "secA"))[0] == 10
 
     def test_lp_sandwich_sweep(self):
-        cases = []
-        for n in range(10, 141):
-            if n % 6 == 4:
-                cases.append((n, 3, "secA"))
-            if n % 6 == 2 and n >= 26:
-                cases.append((n, 3, "secB"))
-        cases += [(16, 5, "secA"), (36, 5, "secA"), (174, 5, "secB")]
-        for n, k, variant in cases:
-            inst = build_instance(n, k, variant)
-            if inst.trivial:
-                continue
+        for inst in sandwich_cases():
             sol, optimal = exact_solve(inst)
             assert optimal
-            if variant == "secA":
+            if inst.variant == "secA":
                 assert sol.objective >= greedy_solve(inst).objective
             lp_val, lp_x = lp_relax(inst)
             assert Fraction(sol.objective) <= lp_val <= inst.q
@@ -389,24 +554,29 @@ class TestExactAndLp:
             assert floored.feasible()
             assert floored.objective >= lp_val - 2 * len(inst.phi)
 
-    def test_exact_limit(self):
-        # (1802,3,secB) is the first instance above the branch-and-bound limit
+    def test_1802_3_secB_proved(self):
+        # the first instance past the old limit of 2,000 variables
         inst = build_instance(1802, 3, "secB")
-        assert len(inst.phi) == 2037 > EXACT_PHI_LIMIT
-        with pytest.raises(ValueError, match="EXACT_PHI_LIMIT = 2000"):
-            exact_solve(inst)
+        assert len(inst.phi) == 2037
+        sol, optimal = exact_solve(inst)
+        assert optimal and sol.objective == inst.q
+        assert upper_bound(inst) == (inst.q, "band dual")
 
-    def test_exact_limit_exits_2(self, capsys):
+    def test_1802_3_secB_exits_0(self, capsys):
         code = main(["ip", "--n", "1802", "--k", "3", "--variant", "secB",
                      "--solver", "exact"])
-        assert code == 2
-        assert "EXACT_PHI_LIMIT" in capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.rstrip().endswith(", gap to Q = 0")
 
-    def test_search_budget_read_at_call_time(self, monkeypatch):
+    def test_parity_cut_closes_406_3_secA(self):
+        # every LP bound of the old search stayed at Q here
         inst = build_instance(406, 3, "secA")
-        monkeypatch.setattr(ip, "NODE_BUDGET", 0)
+        assert lp_relax(inst)[0] == inst.q
         sol, optimal = exact_solve(inst)
-        assert not optimal and sol.feasible()
+        assert optimal and sol.feasible()
+        assert upper_bound(inst) == (inst.q - 2, "parity cut")
+        assert sol.objective == inst.q - 2
 
 
 class TestRealization:
