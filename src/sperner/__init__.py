@@ -23,7 +23,7 @@ from .ip import (AsymptoticReport, ClosedFormResult, IpInstance, IpSolution,
                  asymptotic_report, build_instance, certificate,
                  closed_form_solve, exact_solve, greedy_gap_bound, greedy_solve,
                  lp_relax, realize_system, zero_solution)
-from .simplex import Infeasible, LinearProgram, SimplexError, Unbounded
+from .simplex import LinearProgram, SimplexError, Unbounded
 from .verify import (DetectingArray, PartIndex, SystemCertificate,
                      VerificationReport, check_almost_uniform, check_certificate,
                      check_certificate_summary, check_detecting,

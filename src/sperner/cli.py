@@ -82,7 +82,7 @@ def cmd_construct(args) -> int:
         system = construct_uniform(args.n, args.k)
     else:
         if args.m is None or args.h is None:
-            raise SystemExit("construct: --m and --h are required when k does not divide n")
+            raise ValueError("construct: --m and --h are required when k does not divide n")
         plan = plan_grouped(args.n, args.k, args.m, args.h, args.case)
         system = construct_grouped(plan, seed=args.seed)
     notes, ok = _verify_system(system, params)
@@ -150,7 +150,7 @@ def cmd_ip(args) -> int:
             print(f"closed-form objective = {sol.objective} (= Q)")
         else:
             print(f"closed form infeasible ({', '.join(res.violations)}); "
-                  "falling back to exact search")
+                  "falling back to the exact solver")
             sol = _exact(inst)
     if args.dump:
         with open(args.dump, "w") as fh:
@@ -185,11 +185,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SystemExit(f"verify: cannot read {args.path}: {exc}")
+    with open(args.path) as fh:
+        text = fh.read()
     head = text.split(None, 1)[0] if text.split() else ""
     try:
         if head == "SPS":
@@ -220,7 +217,7 @@ def cmd_verify(args) -> int:
 
 def cmd_asym(args) -> int:
     if args.k % 2 == 0 or args.k < 3:
-        raise SystemExit("asym: --k must be odd and at least 3")
+        raise ValueError("asym: --k must be odd and at least 3")
     rem = (args.k + 1) % (2 * args.k) if args.variant == "secA" else (args.k - 1) % (2 * args.k)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -313,7 +310,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,11 @@ Solvers: a batched version of the slack-consuming greedy (variant secA),
 the sparse closed-form candidate (variant secB), the exact LP relaxation,
 and the exact solver: the floored root LP, proved optimal when it meets
 `upper_bound`, the band dual or the parity cut, read off the caps in
-O(d).  No solver has a size limit.  The LPs go to the
-fraction-free integer simplex of `simplex.py`, whose values and vertices
-are exact rationals; their constraints are built in one pass over Phi
-with integer coefficients.  Family sizes come from one row of binomials
+O(d).  No solver has a size limit.  The one LP, the root relaxation,
+goes to the one-phase integer simplex of `simplex.py`: its constraints
+are built in one pass over Phi with integer coefficients and nonnegative
+caps, so x = 0 is its first vertex, and its value and vertex are exact
+rationals.  Family sizes come from one row of binomials
 binom(n/2, j), j <= 2d+2, and u from running sums of them, in O(d).
 """
 
@@ -359,16 +360,13 @@ def closed_form_solve(inst: IpInstance) -> ClosedFormResult:
 # LP relaxation, exact solver
 # --------------------------------------------------------------------------
 
-def _build_lp(inst: IpInstance, lb=None, ub=None):
-    """The LP relaxation with lb <= x <= ub, shifted to x - lb >= 0;
-    (lp, column of each index, sum of lb)."""
+def _build_lp(inst: IpInstance):
+    """The LP relaxation, (lp, column of each index): integer rows with
+    nonnegative caps, so x = 0 is feasible."""
     phi = inst.phi
     idx = {v: i for i, v in enumerate(phi)}
-    lb = lb or {}
-    ub = ub or {}
     lp = LinearProgram(len(phi))
     lp.set_objective([2] * len(phi))
-    shift = sum(lb.get(v, 0) for v in phi)
     # one pass over Phi fills the band, diagonal and row constraints
     bands = {ell: {} for ell in inst.cap_off}
     diag: dict = {}
@@ -380,22 +378,20 @@ def _build_lp(inst: IpInstance, lb=None, ub=None):
             bands[j - i][col] = 1
         for ell in (i, j):
             rows[ell][col] = rows[ell].get(col, 0) + 1
-    caps = [(bands[ell], cap) for ell, cap in sorted(inst.cap_off.items())]
-    caps.append((diag, inst.cap_diag))
-    caps += [(rows[ell], cap) for ell, cap in sorted(inst.cap_row.items()) if rows[ell]]
-    lb_cols = [(idx[v], lo) for v, lo in lb.items() if lo]
-    for row, cap in caps:
-        lp.add_constraint(row, cap - sum(row.get(col, 0) * lo for col, lo in lb_cols))
-    for v, bound in sorted(ub.items()):
-        lp.add_constraint({idx[v]: 1}, bound - lb.get(v, 0))
-    return lp, idx, shift
+    for ell, cap in sorted(inst.cap_off.items()):
+        lp.add_constraint(bands[ell], cap)
+    lp.add_constraint(diag, inst.cap_diag)
+    for ell, cap in sorted(inst.cap_row.items()):
+        if rows[ell]:
+            lp.add_constraint(rows[ell], cap)
+    return lp, idx
 
 
 def lp_relax(inst: IpInstance):
     """Exact rational optimum of the LP relaxation; (value, solution dict)."""
     if inst.trivial:
         return Fraction(0), {}
-    lp, idx, _ = _build_lp(inst)
+    lp, idx = _build_lp(inst)
     value, xs = lp.solve()
     sol = {v: xs[idx[v]] for v in inst.phi if xs[idx[v]]}
     assert value <= inst.q

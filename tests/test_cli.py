@@ -136,6 +136,17 @@ class TestConstructAndVerify:
         code, out, _ = run(["verify", str(path)], capsys)
         assert code == 0 and "PASS" in out
 
+    def test_construct_without_m_h_exit_2(self, capsys):
+        code, out, err = run(["construct", "--n", "36", "--k", "15"], capsys)
+        assert code == 2 and out == ""
+        assert "--m and --h are required" in err
+
+    def test_verify_missing_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.sps"
+        code, out, err = run(["verify", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert str(path) in err
+
     def test_verify_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.sps"
         path.write_text("SPS 4 2 1\n0 1 | 2 oops\n")
@@ -190,7 +201,7 @@ class TestIp:
         code, out, _ = run(["ip", "--n", "26", "--k", "3", "--variant", "secB"],
                            capsys)
         assert code == 0
-        assert "falling back to exact search" in out
+        assert "falling back to the exact solver" in out
         assert out.rstrip().endswith(
             "exact objective = 511224, gap to Q = 0 (not proved optimal)")
 
@@ -246,7 +257,8 @@ class TestScan:
 
 class TestLpGolden:
     """The LP column of `asym` and exact-solver dumps, byte for byte against
-    files written by the rational simplex."""
+    golden files whose LP values and vertices the integer simplex must
+    reproduce exactly."""
 
     @pytest.mark.parametrize("variant,n_max", (("secB", 800), ("secA", 300)))
     def test_asym_matches_golden(self, tmp_path, capsys, variant, n_max):
@@ -293,3 +305,9 @@ class TestAsym:
         for line in lines[1:]:
             cells = line.split(",")
             assert cells[7] != ""   # greedy objective present
+
+    def test_even_k_exit_2(self, capsys):
+        code, out, err = run(["asym", "--k", "4", "--variant", "secA",
+                              "--n-max", "60"], capsys)
+        assert code == 2 and out == ""
+        assert "--k must be odd" in err

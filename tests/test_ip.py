@@ -16,7 +16,7 @@ from sperner.ip import (IpInstance, IpSolution, _build_lp, _eta_sequence, _floor
                         certificate, closed_form_solve, exact_solve,
                         greedy_gap_bound, greedy_solve, lp_relax,
                         realize_system, upper_bound, zero_solution)
-from sperner.simplex import Infeasible
+from sperner.simplex import LinearProgram
 from sperner.verify import (check_certificate, check_certificate_summary,
                             check_partition_system, check_sperner)
 
@@ -328,17 +328,22 @@ def search_oracle(inst, node_budget):
 
     def push(lb, ub):
         nonlocal counter
-        try:
-            lp, idx, shift = _build_lp(inst, lb, ub)
-            value, xs = lp.solve()
-        except Infeasible:
+        # every coefficient is nonnegative, so a node is infeasible exactly
+        # when a shifted cap is negative, and otherwise x - lb = 0 is feasible
+        rows = oracle_lp_rows(inst, lb, ub)
+        if any(cap < 0 for _, cap in rows):
             return
-        bound = value + 2 * shift
+        lp = LinearProgram(len(inst.phi))
+        lp.set_objective([2] * len(inst.phi))
+        for row, cap in rows:
+            lp.add_constraint(row, cap)
+        value, xs = lp.solve()
+        bound = value + 2 * sum(lb.values())
         ibound = math.floor(bound)
         ibound -= ibound & 1
         if ibound <= best.objective:
             return
-        xfull = {v: xs[idx[v]] + lb.get(v, 0) for v in inst.phi}
+        xfull = {v: xs[col] + lb.get(v, 0) for col, v in enumerate(inst.phi)}
         counter += 1
         heapq.heappush(heap, (-ibound, counter, lb, ub, xfull))
 
@@ -457,7 +462,6 @@ def synthetic_instance(seed):
 
 class TestExactAndLp:
     def test_lp_rows_match_per_constraint_scan(self):
-        rng = random.Random(11)
         built = 0
         for k in (3, 5):
             for variant in ("secA", "secB"):
@@ -468,17 +472,31 @@ class TestExactAndLp:
                     inst = build_instance(n, k, variant)
                     if inst.trivial:
                         continue
-                    picks = rng.sample(inst.phi, min(3, len(inst.phi)))
-                    lb = {v: rng.randint(0, 2) for v in picks[:2]}
-                    ub = {v: rng.randint(2, 5) for v in picks[1:]}
-                    for bounds in (({}, {}), (lb, ub)):
-                        lp, idx, shift = _build_lp(inst, *bounds)
-                        expect = oracle_lp_rows(inst, *bounds)
-                        assert list(zip(lp.rows, lp.b)) == expect, (n, k, variant)
-                        assert lp.c == [2] * len(inst.phi)
-                        assert shift == sum(bounds[0].values())
-                        built += 1
-        assert built >= 200
+                    lp, idx = _build_lp(inst)
+                    expect = oracle_lp_rows(inst, {}, {})
+                    assert list(zip(lp.rows, lp.b)) == expect, (n, k, variant)
+                    assert lp.c == [2] * len(inst.phi)
+                    assert idx == {v: col for col, v in enumerate(inst.phi)}
+                    built += 1
+        assert built >= 100
+
+    def test_every_root_lp_is_integer_with_x0_feasible(self):
+        # the one input shape the solver takes; add_constraint rejects any other
+        built = 0
+        for k in (3, 5, 7):
+            for variant in ip.VARIANTS:
+                rem = (k + 1) % (2 * k) if variant == "secA" else (k - 1) % (2 * k)
+                for n in range(2 * k + 1, 1501):
+                    if n % (2 * k) != rem:
+                        continue
+                    inst = build_instance(n, k, variant)
+                    if inst.trivial:
+                        continue
+                    lp, _ = _build_lp(inst)
+                    assert all(type(v) is int and v >= 0 for v in lp.b)
+                    assert all(type(v) is int for row in lp.rows for v in row.values())
+                    built += 1
+        assert built == 1001
 
     def test_exact_matches_q(self):
         inst = build_instance(22, 3, "secA")
