@@ -230,13 +230,14 @@ def cmd_asym(args) -> int:
             rep = ipm.asymptotic_report(inst)
             obj = ""
             lp = ""
+            sol = None
             if args.variant == "secA" and not inst.trivial:
                 sol = ipm.greedy_solve(inst)
                 obj = sol.objective
                 gap = Fraction(inst.q - sol.objective)
                 assert gap <= ipm.greedy_gap_bound(inst)
             if not inst.trivial:
-                lp = _fmt_fraction(ipm.lp_relax(inst)[0])
+                lp = _fmt_fraction(ipm.lp_value(inst, sol)[0])
             writer.writerow([n, args.k, args.variant, rep.d, rep.u, rep.q,
                              _fmt_fraction(rep.mms_value), obj, lp,
                              f"{rep.estar_ratios[0]:.9f}",

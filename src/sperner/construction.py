@@ -72,10 +72,12 @@ class PartitionSystem:
         return PartitionSystem(self.n, self.k, new_parts, self.groups, new_tags)
 
     def to_text(self) -> str:
-        sys_c = self.canonical()
+        """The SPS text in `canonical()` order.  Parts are disjoint, so a
+        sorted part's first element is its minimum, and sorting each part
+        once orders the parts and then the partitions as `canonical()` does."""
+        rows = sorted(sorted(tuple(sorted(p)) for p in parts) for parts in self.partitions)
         lines = [f"SPS {self.n} {self.k} {len(self.partitions)}"]
-        for parts in sys_c.partitions:
-            lines.append(" | ".join(" ".join(str(e) for e in sorted(p)) for p in parts))
+        lines += [" | ".join(" ".join(map(str, p)) for p in parts) for parts in rows]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -12,8 +12,10 @@ Solvers: a batched version of the slack-consuming greedy (variant secA),
 the sparse closed-form candidate (variant secB), the exact LP relaxation,
 and the exact solver: the floored root LP, proved optimal when it meets
 `upper_bound`, the band dual or the parity cut, read off the caps in
-O(d).  No solver has a size limit.  The one LP, the root relaxation,
-goes to the one-phase integer simplex of `simplex.py`: its constraints
+O(d).  No solver has a size limit.  `lp_value` proves the LP value
+from a feasible primal that meets the band dual, with the simplex only
+as the fallback.  The one LP, the root relaxation, goes to the
+one-phase integer simplex of `simplex.py`: its constraints
 are built in one pass over Phi with integer coefficients and nonnegative
 caps, so x = 0 is its first vertex, and its value and vertex are exact
 rationals.  Family sizes come from one row of binomials
@@ -398,12 +400,13 @@ def lp_relax(inst: IpInstance):
     return value, sol
 
 
-def _floor_improve(inst: IpInstance, base: dict) -> IpSolution:
-    """Floor a fractional solution, then greedily grow any variable."""
+def _floor_improve(inst: IpInstance, base: dict, order=None) -> IpSolution:
+    """Floor a fractional solution, then greedily grow each variable in
+    `order` (Phi by default)."""
     x = {v: int(val) for v, val in base.items() if int(val)}
     sol = IpSolution(inst, x)
     slack = sol.slacks()
-    for (i, j) in inst.phi:
+    for (i, j) in inst.phi if order is None else order:
         gains = [slack[("O", j - i)] if i != j else slack[("D",)]]
         if i == j:
             gains.append(slack[("R", i)] // 2)
@@ -425,6 +428,12 @@ def _floor_improve(inst: IpInstance, base: dict) -> IpSolution:
     return out
 
 
+def band_dual(inst: IpInstance) -> int:
+    """2 (D + sum O_l): weight 2 on each band constraint is dual feasible,
+    so this bounds the LP relaxation."""
+    return 2 * (inst.cap_diag + sum(inst.cap_off.values()))
+
+
 def upper_bound(inst: IpInstance) -> tuple:
     """A bound on the optimum from the caps alone, in O(d); (bound, reason).
 
@@ -440,7 +449,7 @@ def upper_bound(inst: IpInstance) -> tuple:
     """
     if inst.trivial:
         return 0, "empty index set"
-    band = 2 * (inst.cap_diag + sum(inst.cap_off.values()))
+    band = band_dual(inst)
     even_rows = sum(cap for ell, cap in inst.cap_row.items() if ell % 2 == 0)
     odd_bands = sum(cap for ell, cap in inst.cap_off.items() if ell % 2)
     if sum(inst.cap_row.values()) == band and (even_rows - odd_bands) % 2:
@@ -457,6 +466,64 @@ def exact_solve(inst: IpInstance):
     """
     sol = _floor_improve(inst, lp_relax(inst)[1])
     return sol, sol.objective == upper_bound(inst)[0]
+
+
+# Orders of Phi in which `_floor_improve` fills x from zero: the widest
+# band j - i first, each band by i up or by i down.  Each closes instances
+# the other misses; Phi's own order and its reverse close none they miss.
+_FILL_ORDERS = {
+    "band desc, i asc": lambda phi: sorted(phi, key=lambda v: (v[0] - v[1], v[0])),
+    "band desc, i desc": lambda phi: sorted(phi, key=lambda v: (v[0] - v[1], -v[0])),
+}
+
+
+def _half_loops(sol: IpSolution) -> IpSolution | None:
+    """One unit of diagonal slack spent as 1/2 on the loops of two rows
+    with slack at least 1: a fractional primal 2 above `sol`."""
+    slack = sol.slacks()
+    rows = [key[1] for key, s in slack.items() if key[0] == "R" and s >= 1][:2]
+    if slack[("D",)] < 1 or len(rows) < 2:
+        return None
+    x = dict(sol.x)
+    for ell in rows:
+        x[(ell, ell)] = x.get((ell, ell), 0) + Fraction(1, 2)
+    return IpSolution(sol.instance, x)
+
+
+def _lp_primals(inst: IpInstance, greedy: IpSolution | None):
+    """(proof, primal or None), cheapest first."""
+    if inst.variant == "secA":
+        greedy = greedy or greedy_solve(inst)
+        yield "greedy", greedy
+    else:
+        yield "closed form", closed_form_solve(inst).solution
+    for name, order in _FILL_ORDERS.items():
+        yield f"fill {name}", _floor_improve(inst, {}, order(inst.phi))
+    if inst.variant == "secA":
+        yield "half loops", _half_loops(greedy)
+
+
+def lp_value(inst: IpInstance, greedy: IpSolution | None = None) -> tuple:
+    """The exact optimum of the LP relaxation; (value, proof).
+
+    The band dual bounds the LP, so a feasible primal, integral or
+    fractional, whose objective meets it proves the LP value with no
+    simplex call.  The primals are the greedy (secA; pass `greedy` to
+    reuse one already solved), the closed form (secB), `_floor_improve`
+    from x = 0 over the orders of `_FILL_ORDERS` and, where the greedy
+    stops 2 short (the parity-cut instances), the greedy with half loops.
+    Each is checked exactly before it counts; the proof names the first
+    that meets the bound, or "simplex" when none does and `lp_relax`
+    decides.  Over k in {3, 5, 7}, both variants and n <= 1500 only
+    (1310, 3, secB) needs the simplex.
+    """
+    if inst.trivial:
+        return Fraction(0), "empty index set"
+    bound = band_dual(inst)
+    for proof, sol in _lp_primals(inst, greedy):
+        if sol is not None and sol.objective == bound and sol.feasible():
+            return Fraction(bound), proof
+    return lp_relax(inst)[0], "simplex"
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from sperner import ip as ipm
 from sperner.cli import build_parser, main
+from sperner.simplex import LinearProgram
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -257,10 +258,12 @@ class TestScan:
 
 class TestLpGolden:
     """The LP column of `asym` and exact-solver dumps, byte for byte against
-    golden files whose LP values and vertices the integer simplex must
-    reproduce exactly."""
+    golden files.  The asym column is proved by a primal that meets the
+    band dual (the simplex only where none does); the dumps pin the LP
+    vertices that the integer simplex must reproduce exactly.  The secA
+    file to 1000 holds the parity-cut rows, closed by half loops."""
 
-    @pytest.mark.parametrize("variant,n_max", (("secB", 800), ("secA", 300)))
+    @pytest.mark.parametrize("variant,n_max", (("secB", 800), ("secA", 300), ("secA", 1000)))
     def test_asym_matches_golden(self, tmp_path, capsys, variant, n_max):
         path = tmp_path / "asym.csv"
         code, _, _ = run(["asym", "--k", "3", "--variant", variant,
@@ -305,6 +308,18 @@ class TestAsym:
         for line in lines[1:]:
             cells = line.split(",")
             assert cells[7] != ""   # greedy objective present
+
+    def test_simplex_only_where_no_primal_meets_the_bound(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        solve = LinearProgram.solve
+        monkeypatch.setattr(LinearProgram, "solve",
+                            lambda lp: calls.append(len(lp.c)) or solve(lp))
+        for variant, n_max in (("secA", 1000), ("secB", 1500)):
+            code, _, _ = run(["asym", "--k", "3", "--variant", variant, "--n-max",
+                              str(n_max), "--out", str(tmp_path / "asym.csv")], capsys)
+            assert code == 0
+        # one LP, (1310,3,secB)
+        assert calls == [len(ipm.build_instance(1310, 3, "secB").phi)]
 
     def test_even_k_exit_2(self, capsys):
         code, out, err = run(["asym", "--k", "4", "--variant", "secA",

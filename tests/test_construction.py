@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sperner.cli import main
@@ -212,6 +214,24 @@ class TestSpsFormat:
         back = PartitionSystem.from_text(text)
         assert back.n == 6 and back.k == 3
         assert back.canonical().partitions == system.canonical().partitions
+
+    def test_text_follows_canonical_order(self):
+        def via_canonical(system):
+            lines = [f"SPS {system.n} {system.k} {system.size}"]
+            lines += [" | ".join(" ".join(str(e) for e in sorted(p)) for p in parts)
+                      for parts in system.canonical().partitions]
+            return "\n".join(lines) + "\n"
+
+        grouped = construct_grouped(plan_grouped(36, 15, 4, 9, "b"), seed=0)
+        rng = random.Random(0)
+        shuffled = [rng.sample(parts, len(parts)) for parts in grouped.partitions]
+        rng.shuffle(shuffled)
+        parsed = PartitionSystem.from_text(
+            "SPS 6 3 4\n5 4 | 1 0 | 3 2\n2 0 | 5 1 | 4 3\n4 5 | 0 1 | 2 3\n3 | 0 1 2 | 5 4\n")
+        for system in (grouped, PartitionSystem(36, 15, shuffled),
+                       construct_uniform(12, 4), parsed):
+            assert system.to_text() == via_canonical(system)
+        assert parsed.to_text().splitlines()[1:3] == ["0 1 | 2 3 | 4 5"] * 2
 
     def test_header_line(self):
         system = construct_uniform(6, 3)

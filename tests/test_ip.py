@@ -12,9 +12,9 @@ from sperner import ip, roundrobin
 from sperner.cli import main
 from sperner.combinat import binom, decompose, mms
 from sperner.ip import (IpInstance, IpSolution, _build_lp, _eta_sequence, _floor_improve,
-                        _phi, asymptotic_report, build_instance,
+                        _phi, asymptotic_report, band_dual, build_instance,
                         certificate, closed_form_solve, exact_solve,
-                        greedy_gap_bound, greedy_solve, lp_relax,
+                        greedy_gap_bound, greedy_solve, lp_relax, lp_value,
                         realize_system, upper_bound, zero_solution)
 from sperner.simplex import LinearProgram
 from sperner.verify import (check_certificate, check_certificate_summary,
@@ -595,6 +595,92 @@ class TestExactAndLp:
         assert optimal and sol.feasible()
         assert upper_bound(inst) == (inst.q - 2, "parity cut")
         assert sol.objective == inst.q - 2
+
+
+def nontrivial_instances(ks, n_max):
+    """Every non-trivial instance with k in `ks`, both variants, n <= n_max."""
+    for k in ks:
+        for variant in ip.VARIANTS:
+            rem = (k + 1) % (2 * k) if variant == "secA" else (k - 1) % (2 * k)
+            for n in range(2 * k + 1, n_max + 1):
+                if n % (2 * k) == rem:
+                    inst = build_instance(n, k, variant)
+                    if not inst.trivial:
+                        yield inst
+
+
+def count_simplex_solves(monkeypatch) -> list:
+    """Patch `LinearProgram.solve` to log each call; returns the log."""
+    calls = []
+    solve = LinearProgram.solve
+
+    def counted(lp):
+        calls.append(len(lp.c))
+        return solve(lp)
+
+    monkeypatch.setattr(LinearProgram, "solve", counted)
+    return calls
+
+
+class TestLpValue:
+    def test_agrees_with_the_simplex(self):
+        cases = list(nontrivial_instances((3, 5, 7), 600))
+        cases += [build_instance(n, 3, variant)
+                  for n, variant in ((406, "secA"), (430, "secA"), (1310, "secB"))]
+        assert len(cases) == 396
+        for inst in cases:
+            assert lp_value(inst)[0] == lp_relax(inst)[0], (inst.n, inst.k, inst.variant)
+
+    def test_proofs_up_to_1500(self, monkeypatch):
+        calls = count_simplex_solves(monkeypatch)
+        proofs = Counter()
+        fallbacks = []
+        for inst in nontrivial_instances((3, 5, 7), 1500):
+            value, proof = lp_value(inst)
+            assert value == band_dual(inst) == inst.q, (inst.n, inst.k, inst.variant)
+            proofs[inst.k, inst.variant, proof] += 1
+            if proof == "simplex":
+                fallbacks.append((inst.n, inst.k, inst.variant))
+        assert fallbacks == [(1310, 3, "secB")]
+        assert len(calls) == 1
+        assert proofs == {(3, "secA", "greedy"): 239, (3, "secA", "half loops"): 10,
+                          (3, "secB", "closed form"): 15,
+                          (3, "secB", "fill band desc, i asc"): 229,
+                          (3, "secB", "fill band desc, i desc"): 1,
+                          (3, "secB", "simplex"): 1,
+                          (5, "secA", "greedy"): 149, (5, "secB", "closed form"): 147,
+                          (7, "secA", "greedy"): 106, (7, "secB", "closed form"): 104}
+
+    def test_half_loops_close_the_parity_instances(self):
+        for n in (406, 430, 478, 502, 766, 790, 814, 862, 892, 988):
+            inst = build_instance(n, 3, "secA")
+            greedy = greedy_solve(inst)
+            assert greedy.objective == inst.q - 2
+            half = ip._half_loops(greedy)
+            assert half.feasible() and half.objective == inst.q
+            added = {v: half.x[v] - greedy.x.get(v, 0) for v in half.x
+                     if half.x[v] != greedy.x.get(v, 0)}
+            assert sorted(added.values()) == [Fraction(1, 2)] * 2
+            assert all(i == j for i, j in added)
+
+    def test_reuses_the_given_greedy(self, monkeypatch):
+        inst = build_instance(406, 3, "secA")
+        greedy = greedy_solve(inst)
+        monkeypatch.setattr(ip, "greedy_solve", None)
+        assert lp_value(inst, greedy) == (inst.q, "half loops")
+
+    def test_infeasible_primal_not_accepted(self, monkeypatch):
+        # a primal at the bound proves nothing unless it is feasible
+        inst = build_instance(22, 3, "secA")
+        over = IpSolution(inst, {inst.phi[0]: inst.q // 2})
+        assert over.objective == band_dual(inst) and not over.feasible()
+        monkeypatch.setattr(ip, "_lp_primals", lambda inst, greedy: [("over", over)])
+        calls = count_simplex_solves(monkeypatch)
+        assert lp_value(inst) == (inst.q, "simplex")
+        assert len(calls) == 1
+
+    def test_trivial(self):
+        assert lp_value(build_instance(24, 5, "secB")) == (0, "empty index set")
 
 
 class TestRealization:
