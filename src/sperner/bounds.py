@@ -12,8 +12,10 @@ counting term, the shadow comparison is the closed integer inequality
     prod_{j=1}^{c-1} (c*x + j*y) <= (c-1)! * y^c,    x = floor(r(c+1)/n * s),
 
 (combinat.shadow_cmp), so every scan decision is exact.  The Table-1 scan
-filters (m, h) splits with construction.grouped_factor, which rejects by
-arithmetic instead of by exception.
+builds one split table per n and c (construction.split_table: the k-free
+binomials and powers of every (m, h)), evaluates only case (b) with
+construction.grouped_factor, which rejects by arithmetic instead of by
+exception, and visits only the k with 2 <= n // k <= c_max.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import Params, binom, decompose, mms, shadow_cmp
-from .construction import grouped_factor
+from .construction import grouped_factor, split_table
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -42,13 +44,6 @@ def _bound_satisfied(params: Params, s: int) -> bool:
     # rejects y <= 0
     y = binom(n - 1, c - 1) - _ceil_div((n - num) * s, n)
     return shadow_cmp(c, (num * s) // n, y)
-
-
-def refined_upper_equals(params: Params, s: int) -> bool:
-    """Whether the refined upper bound is exactly s (two predicate tests)."""
-    if not _in_domain(params) or s < 0:
-        return False
-    return _bound_satisfied(params, s) and not _bound_satisfied(params, s + 1)
 
 
 def refined_upper(params: Params) -> int | None:
@@ -125,50 +120,53 @@ def best_grouped_lower(n: int, k: int, cases=("a", "b")):
     best = (0, None)
     if r == 0 or c < 2 or k < 3:
         return best
-    for m in range(c, n, c):
-        if n % m != 0:
-            continue
-        h = n // m
+    for split in split_table(n, c):
         for case in cases:
-            factors = grouped_factor(c, k, r, m, h, case)
-            if isinstance(factors, str) or factors[-1] <= 0:
-                continue
-            size = factors[-1] * binom(m - 1, c - 1)
-            if size > best[0]:
-                best = (size, (m, h, case))
+            factors = grouped_factor(c, k, r, split, case)
+            if type(factors) is tuple and factors[2] * split[2] > best[0]:
+                best = (factors[2] * split[2], (*split[:2], case))
     return best
 
 
 def _exact_rows_for_n(n: int, c_max: int) -> list[ExactRow]:
+    """The rows of scan_exact for one n.  Per c, one split table serves every
+    k with n // k = c.  The refined bound is tested first at one above the
+    best case-(b) size, which it admits for almost every k; a size above
+    the bound itself is an inconsistency and raises."""
     rows = []
-    divisors = [m for m in range(2, n) if n % m == 0]
-    for k in range(4, (n - 2) // 2 + 1):
-        c, r = divmod(n, k)
-        if c < 2 or c > c_max or r < 1:
+    for c in range(2, c_max + 1):
+        splits = split_table(n, c)
+        if not splits:
             continue
-        candidates = []
-        for m in divisors:
-            if m % c != 0:
+        # c | m | n, so k = n/c has r = 0, and every k below it 1 <= r < k
+        # and n >= 2k + 2, the refined bound's domain
+        for k in range(max(4, n // (c + 1) + 1), n // c):
+            r = n - c * k
+            best = 0    # the largest size p * binom(m-1, c-1), split[2] the binomial
+            for split in splits:
+                factors = grouped_factor(c, k, r, split, "b")
+                if type(factors) is tuple and factors[2] * split[2] > best:
+                    best, witness = factors[2] * split[2], split
+            if best == 0:
                 continue
-            h = n // m
-            factors = grouped_factor(c, k, r, m, h, "b")
-            if not isinstance(factors, str) and factors[-1] > 0:
-                candidates.append((m, h, factors[-1] * binom(m - 1, c - 1)))
-        if not candidates:
-            continue
-        # only the best grouped size can meet the upper bound
-        best = max(size for _, _, size in candidates)
-        if refined_upper_equals(decompose(n, k), best):
-            m, h, _ = next(cand for cand in candidates if cand[2] == best)
-            rows.append(ExactRow(n, k, m, h, best))
+            params = decompose(n, k)
+            if _bound_satisfied(params, best + 1):
+                continue
+            if not _bound_satisfied(params, best):
+                raise AssertionError(f"grouped size {best} exceeds the refined upper "
+                                     f"bound at n={n}, k={k}")
+            rows.append(ExactRow(n, k, witness[0], witness[1], best))
     return rows
 
 
 def scan_exact(n_max: int, c_max: int = 2, workers: int = 1) -> list[ExactRow]:
-    """All (n, k) with n <= n_max where the case-(b) grouped construction
-    meets the refined upper bound; one witnessing (m, h) each."""
+    """All (n, k) with n <= n_max and 2 <= n // k <= c_max where the
+    case-(b) grouped construction meets the refined upper bound; one
+    witnessing (m, h) each."""
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
+    if c_max < 2:
+        raise ValueError(f"need c_max >= 2, got {c_max}")
     ns = range(4, n_max + 1)
     rows: list[ExactRow] = []
     if workers > 1:

@@ -158,10 +158,7 @@ class GroupedPlan:
     m: int
     h: int
     case: str
-    p1: int
-    p2: int
-    p1p: int
-    p2p: int
+    caps: tuple     # (p1, p2) in case (a), (p1', p2') in case (b)
     p: int
 
     @property
@@ -173,29 +170,41 @@ class GroupedPlan:
         return self.p * self.n_classes
 
 
-def grouped_factor(c: int, k: int, r: int, m: int, h: int, case: str):
-    """The factors (p1, p2, p1', p2', p) of the grouped construction on m
-    groups of size h, or the reason the split is rejected as a string.
+def grouped_split(c: int, m: int, h: int) -> tuple:
+    """What the grouped factors need of m groups of size h that does not
+    depend on k: (m, h, binom(m-1, c-1), binom(h, c+1), h**c)."""
+    return m, h, binom(m - 1, c - 1), binom(h, c + 1), h ** c
+
+
+def split_table(n: int, c: int) -> list:
+    """grouped_split of every m | n with c | m and m < n, by increasing m."""
+    return [grouped_split(c, m, n // m) for m in range(c, n, c) if n % m == 0]
+
+
+def grouped_factor(c: int, k: int, r: int, split: tuple, case: str):
+    """The caps of the case ((p1, p2) in case (a), (p1', p2') in case (b))
+    and p = max(min(caps), 0) of the grouped construction on a grouped_split,
+    as (cap1, cap2, p), or the reason the split is rejected as a string.
 
     Assumes what plan_grouped checks first: c >= 2, k >= 3, 1 <= r < k,
     c | m and case in ('a', 'b').  Builds nothing and raises nothing, so
     scans can filter splits by arithmetic alone.
     """
-    classes = binom(m - 1, c - 1)
-    blocks = binom(h, c + 1)
-    p1 = (m * (h ** c - c - 1)) // (c * (k - r))
-    p2 = (m * (blocks // classes)) // r
-    p1p = (m * h ** c) // (c * (k - r))
-    p2p = (m * blocks) // (r * classes)
-    p = max(min(p1, p2) if case == "a" else min(p1p, p2p), 0)
-    if case == "b" and (p * r) % m != 0:
-        return f"case (b) needs p*r = {p * r} divisible by m = {m}"
-    x = r // m
-    if (r - m * x) % c != 0:
+    m, h, classes, blocks, hc = split
+    if case == "a":
+        cap1, cap2 = m * (hc - c - 1) // (c * (k - r)), m * (blocks // classes) // r
+    else:
+        cap1, cap2 = m * hc // (c * (k - r)), m * blocks // (r * classes)
+    # min(caps) floored at 0, with no min() or max() call in the scan's inner loop
+    p = 0 if cap1 < 0 else cap1 if cap1 < cap2 else cap2   # cap2 >= 0
+    if case == "b" and p * r % m:
+        return "case (b) needs p*r divisible by m"
+    if r % m % c:
         return "row surplus (r - m*floor(r/m))/c is not an integer"
-    if p > 0 and h < (c + 1) * (x + (1 if r - m * x else 0)):
+    # a row of T spreads r/c over m/c columns: some group holds ceil(r/m) blocks
+    if p and h < (c + 1) * -(-r // m):
         return "groups too small for the required block counts"
-    return p1, p2, p1p, p2p, p
+    return cap1, cap2, p
 
 
 def plan_grouped(n: int, k: int, m: int, h: int, case: str) -> GroupedPlan:
@@ -212,10 +221,10 @@ def plan_grouped(n: int, k: int, m: int, h: int, case: str) -> GroupedPlan:
         raise ValueError(f"need m*h = n, got {m}*{h} != {n}")
     if m % c != 0:
         raise ValueError(f"need c | m, got m={m}, c={c}")
-    factors = grouped_factor(c, k, r, m, h, case)
+    factors = grouped_factor(c, k, r, grouped_split(c, m, h), case)
     if isinstance(factors, str):
-        raise ValueError(factors)
-    return GroupedPlan(params, m, h, case, *factors)
+        raise ValueError(f"split m={m}, h={h} with r={r}: {factors}")
+    return GroupedPlan(params, m, h, case, factors[:2], factors[2])
 
 
 # --------------------------------------------------------------------------
@@ -255,15 +264,6 @@ def _check_usage(plan: GroupedPlan, res: Resolution, T):
                     f"(c+1)-block family over capacity at class {ell}, column {i}")
 
 
-def _positions(res: Resolution):
-    pos = {}
-    for ell, cls in enumerate(res.classes):
-        for i, block in enumerate(cls):
-            for w in block:
-                pos[(ell, w)] = i
-    return pos
-
-
 def _detach_all(plan: GroupedPlan, res: Resolution, T, seed: int) -> PartitionSystem:
     """Realize a plan in one pass over the groups, one allocation per group.
 
@@ -274,7 +274,8 @@ def _detach_all(plan: GroupedPlan, res: Resolution, T, seed: int) -> PartitionSy
     """
     m, h, p, N = plan.m, plan.h, plan.p, plan.n_classes
     groups = [list(range(w * h, (w + 1) * h)) for w in range(m)]
-    pos = _positions(res)
+    pos = {(ell, w): i for ell, cls in enumerate(res.classes)   # block i of class ell holds w
+           for i, block in enumerate(cls) for w in block}
     rng = random.Random(f"{seed}:grouped")
     units = [(z, ell) for ell in range(N) for z in range(p)]
     transversals = {}   # (z, ell, i) -> open transversals of block i

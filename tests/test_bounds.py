@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from sperner.bounds import (best_grouped_lower, bounds_report, refined_upper,
+from sperner import bounds
+from sperner.bounds import (ExactRow, best_grouped_lower, bounds_report, refined_upper,
                             scan_exact, scan_small_r, small_r_ceiling,
                             small_r_upper, two_value_range)
 from sperner.combinat import binom, decompose, mms
+from sperner.construction import grouped_factor, grouped_split
 
 
 class TestRefinedUpper:
@@ -111,6 +113,21 @@ class TestScans:
         rows = scan_exact(200, c_max=64)
         assert rows and all(row.n // row.k == 2 for row in rows)
 
+    def test_rejects_c_max_below_2(self):
+        for c_max in (1, 0, -1):
+            with pytest.raises(ValueError, match="c_max"):
+                scan_exact(100, c_max=c_max)
+
+    def test_lower_above_upper_raises(self, monkeypatch):
+        # a grouped size above the refined bound is an inconsistency, not a
+        # row to skip: double every p and the scan must stop
+        def doubled(*args):
+            factors = grouped_factor(*args)
+            return factors if isinstance(factors, str) else (*factors[:2], 2 * factors[2])
+        monkeypatch.setattr(bounds, "grouped_factor", doubled)
+        with pytest.raises(AssertionError, match="exceeds the refined upper bound"):
+            scan_exact(36)
+
     def test_exact_rows_constructed_and_verified(self):
         # every exact-value row with n <= 60, built and brute-force checked
         from sperner.construction import construct_grouped, plan_grouped
@@ -155,3 +172,55 @@ class TestBoundsReport:
     def test_best_grouped_lower_witness(self):
         size, wit = best_grouped_lower(36, 15)
         assert size == 54 and wit[:2] == (4, 9)
+
+
+def _scan_oracle(n_max: int, c_max: int):
+    """The scan without a split table: every k, every m in range(c, n, c)
+    with m | n, and the full binary search of refined_upper.  Returns the
+    rows and the best case-(b) size of every (n, k) it visits."""
+    rows, best_sizes = [], {}
+    for n in range(4, n_max + 1):
+        for k in range(4, (n - 2) // 2 + 1):
+            c, r = divmod(n, k)
+            if c < 2 or c > c_max or r < 1:
+                continue
+            best, witness = 0, None
+            for m in range(c, n, c):
+                if n % m:
+                    continue
+                factors = grouped_factor(c, k, r, grouped_split(c, m, n // m), "b")
+                if not isinstance(factors, str) and factors[2] * binom(m - 1, c - 1) > best:
+                    best, witness = factors[2] * binom(m - 1, c - 1), (m, n // m)
+            best_sizes[(n, k)] = best
+            if best and refined_upper(decompose(n, k)) == best:
+                rows.append(ExactRow(n, k, *witness, best))
+    return rows, best_sizes
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return _scan_oracle(300, 6)
+
+
+class TestScanAgainstOracle:
+    @pytest.mark.parametrize("c_max", [2, 3, 6])
+    def test_rows_and_witnesses(self, c_max, oracle, monkeypatch):
+        evals = []
+        satisfied = bounds._bound_satisfied
+        monkeypatch.setattr(bounds, "_bound_satisfied",
+                            lambda params, s: evals.append(s) or satisfied(params, s))
+        rows, best_sizes = oracle
+        want = [row for row in rows if row.n // row.k <= c_max]
+        assert scan_exact(300, c_max=c_max) == want
+        # one predicate test per k with a grouped size, a second only per row
+        candidates = sum(1 for (n, k), best in best_sizes.items()
+                         if best and n // k <= c_max)
+        assert len(evals) == candidates + len(want)
+
+    def test_best_size_is_best_grouped_lower(self, oracle):
+        rows, best_sizes = oracle
+        for (n, k), best in best_sizes.items():
+            assert best_grouped_lower(n, k, cases=("b",))[0] == best, (n, k)
+        for row in rows:
+            assert best_grouped_lower(row.n, row.k, cases=("b",)) == (
+                row.sp, (row.m, row.h, "b"))

@@ -249,6 +249,12 @@ class TestScan:
         assert code == 0
         assert out.strip() == "n,k,m,h,sp"
 
+    @pytest.mark.parametrize("c_max", ["1", "-1"])
+    def test_c_max_below_2_is_a_usage_error(self, c_max, capsys):
+        code, out, err = run(["scan", "--table", "1", "--c-max", c_max], capsys)
+        assert code == 2 and out == ""
+        assert "need c_max >= 2" in err
+
     def test_determinism(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["scan", "--table", "1", "--n-max", "150", "--out", str(p1)], capsys)

@@ -48,12 +48,12 @@ class TestBalancedMatrix:
 class TestPlans:
     def test_plan_36_15(self):
         plan = plan_grouped(36, 15, 4, 9, "b")
-        assert (plan.p1p, plan.p2p, plan.p) == (18, 18, 18)
+        assert (plan.caps, plan.p) == ((18, 18), 18)
         assert plan.size == 54
 
     def test_plan_8_3(self):
         plan = plan_grouped(8, 3, 2, 4, "b")
-        assert (plan.p1p, plan.p2p, plan.p) == (16, 4, 4)
+        assert (plan.caps, plan.p) == ((16, 4), 4)
         assert plan.size == 4
 
     def test_plan_44_18(self):
@@ -62,7 +62,7 @@ class TestPlans:
 
     def test_case_a_values(self):
         plan = plan_grouped(36, 15, 4, 9, "a")
-        assert plan.p1 == 17 and plan.p2 == 18 and plan.p == 17
+        assert plan.caps == (17, 18) and plan.p == 17
         assert plan.size == 51
 
     def test_rejects_divisibility_violation(self):
