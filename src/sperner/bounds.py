@@ -36,9 +36,8 @@ def _in_domain(params: Params) -> bool:
     return params.k >= 4 and params.n >= 2 * params.k + 2 and params.r != 0
 
 
-def _bound_satisfied(params: Params, s: int) -> bool:
-    """Exact test of the counting-plus-shadow inequality at candidate size s."""
-    n, c, r = params.n, params.c, params.r
+def _bound_satisfied(n: int, c: int, r: int, s: int) -> bool:
+    """Exact counting-plus-shadow test at candidate size s for n = ck + r."""
     num = r * (c + 1)
     # room left in binom(n-1, c-1) after the counting term; shadow_cmp
     # rejects y <= 0
@@ -55,14 +54,15 @@ def refined_upper(params: Params) -> int | None:
     """
     if not _in_domain(params):
         return None
+    n, c, r = params.n, params.c, params.r
     lo = 0
     hi = max(int(mms(params)) + 2, 4)
-    while _bound_satisfied(params, hi):
+    while _bound_satisfied(n, c, r, hi):
         hi *= 2
     tested = {lo: True, hi: False}
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _bound_satisfied(params, mid):
+        if _bound_satisfied(n, c, r, mid):
             lo = mid
         else:
             hi = mid
@@ -149,10 +149,9 @@ def _exact_rows_for_n(n: int, c_max: int) -> list[ExactRow]:
                     best, witness = factors[2] * split[2], split
             if best == 0:
                 continue
-            params = decompose(n, k)
-            if _bound_satisfied(params, best + 1):
+            if _bound_satisfied(n, c, r, best + 1):
                 continue
-            if not _bound_satisfied(params, best):
+            if not _bound_satisfied(n, c, r, best):
                 raise AssertionError(f"grouped size {best} exceeds the refined upper "
                                      f"bound at n={n}, k={k}")
             rows.append(ExactRow(n, k, witness[0], witness[1], best))

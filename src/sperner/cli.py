@@ -97,8 +97,8 @@ def cmd_construct(args) -> int:
 
 
 def _exact(inst):
-    """The floored root LP with its verdict printed: nothing more when the
-    band dual proves it, the parity cut by name when the cut does, and
+    """`exact_solve` with its verdict printed: nothing more when the band
+    dual proves it, the parity cut by name when the cut does, and
     `(not proved optimal)` when it falls short of the bound."""
     sol, optimal = ipm.exact_solve(inst)
     note = ""
@@ -121,7 +121,7 @@ def cmd_ip(args) -> int:
             fh.write(inst.to_text())
     solver = args.solver
     if solver == "auto":
-        solver = "greedy" if inst.variant == "secA" else "ladder"
+        solver = "greedy" if inst.variant == "secA" else "exact"
     if inst.trivial:
         sol = ipm.zero_solution(inst)
         print("trivial program, objective 0")
@@ -143,15 +143,6 @@ def cmd_ip(args) -> int:
         print(f"lp optimum = {_fmt_fraction(value)}")
         sol = ipm.IpSolution(inst, {v: int(val) for v, val in xs.items() if int(val)})
         print(f"floor-rounded objective = {sol.objective}")
-    elif solver == "ladder":
-        res = ipm.closed_form_solve(inst)
-        if res.feasible:
-            sol = res.solution
-            print(f"closed-form objective = {sol.objective} (= Q)")
-        else:
-            print(f"closed form infeasible ({', '.join(res.violations)}); "
-                  "falling back to the exact solver")
-            sol = _exact(inst)
     if args.dump:
         with open(args.dump, "w") as fh:
             fh.write(inst.to_text(sol))

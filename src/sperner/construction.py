@@ -322,19 +322,13 @@ def _stage_flow(plan: GroupedPlan, T, keys, group, transversals, rng):
     return out
 
 
-def construct_grouped(plan: GroupedPlan, res: Resolution | None = None,
-                      seed: int = 0) -> PartitionSystem:
+def construct_grouped(plan: GroupedPlan, seed: int = 0) -> PartitionSystem:
     """Build the grouped system for a plan; empty system when p = 0."""
-    c = plan.params.c
-    if res is not None and (res.m != plan.m or res.c != c):
-        raise ValueError(f"resolution is for (m={res.m}, c={res.c}), "
-                         f"plan needs (m={plan.m}, c={c})")
     if plan.p == 0:
         return PartitionSystem(plan.params.n, plan.params.k, [],
                                [list(range(w * plan.h, (w + 1) * plan.h))
                                 for w in range(plan.m)], [])
-    if res is None:
-        res = resolve(plan.m, c)
+    res = resolve(plan.m, plan.params.c)
     T = _t_matrix(plan)
     _check_usage(plan, res, T)
     system = _detach_all(plan, res, T, seed)

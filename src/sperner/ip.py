@@ -9,17 +9,16 @@ diagonal budget D, off-diagonal band budgets O_l and row budgets R_l; the
 objective is 2 * sum x and its optimum is bounded by the even integer Q.
 
 Solvers: a batched version of the slack-consuming greedy (variant secA),
-the sparse closed-form candidate (variant secB), the exact LP relaxation,
-and the exact solver: the floored root LP, proved optimal when it meets
-`upper_bound`, the band dual or the parity cut, read off the caps in
-O(d).  No solver has a size limit.  `lp_value` proves the LP value
-from a feasible primal that meets the band dual, with the simplex only
-as the fallback.  The one LP, the root relaxation, goes to the
-one-phase integer simplex of `simplex.py`: its constraints
+the sparse closed-form candidate (variant secB), the exact LP relaxation
+and two proofs from one loop.  `exact_solve` and `lp_value` take the first
+exactly checked primal that meets a bound read off the caps in O(d):
+`upper_bound` (the band dual or the parity cut) for the integer optimum,
+the band dual for the LP value.  Only where none does is the root LP
+solved, by the one-phase integer simplex of `simplex.py`: its constraints
 are built in one pass over Phi with integer coefficients and nonnegative
-caps, so x = 0 is its first vertex, and its value and vertex are exact
-rationals.  Family sizes come from one row of binomials
-binom(n/2, j), j <= 2d+2, and u from running sums of them, in O(d).
+caps, so x = 0 is its first vertex.  No solver has a size limit.  Family
+sizes come from one row of binomials binom(n/2, j), j <= 2d+2, and u from
+running sums of them, in O(d).
 """
 
 from __future__ import annotations
@@ -457,17 +456,6 @@ def upper_bound(inst: IpInstance) -> tuple:
     return band, "band dual"
 
 
-def exact_solve(inst: IpInstance):
-    """The floored root LP, proved by `upper_bound`; (solution, proved_optimal).
-
-    One exact LP, floored and grown by `_floor_improve`; proved_optimal
-    says its objective meets the bound.  Over k in {3, 5, 7}, both variants
-    and n <= 1500 it does on every instance, ten of them by the parity cut.
-    """
-    sol = _floor_improve(inst, lp_relax(inst)[1])
-    return sol, sol.objective == upper_bound(inst)[0]
-
-
 # Orders of Phi in which `_floor_improve` fills x from zero: the widest
 # band j - i first, each band by i up or by i down.  Each closes instances
 # the other misses; Phi's own order and its reverse close none they miss.
@@ -490,40 +478,58 @@ def _half_loops(sol: IpSolution) -> IpSolution | None:
     return IpSolution(sol.instance, x)
 
 
-def _lp_primals(inst: IpInstance, greedy: IpSolution | None):
-    """(proof, primal or None), cheapest first."""
+def _integral_primals(inst: IpInstance, greedy: IpSolution | None = None):
+    """(proof, integral primal or None), cheapest first: the greedy (secA)
+    or the closed form (secB), then the fills of `_FILL_ORDERS`."""
     if inst.variant == "secA":
-        greedy = greedy or greedy_solve(inst)
-        yield "greedy", greedy
+        yield "greedy", greedy or greedy_solve(inst)
     else:
         yield "closed form", closed_form_solve(inst).solution
     for name, order in _FILL_ORDERS.items():
         yield f"fill {name}", _floor_improve(inst, {}, order(inst.phi))
-    if inst.variant == "secA":
-        yield "half loops", _half_loops(greedy)
+
+
+def _first_proved(primals, bound: int) -> tuple:
+    """The first (proof, primal) whose primal is feasible, checked exactly,
+    with objective `bound`; (None, None) when none is."""
+    return next(((proof, sol) for proof, sol in primals if sol is not None
+                 and sol.objective == bound and sol.feasible()), (None, None))
+
+
+def exact_solve(inst: IpInstance):
+    """An integer optimum proved by `upper_bound`; (solution, proved_optimal).
+
+    The first of `_integral_primals` that meets the bound, or else the
+    root LP floored and grown by `_floor_improve`; proved_optimal says the
+    result meets the bound.  Over k in {3, 5, 7}, both variants and
+    n <= 1500 only (1310, 3, secB) needs the LP, and it is proved there.
+    """
+    bound = upper_bound(inst)[0]
+    sol = (_first_proved(_integral_primals(inst), bound)[1]
+           or _floor_improve(inst, lp_relax(inst)[1]))
+    return sol, sol.objective == bound
 
 
 def lp_value(inst: IpInstance, greedy: IpSolution | None = None) -> tuple:
     """The exact optimum of the LP relaxation; (value, proof).
 
-    The band dual bounds the LP, so a feasible primal, integral or
-    fractional, whose objective meets it proves the LP value with no
-    simplex call.  The primals are the greedy (secA; pass `greedy` to
-    reuse one already solved), the closed form (secB), `_floor_improve`
-    from x = 0 over the orders of `_FILL_ORDERS` and, where the greedy
-    stops 2 short (the parity-cut instances), the greedy with half loops.
-    Each is checked exactly before it counts; the proof names the first
-    that meets the bound, or "simplex" when none does and `lp_relax`
-    decides.  Over k in {3, 5, 7}, both variants and n <= 1500 only
-    (1310, 3, secB) needs the simplex.
+    The band dual bounds the LP, so a feasible primal that meets it proves
+    the LP value: those of `exact_solve` (pass `greedy` to reuse one) and
+    the greedy with half loops, the one fractional primal, which closes
+    the parity-cut instances.  The proof names the first, or "simplex"
+    when none meets the bound; over k in {3, 5, 7}, both variants and
+    n <= 1500 only (1310, 3, secB) needs the simplex.
     """
     if inst.trivial:
         return Fraction(0), "empty index set"
     bound = band_dual(inst)
-    for proof, sol in _lp_primals(inst, greedy):
-        if sol is not None and sol.objective == bound and sol.feasible():
-            return Fraction(bound), proof
-    return lp_relax(inst)[0], "simplex"
+    half = []
+    if inst.variant == "secA":
+        greedy = greedy or greedy_solve(inst)
+        half = [("half loops", _half_loops(greedy))]
+    proof = _first_proved(itertools.chain(_integral_primals(inst, greedy), half),
+                          bound)[0]
+    return (Fraction(bound), proof) if proof else (lp_relax(inst)[0], "simplex")
 
 
 # --------------------------------------------------------------------------

@@ -208,7 +208,7 @@ class TestScanAgainstOracle:
         evals = []
         satisfied = bounds._bound_satisfied
         monkeypatch.setattr(bounds, "_bound_satisfied",
-                            lambda params, s: evals.append(s) or satisfied(params, s))
+                            lambda n, c, r, s: evals.append(s) or satisfied(n, c, r, s))
         rows, best_sizes = oracle
         want = [row for row in rows if row.n // row.k <= c_max]
         assert scan_exact(300, c_max=c_max) == want

@@ -194,15 +194,20 @@ class TestIp:
         assert text.startswith("IP secA 10 3 1 0 10\n")
         assert "x 1 1 5" in text
 
-    def test_unproved_result_marked(self, monkeypatch, capsys):
-        # the closed form is infeasible at (26,3,secB), so the ladder runs
-        # the exact solver; a result the bound does not prove must say so
-        real = ipm.exact_solve
-        monkeypatch.setattr(ipm, "exact_solve", lambda inst: (real(inst)[0], False))
+    def test_default_secB_is_exact(self, capsys):
+        # the closed form is infeasible at (26,3,secB); a fill closes it
         code, out, _ = run(["ip", "--n", "26", "--k", "3", "--variant", "secB"],
                            capsys)
         assert code == 0
-        assert "falling back to the exact solver" in out
+        assert out.rstrip().endswith("exact objective = 511224, gap to Q = 0")
+
+    def test_unproved_result_marked(self, monkeypatch, capsys):
+        # a result the bound does not prove must say so
+        real = ipm.exact_solve
+        monkeypatch.setattr(ipm, "exact_solve", lambda inst: (real(inst)[0], False))
+        code, out, _ = run(["ip", "--n", "26", "--k", "3", "--variant", "secB",
+                            "--solver", "exact"], capsys)
+        assert code == 0
         assert out.rstrip().endswith(
             "exact objective = 511224, gap to Q = 0 (not proved optimal)")
 
@@ -263,11 +268,12 @@ class TestScan:
 
 
 class TestLpGolden:
-    """The LP column of `asym` and exact-solver dumps, byte for byte against
-    golden files.  The asym column is proved by a primal that meets the
-    band dual (the simplex only where none does); the dumps pin the LP
-    vertices that the integer simplex must reproduce exactly.  The secA
-    file to 1000 holds the parity-cut rows, closed by half loops."""
+    """The LP column of `asym` and `ip --solver lp` dumps, byte for byte
+    against golden files.  The asym column is proved by a primal that
+    meets the band dual (the simplex only where none does); the dumps pin
+    the floored LP vertices that the integer simplex must reproduce
+    exactly.  The secA file to 1000 holds the parity-cut rows, closed by
+    half loops."""
 
     @pytest.mark.parametrize("variant,n_max", (("secB", 800), ("secA", 300), ("secA", 1000)))
     def test_asym_matches_golden(self, tmp_path, capsys, variant, n_max):
@@ -282,9 +288,9 @@ class TestLpGolden:
     def test_exact_dump_matches_golden(self, tmp_path, capsys, n, variant):
         path = tmp_path / "ip.dump"
         code, _, _ = run(["ip", "--n", str(n), "--k", "3", "--variant", variant,
-                          "--solver", "exact", "--dump", str(path)], capsys)
+                          "--solver", "lp", "--dump", str(path)], capsys)
         assert code == 0
-        golden = GOLDEN / f"ip-exact-{n}-3-{variant}.dump"
+        golden = GOLDEN / f"ip-lp-{n}-3-{variant}.dump"
         assert path.read_bytes() == golden.read_bytes()
 
 

@@ -651,6 +651,24 @@ class TestLpValue:
                           (5, "secA", "greedy"): 149, (5, "secB", "closed form"): 147,
                           (7, "secA", "greedy"): 106, (7, "secB", "closed form"): 104}
 
+    def test_exact_proofs_up_to_1500(self, monkeypatch):
+        # an integral primal meets upper_bound everywhere but (1310,3,secB)
+        calls = count_simplex_solves(monkeypatch)
+        fallbacks = []
+        solved = 0
+        for inst in nontrivial_instances((3, 5, 7), 1500):
+            before = len(calls)
+            sol, optimal = exact_solve(inst)
+            assert optimal and sol.feasible(), (inst.n, inst.k, inst.variant)
+            assert sol.objective == upper_bound(inst)[0]
+            assert all(type(v) is int for v in sol.x.values()), (inst.n, inst.k)
+            if len(calls) > before:
+                fallbacks.append((inst.n, inst.k, inst.variant))
+            solved += 1
+        assert solved == 1001
+        assert fallbacks == [(1310, 3, "secB")]
+        assert len(calls) == 1
+
     def test_half_loops_close_the_parity_instances(self):
         for n in (406, 430, 478, 502, 766, 790, 814, 862, 892, 988):
             inst = build_instance(n, 3, "secA")
@@ -662,6 +680,9 @@ class TestLpValue:
                      if half.x[v] != greedy.x.get(v, 0)}
             assert sorted(added.values()) == [Fraction(1, 2)] * 2
             assert all(i == j for i, j in added)
+            # the fractional primal proves the LP value, never the integer optimum
+            assert all(type(v) is int for _, sol in ip._integral_primals(inst)
+                       for v in sol.x.values())
 
     def test_reuses_the_given_greedy(self, monkeypatch):
         inst = build_instance(406, 3, "secA")
@@ -670,14 +691,21 @@ class TestLpValue:
         assert lp_value(inst, greedy) == (inst.q, "half loops")
 
     def test_infeasible_primal_not_accepted(self, monkeypatch):
-        # a primal at the bound proves nothing unless it is feasible
+        # a primal at the bound proves nothing unless it is feasible, for
+        # the LP value and for the integer optimum alike
         inst = build_instance(22, 3, "secA")
         over = IpSolution(inst, {inst.phi[0]: inst.q // 2})
-        assert over.objective == band_dual(inst) and not over.feasible()
-        monkeypatch.setattr(ip, "_lp_primals", lambda inst, greedy: [("over", over)])
+        assert over.objective == band_dual(inst) == upper_bound(inst)[0]
+        assert not over.feasible()
+        monkeypatch.setattr(ip, "_integral_primals",
+                            lambda inst, greedy=None: [("over", over)])
         calls = count_simplex_solves(monkeypatch)
         assert lp_value(inst) == (inst.q, "simplex")
         assert len(calls) == 1
+        sol, optimal = exact_solve(inst)
+        assert sol.feasible()
+        assert optimal and sol.objective == inst.q
+        assert len(calls) == 2
 
     def test_trivial(self):
         assert lp_value(build_instance(24, 5, "secB")) == (0, "empty index set")
