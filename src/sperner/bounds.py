@@ -13,9 +13,11 @@ counting term, the shadow comparison is the closed integer inequality
 
 (combinat.shadow_cmp), so every scan decision is exact.  The Table-1 scan
 builds one split table per n and c (construction.split_table: the k-free
-binomials and powers of every (m, h)), evaluates only case (b) with
-construction.grouped_factor, which rejects by arithmetic instead of by
-exception, and visits only the k with 2 <= n // k <= c_max.
+binomials, powers and case-(b) cap numerators of every (m, h)), visits
+only the k with 2 <= n // k <= c_max, and per k takes the best case-(b)
+size from one loop over the table (construction.best_split_b), which
+rejects by arithmetic instead of by exception.  The Table-2 scan walks k
+down from ceil(9r^2/2) and stops at the first k the bound fails.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import Params, binom, decompose, mms, shadow_cmp
-from .construction import grouped_factor, split_table
+from .construction import best_split_b, grouped_factor, split_table
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -39,9 +41,9 @@ def _in_domain(params: Params) -> bool:
 def _bound_satisfied(n: int, c: int, r: int, s: int) -> bool:
     """Exact counting-plus-shadow test at candidate size s for n = ck + r."""
     num = r * (c + 1)
-    # room left in binom(n-1, c-1) after the counting term; shadow_cmp
-    # rejects y <= 0
-    y = binom(n - 1, c - 1) - _ceil_div((n - num) * s, n)
+    # room left in binom(n-1, c-1) after the counting term ceil((n-num)s/n);
+    # shadow_cmp rejects y <= 0
+    y = math.comb(n - 1, c - 1) + (num - n) * s // n
     return shadow_cmp(c, (num * s) // n, y)
 
 
@@ -142,11 +144,7 @@ def _exact_rows_for_n(n: int, c_max: int) -> list[ExactRow]:
         # and n >= 2k + 2, the refined bound's domain
         for k in range(max(4, n // (c + 1) + 1), n // c):
             r = n - c * k
-            best = 0    # the largest size p * binom(m-1, c-1), split[2] the binomial
-            for split in splits:
-                factors = grouped_factor(c, k, r, split, "b")
-                if type(factors) is tuple and factors[2] * split[2] > best:
-                    best, witness = factors[2] * split[2], split
+            best, witness = best_split_b(c, k, r, splits)
             if best == 0:
                 continue
             if _bound_satisfied(n, c, r, best + 1):
@@ -192,20 +190,18 @@ def scan_small_r(r_lo: int = 3, r_hi: int = 10) -> list[SmallRRow]:
     """Minimal k from which the refined bound certifies 2k + 4r - t - 1.
 
     Certification is required for every k between the threshold and the
-    point ceil(9 r^2 / 2) where the closed-form hypothesis takes over.
+    point ceil(9 r^2 / 2) where the closed-form hypothesis takes over, so
+    the walk down from that point stops at the first k that fails.
     """
     rows = []
     for r in range(r_lo, r_hi + 1):
         t = small_r_ceiling(r)
         add = 4 * r - t - 1
         k_cap = _ceil_div(9 * r * r, 2)
-        ok = {}
-        for k in range(4, k_cap + 1):
-            upper = refined_upper(decompose(2 * k + r, k))
-            ok[k] = upper is not None and upper <= 2 * k + add
         threshold = None
         for k in range(k_cap, 3, -1):
-            if not ok[k]:
+            upper = refined_upper(decompose(2 * k + r, k))
+            if upper is None or upper > 2 * k + add:
                 break
             threshold = k
         if threshold is None:

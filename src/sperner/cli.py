@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import sys
@@ -37,11 +38,22 @@ def _fmt_fraction(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
 
 
+def _fmt_approx(v: Fraction) -> str:
+    """v to six decimals, or where v does not fit in a float, to seven
+    significant digits in e notation, rounded from the exact integers."""
+    try:
+        return f"{float(v):.6f}"
+    except OverflowError:
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax = 7, decimal.MAX_EMAX
+            return f"{decimal.Decimal(v.numerator) / v.denominator:.6e}"
+
+
 def cmd_bounds(args) -> int:
     rep = bnd.bounds_report(args.n, args.k)
     params = rep.params
     lines = [f"n={params.n} k={params.k} c={params.c} r={params.r}"]
-    lines.append(f"mms = {_fmt_fraction(rep.mms_value)} (~{float(rep.mms_value):.6f})")
+    lines.append(f"mms = {_fmt_fraction(rep.mms_value)} (~{_fmt_approx(rep.mms_value)})")
     if params.r == 0:
         lines.append(f"exact = {rep.best_lower} (uniform case)")
     lines.append(f"upper (refined) = {rep.refined if rep.refined is not None else 'n/a'}")

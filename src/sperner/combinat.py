@@ -118,11 +118,15 @@ def shadow_cmp(c: int, x: int, y: Fraction | int) -> bool:
         prod_{j=1}^{c-1} (c*x + j*y) <= (c-1)! * y^c,
 
     integer arithmetic for integer y and exact for rational y.  For c = 2
-    it reads 1 + 8x <= (2y - 1)^2.
+    it reads 1 + 8x <= (2y - 1)^2.  The product is a plain loop: for the
+    scans' small c, math.prod over a generator costs twice as much.
     """
     if y <= 0:
         return False
-    return math.prod(c * x + j * y for j in range(1, c)) <= math.factorial(c - 1) * y ** c
+    cx, lhs = c * x, 1
+    for j in range(1, c):
+        lhs *= cx + j * y
+    return lhs <= math.factorial(c - 1) * y ** c
 
 
 # erf^-1(1/2): the limit of u / sqrt(d (k-1) / k) in the IP diagnostics.

@@ -172,8 +172,10 @@ class GroupedPlan:
 
 def grouped_split(c: int, m: int, h: int) -> tuple:
     """What the grouped factors need of m groups of size h that does not
-    depend on k: (m, h, binom(m-1, c-1), binom(h, c+1), h**c)."""
-    return m, h, binom(m - 1, c - 1), binom(h, c + 1), h ** c
+    depend on k: (m, h, binom(m-1, c-1), binom(h, c+1), h**c), then the
+    case-(b) cap numerators m*h**c and m*binom(h, c+1)."""
+    blocks, hc = binom(h, c + 1), h ** c
+    return m, h, binom(m - 1, c - 1), blocks, hc, m * hc, m * blocks
 
 
 def split_table(n: int, c: int) -> list:
@@ -190,7 +192,7 @@ def grouped_factor(c: int, k: int, r: int, split: tuple, case: str):
     c | m and case in ('a', 'b').  Builds nothing and raises nothing, so
     scans can filter splits by arithmetic alone.
     """
-    m, h, classes, blocks, hc = split
+    m, h, classes, blocks, hc = split[:5]
     if case == "a":
         cap1, cap2 = m * (hc - c - 1) // (c * (k - r)), m * (blocks // classes) // r
     else:
@@ -205,6 +207,25 @@ def grouped_factor(c: int, k: int, r: int, split: tuple, case: str):
     if p and h < (c + 1) * -(-r // m):
         return "groups too small for the required block counts"
     return cap1, cap2, p
+
+
+def best_split_b(c: int, k: int, r: int, splits: list) -> tuple:
+    """The largest case-(b) size p * binom(m-1, c-1) over a split_table for
+    one k, and the first split (least m) that reaches it; (0, None) when no
+    split gives a positive size.  The same decision as the first strict
+    maximum of grouped_factor(c, k, r, split, "b"), with the size compared
+    before the rejection rules: a size above best has p > 0, and r < k
+    keeps cap1 >= 0.  The row-surplus rule never fires here, because
+    c | m | n = ck + r puts c | r - m*floor(r/m)."""
+    den, best, witness = c * (k - r), 0, None
+    for split in splits:
+        m, h, classes, _, _, mhc, mblocks = split
+        p, cap2 = mhc // den, mblocks // (r * classes)
+        if cap2 < p:
+            p = cap2
+        if p * classes > best and not (p * r % m or h < (c + 1) * -(-r // m)):
+            best, witness = p * classes, split
+    return best, witness
 
 
 def plan_grouped(n: int, k: int, m: int, h: int, case: str) -> GroupedPlan:

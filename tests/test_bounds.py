@@ -7,7 +7,7 @@ from sperner.bounds import (ExactRow, best_grouped_lower, bounds_report, refined
                             scan_exact, scan_small_r, small_r_ceiling,
                             small_r_upper, two_value_range)
 from sperner.combinat import binom, decompose, mms
-from sperner.construction import grouped_factor, grouped_split
+from sperner.construction import best_split_b, grouped_factor, grouped_split, split_table
 
 
 class TestRefinedUpper:
@@ -100,6 +100,9 @@ class TestScans:
         with pytest.raises(ValueError):
             scan_exact(3)
 
+    def test_scan_small_r_matches_full_sweep(self):
+        assert scan_small_r() == _small_r_oracle(3, 10)
+
     def test_scan_small_r_table(self):
         rows = [(r.r, r.k_threshold, r.bound) for r in scan_small_r()]
         assert rows == [(3, 17, "2k+6"), (4, 35, "2k+9"), (5, 32, "2k+13"),
@@ -120,11 +123,11 @@ class TestScans:
 
     def test_lower_above_upper_raises(self, monkeypatch):
         # a grouped size above the refined bound is an inconsistency, not a
-        # row to skip: double every p and the scan must stop
+        # row to skip: double every best size and the scan must stop
         def doubled(*args):
-            factors = grouped_factor(*args)
-            return factors if isinstance(factors, str) else (*factors[:2], 2 * factors[2])
-        monkeypatch.setattr(bounds, "grouped_factor", doubled)
+            best, witness = best_split_b(*args)
+            return 2 * best, witness
+        monkeypatch.setattr(bounds, "best_split_b", doubled)
         with pytest.raises(AssertionError, match="exceeds the refined upper bound"):
             scan_exact(36)
 
@@ -197,6 +200,27 @@ def _scan_oracle(n_max: int, c_max: int):
     return rows, best_sizes
 
 
+def _small_r_oracle(r_lo: int, r_hi: int):
+    """scan_small_r without the early stop: refined_upper at every k in
+    4..ceil(9r^2/2), which also runs its monotonicity check at the k the
+    early stop skips."""
+    rows = []
+    for r in range(r_lo, r_hi + 1):
+        add = 4 * r - small_r_ceiling(r) - 1
+        k_cap = -(-9 * r * r // 2)
+        ok = {}
+        for k in range(4, k_cap + 1):
+            upper = refined_upper(decompose(2 * k + r, k))
+            ok[k] = upper is not None and upper <= 2 * k + add
+        threshold = None
+        for k in range(k_cap, 3, -1):
+            if not ok[k]:
+                break
+            threshold = k
+        rows.append(bounds.SmallRRow(r, threshold, f"2k+{add}"))
+    return rows
+
+
 @pytest.fixture(scope="module")
 def oracle():
     return _scan_oracle(300, 6)
@@ -224,3 +248,23 @@ class TestScanAgainstOracle:
         for row in rows:
             assert best_grouped_lower(row.n, row.k, cases=("b",)) == (
                 row.sp, (row.m, row.h, "b"))
+
+
+def test_best_split_b_is_first_strict_maximum():
+    # the scan's one-k loop against grouped_factor split by split, over the
+    # k the scan visits for every n <= 300 and c <= 6; each split also on
+    # its own, so that every rejection, not only the best split's, counts
+    for n in range(4, 301):
+        for c in range(2, 7):
+            splits = split_table(n, c)
+            for k in range(max(4, n // (c + 1) + 1), n // c):
+                r = n - c * k
+                best, witness = 0, None
+                for split in splits:
+                    factors = grouped_factor(c, k, r, split, "b")
+                    size = 0 if isinstance(factors, str) else factors[2] * split[2]
+                    assert best_split_b(c, k, r, [split]) == (
+                        (size, split) if size else (0, None)), (n, c, k, split[:2])
+                    if size > best:
+                        best, witness = size, split
+                assert best_split_b(c, k, r, splits) == (best, witness), (n, c, k)

@@ -1,11 +1,13 @@
 import io
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 
 from sperner import ip as ipm
 from sperner.cli import build_parser, main
+from sperner.combinat import decompose, mms
 from sperner.simplex import LinearProgram
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -34,6 +36,18 @@ class TestBounds:
         code, out, _ = run(["bounds", "--n", "10", "--k", "4"], capsys)
         assert code == 0
         assert "range (n=3k-2) = {10, 11}" in out
+
+    def test_mms_beyond_float_range(self, capsys):
+        # mms(1500, 3) has 413 digits: the approximation comes from the
+        # exact integers in e notation instead of overflowing a float
+        value = mms(decompose(1500, 3))
+        code, out, _ = run(["bounds", "--n", "1500", "--k", "3"], capsys)
+        assert code == 0
+        line = out.splitlines()[1]
+        assert line.startswith(f"mms = {value} (~") and line.endswith(")")
+        mantissa, exp = line[len(f"mms = {value} (~"):-1].split("e+")
+        assert exp == "412" and len(mantissa) == 8
+        assert abs(Fraction(mantissa) * 10 ** int(exp) - value) <= value / 10 ** 6
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
