@@ -91,6 +91,10 @@ def partition_ground(points, unit_blocks, parents=None, rng=None, stubs=None,
     floor/ceil window per point, so they receive distinct points when there
     are at most h of them.  Filled stubs are returned among the unit's
     blocks.
+
+    Every block comes back as a sorted tuple of its points, a unit's blocks
+    ordered by size and then by value.  Frozensets serve only inside, as
+    census keys and stub contents; stubs may be given in any iterable form.
     """
     points = list(points)
     h = len(points)
@@ -103,7 +107,7 @@ def partition_ground(points, unit_blocks, parents=None, rng=None, stubs=None,
                    for bl in unit_blocks]
     nu = len(unit_blocks)
     parents = [0] * nu if parents is None else list(parents)
-    stubs = [[]] * nu if stubs is None else [list(st) for st in stubs]
+    stubs = [[]] * nu if stubs is None else [list(map(frozenset, st)) for st in stubs]
     ground = frozenset(points)
     if any(not ground.isdisjoint(st) for unit in stubs for st in unit):
         raise ValueError("a stub meets the ground")
@@ -240,7 +244,7 @@ def partition_ground(points, unit_blocks, parents=None, rng=None, stubs=None,
             urem[i] -= f
             prem[upar[i]] -= f
             if is_stub:
-                filled[i] += [key[1] | {pt}] * f
+                filled[i] += [tuple(sorted(key[1] | {pt}))] * f
                 remove(e, key, f, open_stubs[i], stub_census)
                 continue
             new = grown.get(key)
@@ -249,7 +253,7 @@ def partition_ground(points, unit_blocks, parents=None, rng=None, stubs=None,
                 grown[key] = new = (need[:x] + (need[x] - 1,) + need[x + 1:],
                                     content | {pt})
             if not any(new[0]):
-                filled[i] += [new[1]] * f
+                filled[i] += [tuple(sorted(new[1]))] * f
                 remove(e, key, f, blocks[i], census)
             elif hi[e] == f and new not in blocks[i]:
                 net.retarget(e, enter(census, new, f), (i, new, False))
@@ -261,7 +265,7 @@ def partition_ground(points, unit_blocks, parents=None, rng=None, stubs=None,
                 add(i, new, f, blocks[i], census, False)
         sigma[x] -= 1
 
-    return [sorted(unit, key=lambda b: (len(b), sorted(b))) for unit in filled]
+    return [sorted(unit, key=lambda b: (len(b), b)) for unit in filled]
 
 
 def _window_bounds(low, hi, s, arcs) -> None:
@@ -285,7 +289,7 @@ def _force(arcs, low, hi) -> None:
 def allocate_blocks(points, size, unit_sizes, parents=None, rng=None):
     """Partition all `size`-subsets of points into units of given sizes.
 
-    Returns a list of block lists (frozensets), one per unit.  Each unit's
+    Returns a list of block lists (sorted tuples), one per unit.  Each unit's
     per-point degree is floor or ceil of size*unit_size/len(points); the
     same window holds per parent group when `parents` labels units.  The
     rng only shuffles the placement order of points.
@@ -320,31 +324,27 @@ class Resolution:
     def to_text(self) -> str:
         lines = []
         for cls in self.classes:
-            lines.append(" | ".join(" ".join(str(e) for e in sorted(b)) for b in cls))
+            lines.append(" | ".join(" ".join(map(str, b)) for b in cls))
         return "\n".join(lines) + "\n"
 
 
 def _resolve_pairs(m: int) -> list:
     """Round-robin (circle method) 1-factorization of K_m, m even."""
     if m == 2:
-        return [[frozenset((1, 2))]]
+        return [[(1, 2)]]
     classes = []
     for rnd in range(m - 1):
-        cls = [frozenset((m, rnd + 1))]
+        cls = [(rnd + 1, m)]
         for i in range(1, m // 2):
             a = (rnd + i) % (m - 1) + 1
             b = (rnd - i) % (m - 1) + 1
-            cls.append(frozenset((a, b)))
+            cls.append((a, b) if a < b else (b, a))
         classes.append(cls)
     return classes
 
 
 def _canon_classes(classes):
-    out = []
-    for cls in classes:
-        out.append(sorted(cls, key=sorted))
-    out.sort(key=lambda cls: [sorted(b) for b in cls])
-    return out
+    return sorted(sorted(cls) for cls in classes)
 
 
 def resolve(m: int, c: int) -> Resolution:
@@ -352,9 +352,9 @@ def resolve(m: int, c: int) -> Resolution:
     if m < 1 or c < 1 or m % c != 0:
         raise ValueError(f"need c | m with m >= c >= 1, got m={m}, c={c}")
     if c == m:
-        classes = [[frozenset(range(1, m + 1))]]
+        classes = [[tuple(range(1, m + 1))]]
     elif c == 1:
-        classes = [[frozenset((e,)) for e in range(1, m + 1)]]
+        classes = [[(e,) for e in range(1, m + 1)]]
     elif c == 2:
         classes = _resolve_pairs(m)
     else:

@@ -40,7 +40,12 @@ class ConstructionError(RuntimeError):
 
 @dataclass
 class PartitionSystem:
-    """Partitions of {0..n-1} into k nonempty parts each."""
+    """Partitions of {0..n-1} into k nonempty parts each.
+
+    Every part is a sorted tuple of ints, its one form in the package:
+    `to_text` writes parts as they are, the verifiers index them as they
+    are, and `check_partition_system` fails a part in any other form.
+    """
 
     n: int
     k: int
@@ -54,17 +59,12 @@ class PartitionSystem:
 
     def canonical(self) -> "PartitionSystem":
         """Parts sorted by minimum element, partitions lexicographically."""
-        order = []
-        for idx, parts in enumerate(self.partitions):
-            key = sorted((min(p), tuple(sorted(p))) for p in parts)
-            order.append((key, idx))
-        order.sort()
+        order = sorted((sorted(parts), idx) for idx, parts in enumerate(self.partitions))
         new_parts = []
         new_tags = [] if self.part_tags is not None else None
         for key, idx in order:
             parts = self.partitions[idx]
-            part_order = sorted(range(len(parts)),
-                                key=lambda j: (min(parts[j]), tuple(sorted(parts[j]))))
+            part_order = sorted(range(len(parts)), key=parts.__getitem__)
             new_parts.append([parts[j] for j in part_order])
             if new_tags is not None:
                 tags = self.part_tags[idx]
@@ -72,10 +72,9 @@ class PartitionSystem:
         return PartitionSystem(self.n, self.k, new_parts, self.groups, new_tags)
 
     def to_text(self) -> str:
-        """The SPS text in `canonical()` order.  Parts are disjoint, so a
-        sorted part's first element is its minimum, and sorting each part
-        once orders the parts and then the partitions as `canonical()` does."""
-        rows = sorted(sorted(tuple(sorted(p)) for p in parts) for parts in self.partitions)
+        """The SPS text in `canonical()` order: each partition's parts
+        sorted, then the partitions."""
+        rows = sorted(sorted(parts) for parts in self.partitions)
         lines = [f"SPS {self.n} {self.k} {len(self.partitions)}"]
         lines += [" | ".join(" ".join(map(str, p)) for p in parts) for parts in rows]
         return "\n".join(lines) + "\n"
@@ -92,7 +91,7 @@ class PartitionSystem:
         partitions = []
         for ln, line in enumerate(lines[1:p + 1], start=2):
             try:
-                parts = [frozenset(int(e) for e in blk.split())
+                parts = [tuple(sorted(map(int, blk.split())))
                          for blk in line.split("|")]
             except ValueError as exc:
                 raise ValueError(f"line {ln}: {exc}") from None
@@ -119,7 +118,7 @@ def extend_system(system: PartitionSystem) -> PartitionSystem:
     e = system.n
     for parts in system.partitions:
         j = min(range(len(parts)), key=lambda i: (len(parts[i]), min(parts[i])))
-        new.append([p | {e} if i == j else p for i, p in enumerate(parts)])
+        new.append([p + (e,) if i == j else p for i, p in enumerate(parts)])
     return PartitionSystem(system.n + 1, system.k, new)
 
 
@@ -191,6 +190,9 @@ def grouped_factor(c: int, k: int, r: int, split: tuple, case: str):
     Assumes what plan_grouped checks first: c >= 2, k >= 3, 1 <= r < k,
     c | m and case in ('a', 'b').  Builds nothing and raises nothing, so
     scans can filter splits by arithmetic alone.
+
+    A row of T needs the surplus (r - m*floor(r/m))/c to be an integer, and
+    it always is: c | m | n = ck + r puts c | r mod m, so no rule checks it.
     """
     m, h, classes, blocks, hc = split[:5]
     if case == "a":
@@ -201,8 +203,6 @@ def grouped_factor(c: int, k: int, r: int, split: tuple, case: str):
     p = 0 if cap1 < 0 else cap1 if cap1 < cap2 else cap2   # cap2 >= 0
     if case == "b" and p * r % m:
         return "case (b) needs p*r divisible by m"
-    if r % m % c:
-        return "row surplus (r - m*floor(r/m))/c is not an integer"
     # a row of T spreads r/c over m/c columns: some group holds ceil(r/m) blocks
     if p and h < (c + 1) * -(-r // m):
         return "groups too small for the required block counts"
@@ -215,8 +215,7 @@ def best_split_b(c: int, k: int, r: int, splits: list) -> tuple:
     split gives a positive size.  The same decision as the first strict
     maximum of grouped_factor(c, k, r, split, "b"), with the size compared
     before the rejection rules: a size above best has p > 0, and r < k
-    keeps cap1 >= 0.  The row-surplus rule never fires here, because
-    c | m | n = ck + r puts c | r - m*floor(r/m)."""
+    keeps cap1 >= 0."""
     den, best, witness = c * (k - r), 0, None
     for split in splits:
         m, h, classes, _, _, mhc, mblocks = split
@@ -339,7 +338,7 @@ def _stage_flow(plan: GroupedPlan, T, keys, group, transversals, rng):
             out.append((blocks, [b for b in got if len(b) <= c]))
         else:
             free = set(group).difference(*blocks)
-            out.append((blocks, [frozenset((a,)) for a in sorted(free)]))
+            out.append((blocks, [(a,) for a in sorted(free)]))
     return out
 
 
@@ -375,6 +374,6 @@ def construct_uniform(n: int, k: int) -> PartitionSystem:
     if params.r != 0:
         raise ValueError(f"uniform construction needs k | n, got n={n}, k={k}")
     res = resolve(n, params.c)
-    partitions = [[frozenset(e - 1 for e in block) for block in cls]
+    partitions = [[tuple(e - 1 for e in block) for block in cls]
                   for cls in res.classes]
     return PartitionSystem(n, k, partitions)

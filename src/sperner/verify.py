@@ -47,21 +47,25 @@ class VerificationReport:
 
 
 def check_partition_system(system: PartitionSystem) -> VerificationReport:
-    """Each partition covers {0..n-1} disjointly with k nonempty parts."""
+    """Each partition covers {0..n-1} disjointly with k nonempty parts, each
+    part a sorted tuple.  Occurrences are counted, so an element repeated
+    inside one part fails as one held by two parts does."""
     rep = VerificationReport()
     rep.note("partition structure")
-    ground = frozenset(range(system.n))
+    ground = set(range(system.n))
     for idx, parts in enumerate(system.partitions):
         if len(parts) != system.k:
             rep.fail(f"partition {idx}: {len(parts)} parts, want {system.k}")
-        seen: set = set()
-        for j, part in enumerate(parts):
-            if not part:
-                rep.fail(f"partition {idx}: part {j} is empty")
-            if part & seen:
-                dup = sorted(part & seen)
-                rep.fail(f"partition {idx}: element(s) {dup} in more than one part")
-            seen |= part
+        # whole-partition tests first; the loop over parts only names a fault
+        if not all(parts) or list(map(tuple, map(sorted, parts))) != parts:
+            for j, part in enumerate(parts):
+                if not part:
+                    rep.fail(f"partition {idx}: part {j} is empty")
+                elif part != tuple(sorted(part)):
+                    rep.fail(f"partition {idx}: part {j} is not a sorted tuple")
+        seen = set().union(*parts)
+        if sum(map(len, parts)) != len(seen):
+            _repeats(rep, idx, parts)
         if seen != ground:
             missing = sorted(ground - seen)
             extra = sorted(seen - ground)
@@ -69,9 +73,25 @@ def check_partition_system(system: PartitionSystem) -> VerificationReport:
     return rep
 
 
+def _repeats(rep: VerificationReport, idx: int, parts) -> None:
+    """Fail each element that partition idx holds more than once."""
+    holders = defaultdict(list)
+    for j, part in enumerate(parts):
+        for e in part:
+            holders[e].append(j)
+    across = sorted(e for e, js in holders.items() if len(set(js)) > 1)
+    within = sorted(e for e, js in holders.items() if len(set(js)) < len(js))
+    if across:
+        rep.fail(f"partition {idx}: element(s) {across} in more than one part")
+    if within:
+        rep.fail(f"partition {idx}: element(s) {within} repeated inside a part")
+
+
 class PartIndex:
     """Every part of a system, indexed once by size.
 
+    Parts are keyed as they are, so equal parts must be equal tuples: the
+    sorted tuples that `check_partition_system` asks for.
     `first` maps each size to {part: first partition holding it}; `more`
     maps each part held more than once to its later holders, in order.
     `check_sperner` reads equal parts from `more` and containments from
@@ -84,7 +104,6 @@ class PartIndex:
         self.more = {}
         for idx, parts in enumerate(partitions):
             for part in parts:
-                part = frozenset(part)
                 table = self.first[len(part)]
                 if part in table:
                     self.more.setdefault(part, []).append(idx)
@@ -106,7 +125,8 @@ def check_sperner(system: PartitionSystem, index: PartIndex | None = None
     the table of s-parts; for the c / c+1 layers of an almost-uniform
     system that is c+1 lookups per large part.  Size pairs with more
     subsets per large part than there are small parts fall back to
-    comparing every pair.
+    comparing every pair.  Parts are sorted tuples, so `combinations`
+    lists a large part's s-subsets in the form the table keys them.
     """
     rep = VerificationReport()
     rep.note("exact subset test")
@@ -138,10 +158,9 @@ def _containments(partitions, index: PartIndex | None = None):
         for t in sizes[si + 1:]:
             big = first[t]
             if binom(t, s) <= len(small):
-                pairs = ((a, b) for b in big for drop in combinations(b, t - s)
-                         if (a := b.difference(drop)) in small)
+                pairs = ((a, b) for b in big for a in combinations(b, s) if a in small)
             else:
-                pairs = ((a, b) for a in small for b in big if a <= b)
+                pairs = ((a, b) for a in small for b in big if set(a) <= set(b))
             for a, b in pairs:
                 for pa in holders(a):
                     for pb in holders(b):
@@ -224,13 +243,13 @@ def to_detecting_array(system: PartitionSystem) -> DetectingArray:
 def from_detecting_array(arr: DetectingArray) -> PartitionSystem:
     partitions = []
     for j in range(arr.p):
-        groups = defaultdict(set)
+        groups = defaultdict(list)
         for i in range(arr.n):
-            groups[arr.rows[i][j]].add(i)
+            groups[arr.rows[i][j]].append(i)
         missing = [s for s in range(1, arr.k + 1) if s not in groups]
         if missing:
             raise ValueError(f"column {j}: symbol(s) {missing} never appear")
-        partitions.append([frozenset(groups[s]) for s in sorted(groups)])
+        partitions.append([tuple(groups[s]) for s in sorted(groups)])
     return PartitionSystem(arr.n, arr.k, partitions)
 
 

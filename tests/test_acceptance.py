@@ -229,7 +229,7 @@ def test_criterion_11_verifier_soundness():
         detecting_ok = check_detecting(to_detecting_array(system)).ok
         assert sperner_ok == detecting_ok == True
     from sperner.construction import PartitionSystem
-    parts = [frozenset({0, 1}), frozenset({2, 3})]
+    parts = [(0, 1), (2, 3)]
     planted = PartitionSystem(4, 2, [parts, list(parts)])
     assert not check_sperner(planted).ok
     assert not check_detecting(to_detecting_array(planted)).ok

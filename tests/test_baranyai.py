@@ -15,22 +15,22 @@ class TestResolve:
         for cls in res.classes:
             assert len(cls) == 2
             a, b = cls
-            assert not a & b
+            assert not set(a) & set(b)
         assert {blk for cls in res.classes for blk in cls} == \
-            set(map(frozenset, itertools.combinations(range(1, 5), 2)))
+            set(itertools.combinations(range(1, 5), 2))
 
     def test_single_block(self):
         res = resolve(4, 4)
-        assert res.classes == [[frozenset({1, 2, 3, 4})]]
+        assert res.classes == [[(1, 2, 3, 4)]]
 
     def test_six_choose_three(self):
         res = resolve(6, 3)
         assert res.n_classes == 10
         blocks = [blk for cls in res.classes for blk in cls]
         assert len(blocks) == 20
-        assert set(blocks) == set(map(frozenset, itertools.combinations(range(1, 7), 3)))
+        assert set(blocks) == set(itertools.combinations(range(1, 7), 3))
         for cls in res.classes:
-            assert len(cls) == 2 and not cls[0] & cls[1]
+            assert len(cls) == 2 and not set(cls[0]) & set(cls[1])
 
     def test_eight_pairs_coverage(self):
         res = resolve(8, 2)
@@ -67,7 +67,7 @@ class TestVerifyResolution:
         assert any("appears in classes" in v for v in violations)
 
     def test_planted_bad_cover(self):
-        classes = [[frozenset({1, 2}), frozenset({1, 3})]]
+        classes = [[(1, 2), (1, 3)]]
         bad = Resolution(4, 2, classes)
         violations = verify_resolution(bad)
         assert violations
@@ -86,7 +86,7 @@ class TestPartitionGround:
         blocks = [b for unit in out for b in unit]
         assert len(set(blocks)) == 56
         for unit in out:
-            assert not unit[0] & unit[1]
+            assert not set(unit[0]) & set(unit[1])
 
     def test_uniform_wrapper_takes_an_iterator(self):
         # the points are read once, so a one-shot iterable gives the same
@@ -104,7 +104,7 @@ class TestPartitionGround:
         for unit in out:
             blocks = sorted(unit, key=len)
             assert [len(b) for b in blocks] == [2, 3]
-            assert not blocks[0] & blocks[1]
+            assert not set(blocks[0]) & set(blocks[1])
             pairs.add(blocks[0])
             triples.add(blocks[1])
         assert len(pairs) == 10 and len(triples) == 10
@@ -134,16 +134,29 @@ class TestPartitionGround:
         with pytest.raises(ValueError):
             partition_ground(range(4), [[5]])
 
+    def test_blocks_are_sorted_tuples(self):
+        # whatever order the points are placed in, and with stubs or sides
+        outs = [partition_ground(range(5), [[3, 2]] * 10, rng=random.Random(1)),
+                partition_ground(range(6), [[2]] * 6, parents=["a"] * 6,
+                                 stubs=[[(100,)]] * 6, rng=random.Random(2)),
+                partition_ground(range(7), [[(2, 1), (1, 1), (0, 2)]] * 6,
+                                 sides=(range(3), range(3, 7)), rng=random.Random(3))]
+        for out in outs:
+            for unit in out:
+                assert all(type(b) is tuple and list(b) == sorted(set(b)) for b in unit)
+                assert unit == sorted(unit, key=lambda b: (len(b), b))
+
 
 class TestStubs:
     """Stubs: sets from outside the ground, each completed by one point."""
 
-    OUTSIDE = frozenset({100})
+    OUTSIDE = (100,)
 
     @staticmethod
     def points_of(unit, stubs):
         """The ground points a unit's output took for its stubs."""
-        return [next(iter(b - st)) for b in unit for st in stubs if st < b]
+        return [next(iter(set(b) - set(st))) for b in unit for st in stubs
+                if set(st) < set(b)]
 
     def test_equal_stubs_up_to_h_get_distinct_points(self):
         # 6 units under one parent, each with a pair and the same stub
@@ -175,8 +188,7 @@ class TestStubs:
     def test_blocks_and_stubs_stay_disjoint(self):
         # each unit takes a triple and completes three stubs, which uses
         # all 6 points: the triple's and the stubs' points must be disjoint
-        stubs = [[frozenset({100 + j}), frozenset({200 + j}), frozenset({300 + j})]
-                 for j in range(20)]
+        stubs = [[(100 + j,), (200 + j,), (300 + j,)] for j in range(20)]
         out = partition_ground(range(6), [[3]] * 20, parents=list(range(20)),
                                stubs=stubs)
         triples = set()
@@ -185,21 +197,21 @@ class TestStubs:
             filled = [b for b in unit if len(b) == 2]
             assert len(blocks) == 1 and len(filled) == 3
             triples.add(blocks[0])
-            used = sorted(blocks[0] | set(self.points_of(filled, st)))
+            used = sorted(set(blocks[0]) | set(self.points_of(filled, st)))
             assert used == list(range(6))
         assert len(triples) == binom(6, 3)
 
     def test_deterministic_given_rng(self):
         def run(seed):
             return partition_ground(range(5), [[2]] * 10, parents=[z % 2 for z in range(10)],
-                                    stubs=[[self.OUTSIDE, frozenset({z + 10})]
+                                    stubs=[[self.OUTSIDE, (z + 10,)]
                                            for z in range(10)],
                                     rng=random.Random(seed))
         assert run(3) == run(3)
 
     def test_stub_meeting_the_ground_rejected(self):
         with pytest.raises(ValueError):
-            partition_ground(range(4), [[]], stubs=[[frozenset({2})]])
+            partition_ground(range(4), [[]], stubs=[[(2,)]])
 
 
 class TestSides:
@@ -214,7 +226,8 @@ class TestSides:
         for unit in out:
             assert sorted(e for b in unit for e in b) == list(range(7))
             for b in unit:
-                by_type.setdefault((len(b & self.FIRST), len(b - self.FIRST)), []).append(b)
+                t = len(self.FIRST.intersection(b))
+                by_type.setdefault((t, len(b) - t), []).append(b)
         return by_type
 
     @pytest.mark.parametrize("seed", range(4))
@@ -236,7 +249,7 @@ class TestSides:
         by_type = self.blocks_by_type(out)
         for blocks in by_type.values():
             assert len(set(blocks)) == len(blocks) == 9
-        pairs = [b & self.FIRST for b in by_type[(2, 1)]]
+        pairs = [tuple(e for e in b if e in self.FIRST) for b in by_type[(2, 1)]]
         assert len(set(pairs)) < len(pairs)
 
     def test_over_pool_rejected(self):
@@ -250,4 +263,4 @@ class TestSides:
             partition_ground(range(7), [[2]], sides=self.SIDES)
         with pytest.raises(ValueError):
             partition_ground(range(7), [[(1, 1)]], sides=self.SIDES,
-                             stubs=[[frozenset({100})]])
+                             stubs=[[(100,)]])

@@ -308,6 +308,25 @@ class TestLpGolden:
         assert path.read_bytes() == golden.read_bytes()
 
 
+class TestSystemGolden:
+    """Built systems, byte for byte against files written before parts
+    became sorted tuples: the README's Table-1 row (36,15,4,9) and the IP
+    realization of (16,5,secA)."""
+
+    @pytest.mark.parametrize("argv,name", (
+        (["construct", "--n", "36", "--k", "15", "--m", "4", "--h", "9",
+          "--case", "b", "--seed", "0"], "construct-36-15-4-9.sps"),
+        (["ip", "--n", "16", "--k", "5", "--variant", "secA", "--solver", "exact",
+          "--build"], "ip-build-16-5-secA.sps")), ids=["construct", "ip-build"])
+    def test_system_matches_golden(self, tmp_path, capsys, argv, name):
+        path = tmp_path / name
+        code, _, _ = run([*argv, "--out", str(path)], capsys)
+        assert code == 0
+        assert path.read_bytes() == (GOLDEN / name).read_bytes()
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert code == 0 and out.splitlines()[-1] == "PASS"
+
+
 class TestAsym:
     def test_secB_rows(self, tmp_path, capsys):
         path = tmp_path / "asym.csv"

@@ -1,12 +1,16 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
+from sperner import baranyai
 from sperner.cli import main
 from sperner.combinat import binom, decompose
 from sperner.construction import (PartitionSystem, balanced_matrix,
                                   construct_grouped, construct_uniform,
-                                  extend_system, plan_grouped)
+                                  extend_system, plan_grouped, split_table)
+from sperner.ip import build_instance, exact_solve, realize_system
 from sperner.verify import (check_almost_uniform, check_certificate,
                             check_partition_system, check_sperner)
 
@@ -79,6 +83,15 @@ class TestPlans:
             plan_grouped(36, 15, 5, 7, "b")
         with pytest.raises(ValueError):
             plan_grouped(36, 15, 3, 12, "b")
+
+    def test_row_surplus_is_always_whole(self):
+        # c | m | n = ck + r puts c | r mod m, which is why grouped_factor
+        # has no rule for the surplus (r - m*floor(r/m))/c of a row of T
+        for n in range(8, 401):
+            for k in range(3, n // 2 + 1):
+                c, r = decompose(n, k).c, decompose(n, k).r
+                for m, *_ in split_table(n, c):
+                    assert r % m % c == 0, (n, k, m)
 
 
 def profile(parts):
@@ -171,7 +184,7 @@ class TestConstructUniform:
     def test_k_one(self):
         system = construct_uniform(4, 1)
         assert system.size == 1
-        assert system.partitions[0] == [frozenset(range(4))]
+        assert system.partitions[0] == [(0, 1, 2, 3)]
 
     def test_twelve_four(self):
         system = construct_uniform(12, 4)
@@ -205,6 +218,51 @@ class TestExtend:
     def test_extend_empty(self):
         empty = PartitionSystem(5, 3, [])
         assert extend_system(empty).size == 0
+
+
+class TestPartForm:
+    """Every part leaves the program as a sorted tuple of ints."""
+
+    @staticmethod
+    def systems():
+        inst = build_instance(16, 5, "secA")
+        return [construct_grouped(plan_grouped(36, 15, 4, 9, "b"), seed=0),
+                construct_grouped(plan_grouped(99, 30, 9, 11, "b"), seed=0),
+                construct_uniform(16, 4), construct_uniform(12, 4),
+                extend_system(construct_uniform(6, 3)),
+                realize_system(inst, exact_solve(inst)[0], seed=0)]
+
+    def test_parts_are_sorted_tuples(self):
+        for system in self.systems():
+            for parts in system.partitions:
+                assert all(type(p) is tuple and list(p) == sorted(set(p)) for p in parts)
+
+    def test_text_round_trip_gives_equal_tuples(self):
+        for system in self.systems():
+            back = PartitionSystem.from_text(system.to_text())
+            assert back.partitions == system.canonical().partitions
+            assert all(type(p) is tuple for parts in back.partitions for p in parts)
+
+    def test_parts_take_under_100_bytes_each(self):
+        # every part of a grouped system with c = 2 is made by
+        # partition_ground: what its module still holds after the build is
+        # the parts (a frozenset of any size takes at least 216 B).  Tuples
+        # reused from the interpreter's free lists are not traced, so the
+        # average is taken over the traced ones, at least half of the parts.
+        plan = plan_grouped(88, 33, 4, 22, "b")
+        tracemalloc.start()
+        try:
+            system = construct_grouped(plan, seed=0)
+            gc.collect()
+            held = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, baranyai.__file__)]).statistics("filename")
+        finally:
+            tracemalloc.stop()
+        n_parts = sum(map(len, system.partitions))
+        assert n_parts == 8712
+        count = sum(st.count for st in held)
+        assert count >= n_parts / 2
+        assert sum(st.size for st in held) <= 100 * count
 
 
 class TestSpsFormat:

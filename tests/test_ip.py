@@ -765,9 +765,8 @@ class TestRealization:
         assert check_partition_system(system).ok
         assert check_certificate(system).ok
         assert check_sperner(system).ok
-        first = frozenset(range(8))
-        quads = [p & first for parts in system.partitions for p in parts
-                 if len(p) == 5 and len(p & first) == 4]
+        quads = [p[:4] for parts in system.partitions for p in parts
+                 if len(p) == 5 and p[3] < 8 <= p[4]]
         assert len(quads) == 560 and len(set(quads)) == 70
 
     @pytest.mark.parametrize("n,k,variant,solver", SMALL_SOLUTIONS,

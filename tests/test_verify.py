@@ -37,7 +37,7 @@ class TestPartitionStructure:
         assert check_partition_system(construct_uniform(6, 3)).ok
 
     def test_duplicate_element(self):
-        bad = PartitionSystem(4, 2, [[frozenset({0, 1}), frozenset({1, 2, 3})]])
+        bad = PartitionSystem(4, 2, [[(0, 1), (1, 2, 3)]])
         rep = check_partition_system(bad)
         assert not rep.ok
         assert any("more than one part" in v for v in rep.violations)
@@ -46,13 +46,34 @@ class TestPartitionStructure:
         assert check_partition_system(PartitionSystem(5, 2, [])).ok
 
     def test_missing_element(self):
-        bad = PartitionSystem(4, 2, [[frozenset({0}), frozenset({1, 2})]])
+        bad = PartitionSystem(4, 2, [[(0,), (1, 2)]])
         rep = check_partition_system(bad)
         assert any("bad cover" in v for v in rep.violations)
 
     def test_wrong_part_count(self):
-        bad = PartitionSystem(4, 3, [[frozenset({0, 1}), frozenset({2, 3})]])
+        bad = PartitionSystem(4, 3, [[(0, 1), (2, 3)]])
         assert not check_partition_system(bad).ok
+
+    def test_element_repeated_inside_a_part(self):
+        bad = PartitionSystem(4, 2, [[(0, 0, 1), (2, 3)]])
+        rep = check_partition_system(bad)
+        assert rep.violations == ["partition 0: element(s) [0] repeated inside a part"]
+
+    @pytest.mark.parametrize("part", [(1, 0), [0, 1], frozenset({0, 1})],
+                             ids=["unsorted", "list", "frozenset"])
+    def test_part_not_a_sorted_tuple(self, part):
+        bad = PartitionSystem(4, 2, [[part, (2, 3)]])
+        rep = check_partition_system(bad)
+        assert rep.violations == ["partition 0: part 0 is not a sorted tuple"]
+
+    def test_repeat_in_file_fails_verify(self, tmp_path, capsys):
+        # read as sets, this file was two valid partitions of {0..3}
+        path = tmp_path / "repeat.sps"
+        path.write_text("SPS 4 2 2\n0 0 1 | 2 3\n0 2 | 1 3\n")
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "partition structure: FAIL" in out
+        assert out[-1] == "FAIL"
 
 
 class TestSperner:
@@ -64,7 +85,7 @@ class TestSperner:
         assert check_sperner(system).ok
 
     def test_identical_partitions_fail(self):
-        parts = [frozenset({0, 1}), frozenset({2, 3})]
+        parts = [(0, 1), (2, 3)]
         bad = PartitionSystem(4, 2, [parts, list(parts)])
         rep = check_sperner(bad)
         assert not rep.ok
@@ -87,8 +108,7 @@ class TestSperner:
 
     def test_pairwise_fallback(self):
         # one size-1 part per partition, so binom(4, 1) > 2 picks the pairwise scan
-        bad = PartitionSystem(5, 2, [[frozenset({0}), frozenset({1, 2, 3, 4})],
-                                     [frozenset({0, 1, 2, 3}), frozenset({4})]])
+        bad = PartitionSystem(5, 2, [[(0,), (1, 2, 3, 4)], [(0, 1, 2, 3), (4,)]])
         assert sorted(check_sperner(bad).violations) == sorted(pairwise_violations(bad))
         assert len(check_sperner(bad).violations) == 2
 
@@ -101,7 +121,7 @@ def pairwise_violations(system):
     out = []
     for ai, (pa, ja, a) in enumerate(parts):
         for pb, jb, b in parts[ai + 1:]:
-            if pa != pb and a <= b:
+            if pa != pb and set(a) <= set(b):
                 out.append(f"part {ja} of partition {pa} is contained in "
                            f"part {jb} of partition {pb}")
     return out
@@ -114,7 +134,7 @@ def random_system(rng):
     for _ in range(rng.randint(1, 6)):
         labels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
         rng.shuffle(labels)
-        partitions.append([frozenset(e for e in range(n) if labels[e] == s)
+        partitions.append([tuple(e for e in range(n) if labels[e] == s)
                            for s in range(k)])
     return PartitionSystem(n, k, partitions)
 
@@ -140,9 +160,9 @@ def mutated(system, rng):
     cur = set(row[a])
     for inc, out in zip(sorted(target - cur), sorted(cur - target)):
         holder = next(x for x, b in enumerate(row) if inc in b)
-        row[holder] = (row[holder] - {inc}) | {out}
+        row[holder] = tuple(sorted(set(row[holder]) - {inc} | {out}))
         cur = (cur - {out}) | {inc}
-    row[a] = frozenset(cur)
+    row[a] = tuple(sorted(cur))
     sub = [list(ps) for ps in parts]
     sub[j] = row
     yield PartitionSystem(system.n, system.k, sub)
@@ -181,8 +201,7 @@ class TestAlmostUniform:
         assert check_almost_uniform(ext, decompose(7, 3)).ok
 
     def test_oversized_part(self):
-        bad = PartitionSystem(7, 3, [[frozenset({0, 1, 2, 3}), frozenset({4, 5}),
-                                      frozenset({6})]])
+        bad = PartitionSystem(7, 3, [[(0, 1, 2, 3), (4, 5), (6,)]])
         rep = check_almost_uniform(bad, decompose(7, 3))
         assert not rep.ok
 
@@ -264,7 +283,7 @@ class TestDetectingArrays:
             got = check_detecting(to_detecting_array(system)).ok
             assert got == want
         # and on a planted failure
-        parts = [frozenset({0, 1}), frozenset({2, 3})]
+        parts = [(0, 1), (2, 3)]
         bad = PartitionSystem(4, 2, [parts, list(parts)])
         assert not check_sperner(bad).ok
         assert not check_detecting(to_detecting_array(bad)).ok
@@ -312,13 +331,13 @@ def oracle_check_certificate(system) -> bool:
     for parts, tags in zip(system.partitions, system.part_tags):
         ok &= len(parts) == system.k
         for part, tag in zip(parts, tags):
-            ok &= part not in seen
-            seen.add(part)
+            ok &= frozenset(part) not in seen
+            seen.add(frozenset(part))
             usage[tag] += 1
-            sig = tuple(len(part & g) for g in groups)
+            sig = tuple(len(g.intersection(part)) for g in groups)
             ok &= sum(sig) == len(part)
             if tag[0] == "B":
-                ok &= part <= groups[tag[1] - 1]
+                ok &= groups[tag[1] - 1].issuperset(part)
             elif tag[0] == "A":
                 ok &= all(x <= 1 for x in sig)
             elif tag[0] in ("EA", "EB"):
@@ -332,7 +351,7 @@ def oracle_check_certificate(system) -> bool:
                 large_sizes.add(len(part))
                 large_sigs.add(sig)
         for g in groups:
-            ok &= sum(len(part & g) for part in parts) == len(g)
+            ok &= sum(len(g.intersection(part)) for part in parts) == len(g)
     if small_sizes and large_sizes:
         ok &= len(small_sizes) == 1 and len(large_sizes) == 1
         ok &= max(small_sizes) + 1 == min(large_sizes)
@@ -354,7 +373,8 @@ def oracle_check_certificate(system) -> bool:
 
 def _swap(parts, a, b, x, y):
     """Exchange point x of part a with point y of part b."""
-    parts[a], parts[b] = parts[a] - {x} | {y}, parts[b] - {y} | {x}
+    parts[a] = tuple(sorted(set(parts[a]) - {x} | {y}))
+    parts[b] = tuple(sorted(set(parts[b]) - {y} | {x}))
 
 
 def _block_out_of_group(parts, tags, groups):
@@ -515,7 +535,8 @@ class TestCertificateSummary:
             system = realize_system(inst, sol, seed=0)
             half = set(system.groups[0])
             counts = Counter(
-                tuple(sorted((tag, len(part), (len(part & half), len(part - half)))
+                tuple(sorted((tag, len(part), (len(half.intersection(part)),
+                                               len(set(part) - half)))
                              for part, tag in zip(parts, tags)))
                 for parts, tags in zip(system.partitions, system.part_tags))
             assert certificate(inst, sol).profiles == sorted(counts.items())
