@@ -43,8 +43,9 @@ class PartitionSystem:
     """Partitions of {0..n-1} into k nonempty parts each.
 
     Every part is a sorted tuple of ints, its one form in the package:
-    `to_text` writes parts as they are, the verifiers index them as they
-    are, and `check_partition_system` fails a part in any other form.
+    `to_text` writes parts as they are, and the verifiers index them as
+    they are: `verify.PartIndex` raises ValueError on a part in any other
+    form.
     """
 
     n: int

@@ -47,22 +47,18 @@ class VerificationReport:
 
 
 def check_partition_system(system: PartitionSystem) -> VerificationReport:
-    """Each partition covers {0..n-1} disjointly with k nonempty parts, each
-    part a sorted tuple.  Occurrences are counted, so an element repeated
-    inside one part fails as one held by two parts does."""
+    """Each partition covers {0..n-1} disjointly with k nonempty parts.
+    Occurrences are counted, so an element repeated inside one part fails
+    as one held by two parts does."""
     rep = VerificationReport()
     rep.note("partition structure")
     ground = set(range(system.n))
     for idx, parts in enumerate(system.partitions):
         if len(parts) != system.k:
             rep.fail(f"partition {idx}: {len(parts)} parts, want {system.k}")
-        # whole-partition tests first; the loop over parts only names a fault
-        if not all(parts) or list(map(tuple, map(sorted, parts))) != parts:
-            for j, part in enumerate(parts):
-                if not part:
-                    rep.fail(f"partition {idx}: part {j} is empty")
-                elif part != tuple(sorted(part)):
-                    rep.fail(f"partition {idx}: part {j} is not a sorted tuple")
+        for j, part in enumerate(parts):
+            if not part:
+                rep.fail(f"partition {idx}: part {j} is empty")
         seen = set().union(*parts)
         if sum(map(len, parts)) != len(seen):
             _repeats(rep, idx, parts)
@@ -90,8 +86,9 @@ def _repeats(rep: VerificationReport, idx: int, parts) -> None:
 class PartIndex:
     """Every part of a system, indexed once by size.
 
-    Parts are keyed as they are, so equal parts must be equal tuples: the
-    sorted tuples that `check_partition_system` asks for.
+    Parts are keyed as they are, so equal parts must be equal tuples: a
+    part that is not a sorted tuple raises ValueError, since in any other
+    form it would miss its equals and the subsets `check_sperner` lists.
     `first` maps each size to {part: first partition holding it}; `more`
     maps each part held more than once to its later holders, in order.
     `check_sperner` reads equal parts from `more` and containments from
@@ -104,6 +101,8 @@ class PartIndex:
         self.more = {}
         for idx, parts in enumerate(partitions):
             for part in parts:
+                if type(part) is not tuple or part != tuple(sorted(part)):
+                    raise ValueError(f"partition {idx}: part {part!r} is not a sorted tuple")
                 table = self.first[len(part)]
                 if part in table:
                     self.more.setdefault(part, []).append(idx)

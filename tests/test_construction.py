@@ -9,7 +9,7 @@ from sperner.cli import main
 from sperner.combinat import binom, decompose
 from sperner.construction import (PartitionSystem, balanced_matrix,
                                   construct_grouped, construct_uniform,
-                                  extend_system, plan_grouped, split_table)
+                                  extend_system, plan_grouped)
 from sperner.ip import build_instance, exact_solve, realize_system
 from sperner.verify import (check_almost_uniform, check_certificate,
                             check_partition_system, check_sperner)
@@ -83,15 +83,6 @@ class TestPlans:
             plan_grouped(36, 15, 5, 7, "b")
         with pytest.raises(ValueError):
             plan_grouped(36, 15, 3, 12, "b")
-
-    def test_row_surplus_is_always_whole(self):
-        # c | m | n = ck + r puts c | r mod m, which is why grouped_factor
-        # has no rule for the surplus (r - m*floor(r/m))/c of a row of T
-        for n in range(8, 401):
-            for k in range(3, n // 2 + 1):
-                c, r = decompose(n, k).c, decompose(n, k).r
-                for m, *_ in split_table(n, c):
-                    assert r % m % c == 0, (n, k, m)
 
 
 def profile(parts):

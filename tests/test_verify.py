@@ -59,13 +59,6 @@ class TestPartitionStructure:
         rep = check_partition_system(bad)
         assert rep.violations == ["partition 0: element(s) [0] repeated inside a part"]
 
-    @pytest.mark.parametrize("part", [(1, 0), [0, 1], frozenset({0, 1})],
-                             ids=["unsorted", "list", "frozenset"])
-    def test_part_not_a_sorted_tuple(self, part):
-        bad = PartitionSystem(4, 2, [[part, (2, 3)]])
-        rep = check_partition_system(bad)
-        assert rep.violations == ["partition 0: part 0 is not a sorted tuple"]
-
     def test_repeat_in_file_fails_verify(self, tmp_path, capsys):
         # read as sets, this file was two valid partitions of {0..3}
         path = tmp_path / "repeat.sps"
@@ -105,6 +98,22 @@ class TestSperner:
         out = capsys.readouterr().out
         assert "exact subset test: FAIL" in out
         assert out.splitlines()[-1] == "FAIL"
+
+    @pytest.mark.parametrize("part", [(1, 0), [0, 1], frozenset({0, 1})],
+                             ids=["unsorted", "list", "frozenset"])
+    def test_part_not_a_sorted_tuple_is_refused(self, part):
+        # the structure check reads parts as sets; the index refuses the form
+        bad = PartitionSystem(4, 2, [[(0, 1), (2, 3)], [part, (2, 3)]])
+        assert check_partition_system(bad).ok
+        with pytest.raises(ValueError, match="partition 1: part .* is not a sorted tuple"):
+            check_sperner(bad)
+        with pytest.raises(ValueError, match="not a sorted tuple"):
+            verify.PartIndex(bad.partitions)
+
+    def test_unsorted_copy_does_not_pass(self):
+        bad = PartitionSystem(4, 2, [[(1, 0), (3, 2)], [(0, 1), (2, 3)]])
+        with pytest.raises(ValueError, match="partition 0: part \\(1, 0\\)"):
+            check_sperner(bad)
 
     def test_pairwise_fallback(self):
         # one size-1 part per partition, so binom(4, 1) > 2 picks the pairwise scan
