@@ -6,28 +6,33 @@ starts from the slack basis.  Entering columns follow Bland's rule, which
 rules out cycling.
 
 The arithmetic is integer throughout (integer-preserving pivoting,
-Edmonds 1967; Bareiss 1968).  Row k of the basis inverse is an integer
-vector R_k over a positive denominator D_k, and the basic value x_k is
-X_k / D_k.  With D = |det B|, D * B^-1 is the adjugate of B up to sign,
-an integer matrix, so bringing a row to D (R_k * D / D_k) is an exact
-division.  A pivot on w_l = P / D brings row l and every row k with
-W_k != 0 to D and sets
+Edmonds 1967; Bareiss 1968).  Row k of the basis inverse is a sparse
+integer vector R_k, a dict of its nonzero entries, over a positive
+denominator D_k, and the basic value x_k is X_k / D_k.  With D = |det B|,
+D * B^-1 is the adjugate of B up to sign, an integer matrix, so bringing a
+row to D (R_k * D / D_k) is an exact division.  A pivot on w_l = P / D
+brings row l and every row k with W_k != 0 to D and, with f = W_k sign(P),
 
-    R_k <- (R_k * P - W_k * R_l) / D,    X_k <- (X_k * P - W_k * X_l) / D,
+    R_k <- (R_k * |P| - f * R_l) / D,    X_k <- (X_k * |P| - f * X_l) / D.
 
-with both divisions exact; row l keeps R_l and X_l.  Every row it wrote
-is then over the new D = |P|, negated if P < 0.  A row with W_k = 0 keeps
-its part of B^-1 and is left as it is, over its old D_k, until a later
-pivot reads it.  The duals y = c_B B^-1 are kept as Y / D, and each pivot
-sets Y <- (Y * |P| + r * R_l) / D, exactly, where R_l is the new row l
-and r is D times the entering column's reduced cost.  No gcd is ever
-taken.
+The new R_k is an integer vector, so each entry divides exactly.  When a
+pivot keeps D (|P| = D), R_k[i] -= f * R_l[i] / D, an integer, at R_l's
+support only.  Otherwise the other entries become R_k[i] * |P| / D.
+Row l keeps R_l and X_l, negated if P < 0, and the rows written are over
+the new D = |P|.  A row with W_k = 0 keeps its part of B^-1 over its old
+D_k until a later pivot reads it.  The duals y = c_B B^-1 are kept as
+Y / D, and each pivot sets Y <- (Y * |P| + r * R_l) / D the same way,
+where R_l is the new row l and r is D times the entering reduced cost.
+A column index holds, for each i, the rows with R_k[i] != 0: W = D B^-1
+A_enter sums over only those at A_enter's support, and the ratio test and
+the updates visit only the rows with W_k != 0.  No gcd is taken.
 
 Every pivot decision is the one the rational method makes.  D > 0, so the
 reduced cost c_j - y.A_j has the sign of c_j * D - Y.A_j, and the ratios
 x_k / w_k are compared by cross-multiplying X_k and W_k, both over D, with
-the same tie-break, the lower basic column.  Fractions appear only in the
-results.
+the same tie-break, the lower basic column.  Basic columns are distinct,
+so the order of the rows cannot change the leaving row.  Fractions appear
+only in the results.
 """
 
 from __future__ import annotations
@@ -68,6 +73,9 @@ class LinearProgram:
         bound = index(bound)
         if bound < 0:
             raise ValueError("x = 0 must be feasible: negative right side")
+        for j in row:
+            if not 0 <= index(j) < self.n:
+                raise ValueError(f"column {j} is outside range({self.n})")
         self.rows.append({j: index(v) for j, v in row.items() if v})
         self.b.append(bound)
 
@@ -89,20 +97,19 @@ def _current(r_num, x_num, r_den, k, den):
     """Bring row k to the denominator den; the division is exact."""
     dk = r_den[k]
     if dk != den:
-        r_num[k] = [a * den // dk for a in r_num[k]]
+        r_num[k] = {i: a * den // dk for i, a in r_num[k].items()}
         x_num[k] = x_num[k] * den // dk
         r_den[k] = den
 
 
 def _simplex(cols, cost, basis, x_num, pivots):
     """Run Bland-rule iterations in place from the slack basis, whose basic
-    values are x_num; returns r_den.  Row k of B^-1 is r_num[k] / r_den[k]
-    and x_k is x_num[k] / r_den[k]; den is D = |det B|."""
+    values are x_num; returns r_den.  Row k of B^-1 is r_num[k] / r_den[k],
+    a dict of its nonzero entries, and x_k is x_num[k] / r_den[k]; den is D."""
     m = len(x_num)
     ncols = len(cols)
-    r_num = [[0] * m for _ in range(m)]
-    for i in range(m):
-        r_num[i][i] = 1
+    r_num = [{i: 1} for i in range(m)]
+    held = [{i} for i in range(m)]      # held[i]: the rows k with R_k[i] != 0
     r_den = [1] * m
     den = 1
     in_basis = [False] * ncols
@@ -123,45 +130,55 @@ def _simplex(cols, cost, basis, x_num, pivots):
                 break
         if enter < 0:
             return r_den
-        # w = W / D = B^-1 A_enter
-        w = [0] * m
+        # w = W / D = B^-1 A_enter, over the rows that meet A_enter's support
+        w = {}
         for i, v in cols[enter].items():
-            w = [a + row[i] * v for a, row in zip(w, r_num)]
-        w = [a if dk == den else a * den // dk for a, dk in zip(w, r_den)]
+            for krow in held[i]:
+                w[krow] = w.get(krow, 0) + r_num[krow][i] * v
+        w = {krow: a if r_den[krow] == den else a * den // r_den[krow]
+             for krow, a in w.items() if a}
         leave = -1
         best_num, best_den = 0, 1      # the best ratio x_k / w_k so far
-        for krow in range(m):
-            wk = w[krow]
+        for krow, wk in w.items():
             if wk <= 0:
                 continue
             num = x_num[krow] * den // r_den[krow]
-            if leave < 0:
-                better = True
-            else:
-                lhs, rhs = num * best_den, best_num * wk
-                better = lhs < rhs or (lhs == rhs and basis[krow] < basis[leave])
-            if better:
+            lhs, rhs = num * best_den, best_num * wk
+            if leave < 0 or lhs < rhs or (lhs == rhs and basis[krow] < basis[leave]):
                 best_num, best_den, leave = num, wk, krow
         if leave < 0:
             raise Unbounded("objective is unbounded above")
-        piv = w[leave]
+        piv = w.pop(leave)
         new_den, sign = abs(piv), (1 if piv > 0 else -1)
+        keep = new_den == den
         _current(r_num, x_num, r_den, leave, den)
         row_l = r_num[leave]
         x_l = x_num[leave]
-        for krow in range(m):
-            f = w[krow] * sign
-            if f and krow != leave:
-                _current(r_num, x_num, r_den, krow, den)
-                r_num[krow] = [(a * new_den - f * b) // den
-                               for a, b in zip(r_num[krow], row_l)]
-                x_num[krow] = (x_num[krow] * new_den - f * x_l) // den
-                r_den[krow] = new_den
+        for krow, wk in w.items():
+            f = wk * sign
+            _current(r_num, x_num, r_den, krow, den)
+            row = r_num[krow]
+            if not keep:    # entries outside R_l's support scale by |P| / D
+                row = r_num[krow] = {i: a if i in row_l else a * new_den // den
+                                     for i, a in row.items()}
+            for i, b in row_l.items():
+                a = row.get(i, 0)
+                a = a - f * b // den if keep else (a * new_den - f * b) // den
+                if a:
+                    row[i] = a
+                    held[i].add(krow)
+                elif row.pop(i, 0):
+                    held[i].discard(krow)
+            x_num[krow] = (x_num[krow] * new_den - f * x_l) // den
+            r_den[krow] = new_den
         if sign < 0:
-            row_l = r_num[leave] = [-a for a in row_l]
+            row_l = r_num[leave] = {i: -a for i, a in row_l.items()}
             x_num[leave] = -x_l
         r_den[leave] = new_den
-        y = [(a * new_den + red * b) // den for a, b in zip(y, row_l)]
+        if not keep:
+            y = [a if i in row_l else a * new_den // den for i, a in enumerate(y)]
+        for i, b in row_l.items():
+            y[i] = (y[i] * new_den + red * b) // den
         den = new_den
         pivots.append((enter, basis[leave]))
         in_basis[basis[leave]] = False

@@ -286,7 +286,7 @@ class TestLpGolden:
     against golden files.  The asym column is proved by a primal that
     meets the band dual (the simplex only where none does); the dumps pin
     the floored LP vertices that the integer simplex must reproduce
-    exactly.  The secA file to 1000 holds the parity-cut rows, closed by
+    exactly, up to (502,3,secA), the largest LP of the benchmark.  The secA file to 1000 holds the parity-cut rows, closed by
     half loops."""
 
     @pytest.mark.parametrize("variant,n_max", (("secB", 800), ("secA", 300), ("secA", 1000)))
@@ -298,7 +298,8 @@ class TestLpGolden:
         golden = GOLDEN / f"asym-{variant}-k3-{n_max}.csv"
         assert path.read_bytes() == golden.read_bytes()
 
-    @pytest.mark.parametrize("n,variant", ((202, "secA"), (304, "secA"), (302, "secB")))
+    @pytest.mark.parametrize("n,variant", (
+        (202, "secA"), (304, "secA"), (302, "secB"), (502, "secA")))
     def test_exact_dump_matches_golden(self, tmp_path, capsys, n, variant):
         path = tmp_path / "ip.dump"
         code, _, _ = run(["ip", "--n", str(n), "--k", "3", "--variant", variant,

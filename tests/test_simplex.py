@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sperner import ip
+from sperner import ip, simplex
 from sperner.simplex import LinearProgram, Unbounded
 
 
@@ -104,6 +104,17 @@ class TestSimplexKnown:
         with pytest.raises(TypeError):
             lp.set_objective([Fraction(1, 2)])
         assert lp.rows == [] and lp.b == []
+
+    @pytest.mark.parametrize("col", (-1, 2))
+    def test_column_out_of_range_is_rejected(self, col):
+        # -1 would alias x1 and 2 would fail only inside solve()
+        lp = LinearProgram(2)
+        lp.set_objective([1, 1])
+        with pytest.raises(ValueError, match=f"column {col} is outside range\\(2\\)"):
+            lp.add_constraint({col: 1, 0: 1}, 3)
+        assert lp.rows == [] and lp.b == []
+        lp.add_constraint({1: 1, 0: 1}, 3)
+        assert lp.solve() == (3, [3, 0])
 
     def test_degenerate_cycling_guard(self):
         # Beale's classical cycling example, its first two rows and the
@@ -306,17 +317,23 @@ def _lp(rows, b, c) -> LinearProgram:
     return lp
 
 
+def _random_lps(seed):
+    """300 small LPs with mixed signs, both outcomes and zero right sides."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 6)
+        rows = [{j: rng.randint(-3, 5) for j in range(n) if rng.random() < 0.7}
+                for _ in range(m)]
+        b = [rng.randint(0, 9) for _ in range(m)]
+        c = [rng.randint(-2, 5) for _ in range(n)]
+        yield rows, b, c
+
+
 class TestAgainstRationalOracle:
     def test_seeded_random_lps(self):
-        rng = random.Random(7)
         outcomes = Counter()
-        for _ in range(300):
-            n = rng.randint(1, 6)
-            m = rng.randint(1, 6)
-            rows = [{j: rng.randint(-3, 5) for j in range(n) if rng.random() < 0.7}
-                    for _ in range(m)]
-            b = [rng.randint(0, 9) for _ in range(m)]
-            c = [rng.randint(-2, 5) for _ in range(n)]
+        for rows, b, c in _random_lps(7):
             result, pivots = assert_matches_oracle(_lp(rows, b, c))
             outcomes[result if isinstance(result, type) else "optimal"] += 1
             outcomes["zero right side"] += 0 in b
@@ -352,3 +369,160 @@ class TestAgainstRationalOracle:
             assert_matches_oracle(lp)
             solved += 1
         assert solved >= 36
+
+
+# --------------------------------------------------------------------------
+# Differential oracle: the dense integer engine that the sparse rows
+# replaced, kept verbatim.  Row k of the basis inverse is a full list of m
+# integers, and every pivot rewrites all m entries of each row it touches.
+# --------------------------------------------------------------------------
+
+def _dense_current(r_num, x_num, r_den, k, den):
+    """Bring row k to the denominator den; the division is exact."""
+    dk = r_den[k]
+    if dk != den:
+        r_num[k] = [a * den // dk for a in r_num[k]]
+        x_num[k] = x_num[k] * den // dk
+        r_den[k] = den
+
+
+def _dense_simplex(cols, cost, basis, x_num, pivots):
+    """Run Bland-rule iterations in place from the slack basis, whose basic
+    values are x_num; returns r_den.  Row k of B^-1 is r_num[k] / r_den[k]
+    and x_k is x_num[k] / r_den[k]; den is D = |det B|."""
+    m = len(x_num)
+    ncols = len(cols)
+    r_num = [[0] * m for _ in range(m)]
+    for i in range(m):
+        r_num[i][i] = 1
+    r_den = [1] * m
+    den = 1
+    in_basis = [False] * ncols
+    for j in basis:
+        in_basis[j] = True
+    # y = Y / D = c_B B^-1, updated by each pivot; slacks cost nothing
+    y = [0] * m
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if in_basis[j]:
+                continue
+            red = cost[j] * den
+            for i, v in cols[j].items():
+                red -= y[i] * v
+            if red > 0:
+                enter = j
+                break
+        if enter < 0:
+            return r_den
+        # w = W / D = B^-1 A_enter
+        w = [0] * m
+        for i, v in cols[enter].items():
+            w = [a + row[i] * v for a, row in zip(w, r_num)]
+        w = [a if dk == den else a * den // dk for a, dk in zip(w, r_den)]
+        leave = -1
+        best_num, best_den = 0, 1      # the best ratio x_k / w_k so far
+        for krow in range(m):
+            wk = w[krow]
+            if wk <= 0:
+                continue
+            num = x_num[krow] * den // r_den[krow]
+            if leave < 0:
+                better = True
+            else:
+                lhs, rhs = num * best_den, best_num * wk
+                better = lhs < rhs or (lhs == rhs and basis[krow] < basis[leave])
+            if better:
+                best_num, best_den, leave = num, wk, krow
+        if leave < 0:
+            raise Unbounded("objective is unbounded above")
+        piv = w[leave]
+        new_den, sign = abs(piv), (1 if piv > 0 else -1)
+        _dense_current(r_num, x_num, r_den, leave, den)
+        row_l = r_num[leave]
+        x_l = x_num[leave]
+        for krow in range(m):
+            f = w[krow] * sign
+            if f and krow != leave:
+                _dense_current(r_num, x_num, r_den, krow, den)
+                r_num[krow] = [(a * new_den - f * b) // den
+                               for a, b in zip(r_num[krow], row_l)]
+                x_num[krow] = (x_num[krow] * new_den - f * x_l) // den
+                r_den[krow] = new_den
+        if sign < 0:
+            row_l = r_num[leave] = [-a for a in row_l]
+            x_num[leave] = -x_l
+        r_den[leave] = new_den
+        y = [(a * new_den + red * b) // den for a, b in zip(y, row_l)]
+        den = new_den
+        pivots.append((enter, basis[leave]))
+        in_basis[basis[leave]] = False
+        in_basis[enter] = True
+        basis[leave] = enter
+
+
+def _run_engine(engine, lp: LinearProgram):
+    """Run `engine` on lp from the slack basis: ((basis, basic values,
+    value, x), pivots), or (Unbounded, pivots)."""
+    m, n = len(lp.rows), lp.n
+    cols = simplex._columns(lp.rows, n) + [{i: 1} for i in range(m)]
+    basis = list(range(n, n + m))
+    x_num = list(lp.b)
+    pivots: list = []
+    try:
+        r_den = engine(cols, lp.c + [0] * m, basis, x_num, pivots)
+    except Unbounded:
+        return Unbounded, pivots
+    x_b = [Fraction(a, d) for a, d in zip(x_num, r_den)]
+    x = [Fraction(0)] * n
+    for j, v in zip(basis, x_b):
+        if j < n:
+            x[j] = v
+    value = sum((cj * xj for cj, xj in zip(lp.c, x)), Fraction(0))
+    return (basis, x_b, value, x), pivots
+
+
+def assert_matches_dense(lp: LinearProgram):
+    """The sparse engine makes the dense engine's pivots and ends at its
+    basis, basic values, value and vertex, or raises the same exception
+    after the same pivots; so does lp.solve().  Returns the outcome."""
+    got = _run_engine(simplex._simplex, lp)
+    assert got == _run_engine(_dense_simplex, lp)
+    result, pivots = got
+    solved = _outcome(lp.solve)
+    assert lp.pivots == pivots
+    assert solved == (result if result is Unbounded else tuple(result[2:]))
+    return result
+
+
+class TestAgainstDenseEngine:
+    def test_seeded_random_lps(self):
+        outcomes = Counter()
+        for rows, b, c in _random_lps(11):
+            result = assert_matches_dense(_lp(rows, b, c))
+            outcomes["optimal" if isinstance(result, tuple) else result] += 1
+            outcomes["zero right side"] += 0 in b
+        assert outcomes["optimal"] >= 50 and outcomes[Unbounded] >= 20
+        assert outcomes["zero right side"] >= 50
+
+    def test_beale_cycling_example(self):
+        assert assert_matches_dense(_lp(BEALE_ROWS, BEALE_B, BEALE_C))[2] == 5
+
+    @pytest.mark.parametrize("k", (3, 5, 7))
+    @pytest.mark.parametrize("variant", ip.VARIANTS)
+    def test_root_lps_of_ip_instances(self, k, variant):
+        rem = (k + 1) % (2 * k) if variant == "secA" else (k - 1) % (2 * k)
+        solved = 0
+        for n in range(2 * k + 1, 601):
+            if n % (2 * k) == rem and not (inst := ip.build_instance(n, k, variant)).trivial:
+                assert_matches_dense(ip._build_lp(inst)[0])
+                solved += 1
+        assert solved >= 40
+
+    @pytest.mark.parametrize("n,variant", (
+        (400, "secA"), (502, "secA"), (904, "secA"),
+        (1310, "secB"), (1802, "secB"), (1808, "secB")))
+    def test_large_lps(self, n, variant):
+        lp = ip._build_lp(ip.build_instance(n, 3, variant))[0]
+        assert isinstance(assert_matches_dense(lp), tuple)
+        assert len(lp.pivots) >= 79
