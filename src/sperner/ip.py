@@ -11,18 +11,19 @@ objective is 2 * sum x and its optimum is bounded by the even integer Q.
 Solvers: a batched version of the slack-consuming greedy (variant secA),
 the sparse closed-form candidate (variant secB), the exact LP relaxation
 and two proofs from one loop.  `exact_solve` and `lp_value` take the first
-exactly checked primal that meets a bound read off the caps in O(d):
-`upper_bound` (the band dual or the parity cut) for the integer optimum,
-the band dual for the LP value.  Only where none does is the root LP
-solved, by the one-phase integer simplex of `simplex.py`: its constraints
-are built in one pass over Phi with integer coefficients and nonnegative
-caps, so x = 0 is its first vertex.  No solver has a size limit.  Family
-sizes come from one row of binomials binom(n/2, j), j <= 2d+2, and u from
-running sums of them, in O(d).
+primal, checked exactly in O(|supp x| + d), that meets a bound read off
+the caps in O(d): `upper_bound` (the band dual or the parity cut) for the
+integer optimum, the band dual for the LP value.  Only where none does is
+the root LP solved, by the one-phase integer simplex of `simplex.py`: its
+constraints are built in one pass over Phi with integer coefficients and
+nonnegative caps, so x = 0 is its first vertex.  No solver has a size
+limit.  Family sizes come from one row of binomials binom(n/2, j),
+j <= 2d+2, and u from running sums of them, in O(d).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -68,6 +69,15 @@ class IpInstance:
     def trivial(self) -> bool:
         return not self.phi
 
+    @functools.cached_property
+    def mms_value(self) -> Fraction:
+        return mms(self.params)
+
+    def __contains__(self, key) -> bool:
+        """Whether `key` is in Phi: u < i <= j <= d and j - i <= u."""
+        return (type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int
+                and self.u < key[0] <= key[1] <= min(self.d, key[0] + self.u))
+
     def to_text(self, solution: "IpSolution | None" = None) -> str:
         lines = [f"IP {self.variant} {self.n} {self.k} {self.d} {self.u} {self.q}"]
         lines.append(f"cap D {self.cap_diag}")
@@ -84,8 +94,8 @@ class IpInstance:
 
 
 def _phi(u: int, d: int) -> tuple:
-    return tuple((i, j) for i in range(u + 1, d + 1)
-                 for j in range(i, min(i + u, d) + 1))
+    return tuple([(i, j) for i in range(u + 1, d + 1)
+                  for j in range(i, min(i + u, d) + 1)])
 
 
 def build_instance(n: int, k: int, variant: str) -> IpInstance:
@@ -122,7 +132,7 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
         cap_row = {ell: e[ell] for ell in range(u + 1, d + 1)}
         inst = IpInstance("secA", params, d, u, q, e, estar, eta, _phi(u, d),
                           cap_diag, cap_off, cap_row)
-        assert Fraction(q) <= mms(params)
+        assert q <= inst.mms_value
         return inst
 
     if n % (2 * k) != (k - 1) % (2 * k):
@@ -146,10 +156,11 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
     cap_row = {ell: estar[ell] for ell in range(u + 1, d + 1)}
     inst = IpInstance("secB", params, d, u, q, e, estar, None, _phi(u, d),
                       cap_diag, cap_off, cap_row)
-    assert (k - 1) * binom(n, 2 * d) == binom(n, 2 * d + 1)
-    assert 2 * au <= binom(n, 2 * d)
-    assert mms(params) == Fraction(binom(n, 2 * d), 2)
-    assert Fraction(q) <= mms(params)
+    top = binom(n, 2 * d)
+    assert (k - 1) * top == binom(n, 2 * d + 1)
+    assert 2 * au <= top
+    assert inst.mms_value == Fraction(top, 2)
+    assert q <= inst.mms_value
     return inst
 
 
@@ -198,25 +209,27 @@ class IpSolution:
     def objective(self) -> int:
         return 2 * sum(self.x.values())
 
-    def slacks(self) -> dict:
+    def slack_lists(self) -> tuple:
+        """The slacks in one pass over x: (band, row), band[0] for D, band[l]
+        for O_l and row[l] for R_l (0 for l <= u).  A key meets only the
+        constraints that exist: D or O_{j-i}, and the rows R_i, R_j."""
         inst = self.instance
-        out = {("D",): inst.cap_diag}
-        out.update((("O", ell), cap) for ell, cap in inst.cap_off.items())
-        out.update((("R", ell), cap) for ell, cap in inst.cap_row.items())
+        u, d = inst.u, inst.d
+        band = [inst.cap_diag] + [inst.cap_off[ell] for ell in range(1, u + 1)]
+        row = [0] * (u + 1) + [inst.cap_row[ell] for ell in range(u + 1, d + 1)]
         for (i, j), v in self.x.items():
-            band = ("D",) if i == j else ("O", j - i)
-            for key in (band, ("R", i), ("R", j)):
-                if key in out:
-                    out[key] -= v
-        return out
+            if i == j or 0 < j - i <= u:
+                band[j - i] -= v
+            for ell in (i, j):
+                if u < ell <= d:
+                    row[ell] -= v
+        return band, row
 
     def feasible(self) -> bool:
-        if any(v < 0 for v in self.x.values()):
+        """Exact, in O(|supp x| + d): keys in Phi, values and slacks >= 0."""
+        if not all(v >= 0 and key in self.instance for key, v in self.x.items()):
             return False
-        phi = set(self.instance.phi)
-        if any(v not in phi for v in self.x):
-            return False
-        return all(s >= 0 for s in self.slacks().values())
+        return min(map(min, self.slack_lists())) >= 0
 
 
 def zero_solution(inst: IpInstance) -> IpSolution:
@@ -328,29 +341,21 @@ def closed_form_solve(inst: IpInstance) -> ClosedFormResult:
         raise ValueError("closed_form_solve applies to variant secB")
     if inst.u < 0:
         return ClosedFormResult(zero_solution(inst), [])
-    u, d = inst.u, inst.d
-    phi = set(inst.phi)
-    x: dict = defaultdict(int)
-    bad_index = []
+    u = inst.u
     assigns = []
     for i in range((u - 1) // 2 + 1):
         assigns.append(((u + 1 + i, 2 * u + 1 - i), inst.e[u - 2 * i]))
     for i in range((u - 2) // 2 + 1):
         assigns.append(((u + 1 + i, 2 * u - i), inst.e[u - 2 * i - 1]))
     assigns.append(((3 * u // 2 + 1, 3 * u // 2 + 1), inst.e[0] // 2))
-    for (i, j), v in assigns:
-        if (i, j) not in phi:
-            bad_index.append(f"x_{i}_{j} outside the index set")
-        else:
-            x[(i, j)] += v
+    bad_index = [f"x_{i}_{j} outside the index set" for (i, j), _ in assigns
+                 if (i, j) not in inst]
     if bad_index:
         return ClosedFormResult(None, bad_index)
-    sol = IpSolution(inst, dict(x))
-    violations = [f"beta_{key[1]}" for key, s in sol.slacks().items()
-                  if key[0] == "R" and s < 0]
-    violations += [f"alpha_{key[1] if len(key) > 1 else 0}"
-                   for key, s in sol.slacks().items()
-                   if key[0] in ("D", "O") and s < 0]
+    sol = IpSolution(inst, dict(assigns))   # one index per band, so no key repeats
+    band, row = sol.slack_lists()
+    violations = [f"beta_{ell}" for ell, s in enumerate(row) if s < 0]
+    violations += [f"alpha_{ell}" for ell, s in enumerate(band) if s < 0]
     if violations:
         return ClosedFormResult(None, violations)
     assert sol.objective == inst.q
@@ -399,29 +404,23 @@ def lp_relax(inst: IpInstance):
     return value, sol
 
 
-def _floor_improve(inst: IpInstance, base: dict, order=None) -> IpSolution:
-    """Floor a fractional solution, then greedily grow each variable in
-    `order` (Phi by default)."""
+def _floor_improve(inst: IpInstance, base: dict, runs=None) -> IpSolution:
+    """Floor a fractional solution, then greedily grow the indices (i, i + l)
+    of each run (l, starts), i in starts (Phi in order by default).  A run
+    ends once band l's budget is spent: none of its indices can grow then."""
     x = {v: int(val) for v, val in base.items() if int(val)}
-    sol = IpSolution(inst, x)
-    slack = sol.slacks()
-    for (i, j) in inst.phi if order is None else order:
-        gains = [slack[("O", j - i)] if i != j else slack[("D",)]]
-        if i == j:
-            gains.append(slack[("R", i)] // 2)
-        else:
-            gains.append(slack[("R", i)])
-            gains.append(slack[("R", j)])
-        inc = min(gains)
-        if inc > 0:
-            x[(i, j)] = x.get((i, j), 0) + inc
-            if i == j:
-                slack[("D",)] -= inc
-                slack[("R", i)] -= 2 * inc
-            else:
-                slack[("O", j - i)] -= inc
-                slack[("R", i)] -= inc
-                slack[("R", j)] -= inc
+    band, row = IpSolution(inst, x).slack_lists()
+    for ell, starts in ((j - i, (i,)) for i, j in inst.phi) if runs is None else runs:
+        for i in starts:
+            if not band[ell]:
+                break
+            j = i + ell
+            inc = min(band[ell], row[i] // 2) if not ell else min(band[ell], row[i], row[j])
+            if inc > 0:
+                x[(i, j)] = x.get((i, j), 0) + inc
+                band[ell] -= inc
+                row[i] -= inc
+                row[j] -= inc
     out = IpSolution(inst, x)
     assert out.feasible()
     return out
@@ -456,21 +455,23 @@ def upper_bound(inst: IpInstance) -> tuple:
     return band, "band dual"
 
 
-# Orders of Phi in which `_floor_improve` fills x from zero: the widest
-# band j - i first, each band by i up or by i down.  Each closes instances
-# the other misses; Phi's own order and its reverse close none they miss.
+# Runs in which `_floor_improve` fills x from zero: the widest band j - i
+# first, each band by i up or by i down.  Each closes instances the other
+# misses; Phi's own order and its reverse close none they miss.
 _FILL_ORDERS = {
-    "band desc, i asc": lambda phi: sorted(phi, key=lambda v: (v[0] - v[1], v[0])),
-    "band desc, i desc": lambda phi: sorted(phi, key=lambda v: (v[0] - v[1], -v[0])),
+    "band desc, i asc": lambda u, d: ((ell, range(u + 1, d - ell + 1))
+                                      for ell in range(u, -1, -1)),
+    "band desc, i desc": lambda u, d: ((ell, range(d - ell, u, -1))
+                                       for ell in range(u, -1, -1)),
 }
 
 
 def _half_loops(sol: IpSolution) -> IpSolution | None:
     """One unit of diagonal slack spent as 1/2 on the loops of two rows
     with slack at least 1: a fractional primal 2 above `sol`."""
-    slack = sol.slacks()
-    rows = [key[1] for key, s in slack.items() if key[0] == "R" and s >= 1][:2]
-    if slack[("D",)] < 1 or len(rows) < 2:
+    band, row = sol.slack_lists()
+    rows = [ell for ell, s in enumerate(row) if s >= 1][:2]
+    if band[0] < 1 or len(rows) < 2:
         return None
     x = dict(sol.x)
     for ell in rows:
@@ -486,7 +487,7 @@ def _integral_primals(inst: IpInstance, greedy: IpSolution | None = None):
     else:
         yield "closed form", closed_form_solve(inst).solution
     for name, order in _FILL_ORDERS.items():
-        yield f"fill {name}", _floor_improve(inst, {}, order(inst.phi))
+        yield f"fill {name}", _floor_improve(inst, {}, order(inst.u, inst.d))
 
 
 def _first_proved(primals, bound: int) -> tuple:
@@ -560,8 +561,8 @@ def _class_stream(inst: IpInstance, sol: IpSolution) -> _ClassStream:
     d, u = inst.d, inst.u
     pair, single, shift = ("EA", "EB", 1) if inst.variant == "secA" else ("EB", "EA", 0)
     width = (inst.k - 3) // 2
-    slacks = sol.slacks()
-    supply = {ell: slacks[("R", ell)] for ell in range(u + 1, d + 1)}
+    row = sol.slack_lists()[1]
+    supply = {ell: row[ell] for ell in range(u + 1, d + 1)}
     assert sum(supply.values()) >= sol.objective * width
     runs = [(((pair, d - a), (pair, d + 1 + b), (single, d + shift + a - b)), x)
             for (i, j), x in sorted(sol.x.items()) for a, b in ((i, j), (j, i))]
@@ -660,13 +661,12 @@ def asymptotic_report(inst: IpInstance) -> AsymptoticReport:
     n, k, d, u, q = inst.n, inst.k, inst.d, inst.u, inst.q
     lmax = math.isqrt(d - 1) + 1 if d > 1 else 1
     lmax = min(lmax, len(inst.e) - 1, len(inst.estar) - 1)
-    estar_ratios = [float(Fraction(inst.estar[ell], (k - 1) * inst.e[ell]))
-                    for ell in range(lmax + 1)]
-    gauss_ratios = [float(Fraction(inst.e[ell], inst.e[0]))
-                    / math.exp(-k * ell * ell / (d * (k - 1)))
+    # int / int is correctly rounded, as float(Fraction(...)) is
+    estar_ratios = [inst.estar[ell] / ((k - 1) * inst.e[ell]) for ell in range(lmax + 1)]
+    gauss_ratios = [inst.e[ell] / inst.e[0] / math.exp(-k * ell * ell / (d * (k - 1)))
                     for ell in range(lmax + 1)]
     u_pred = ERF_INV_HALF * math.sqrt(d * (k - 1) / k)
-    mv = mms(inst.params)
+    mv = inst.mms_value
     return AsymptoticReport(n, k, inst.variant, d, u, q, mv, estar_ratios,
                             gauss_ratios, u / u_pred if u_pred else float("nan"),
                             float(Fraction(q) / mv))

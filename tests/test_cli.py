@@ -287,7 +287,9 @@ class TestLpGolden:
     meets the band dual (the simplex only where none does); the dumps pin
     the floored LP vertices that the integer simplex must reproduce
     exactly, up to (502,3,secA), the largest LP of the benchmark.  The secA file to 1000 holds the parity-cut rows, closed by
-    half loops."""
+    half loops.  The `--solver exact` dumps pin the x of a fill and of the
+    floored LP fallback, and the k = 5 and 7 files the closed form and the
+    greedy."""
 
     @pytest.mark.parametrize("variant,n_max", (("secB", 800), ("secA", 300), ("secA", 1000)))
     def test_asym_matches_golden(self, tmp_path, capsys, variant, n_max):
@@ -297,6 +299,24 @@ class TestLpGolden:
         assert code == 0
         golden = GOLDEN / f"asym-{variant}-k3-{n_max}.csv"
         assert path.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("k,variant,n_max", ((5, "secB", 600), (7, "secA", 600)))
+    def test_asym_k5_k7_matches_golden(self, tmp_path, capsys, k, variant, n_max):
+        path = tmp_path / "asym.csv"
+        code, _, _ = run(["asym", "--k", str(k), "--variant", variant,
+                          "--n-max", str(n_max), "--out", str(path)], capsys)
+        assert code == 0
+        golden = GOLDEN / f"asym-{variant}-k{k}-{n_max}.csv"
+        assert path.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("n", (302, 1310))
+    def test_exact_solver_dump_matches_golden(self, tmp_path, capsys, n):
+        # (302,3,secB) is proved by a fill, (1310,3,secB) by the floored LP
+        path = tmp_path / "ip.dump"
+        code, _, _ = run(["ip", "--n", str(n), "--k", "3", "--variant", "secB",
+                          "--solver", "exact", "--dump", str(path)], capsys)
+        assert code == 0
+        assert path.read_bytes() == (GOLDEN / f"ip-exact-{n}-3-secB.dump").read_bytes()
 
     @pytest.mark.parametrize("n,variant", (
         (202, "secA"), (304, "secA"), (302, "secB"), (502, "secA")))

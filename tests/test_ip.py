@@ -204,6 +204,70 @@ class TestInstances:
         assert "x 1 1 5" in lines
 
 
+# The dict-based checks and the sorted fill orders that the flat slack
+# lists replaced, kept as oracles.
+
+def oracle_slacks(sol):
+    inst = sol.instance
+    out = {("D",): inst.cap_diag}
+    out.update((("O", ell), cap) for ell, cap in inst.cap_off.items())
+    out.update((("R", ell), cap) for ell, cap in inst.cap_row.items())
+    for (i, j), v in sol.x.items():
+        band = ("D",) if i == j else ("O", j - i)
+        for key in (band, ("R", i), ("R", j)):
+            if key in out:
+                out[key] -= v
+    return out
+
+
+def oracle_slack_lists(inst, x):
+    """The oracle's slacks laid out as `IpSolution.slack_lists` lays them out."""
+    slack = oracle_slacks(IpSolution(inst, x))
+    return ([slack[("D",)]] + [slack[("O", ell)] for ell in range(1, inst.u + 1)],
+            [0] * (inst.u + 1) + [slack[("R", ell)] for ell in range(inst.u + 1, inst.d + 1)])
+
+
+def oracle_feasible(sol):
+    if any(v < 0 for v in sol.x.values()):
+        return False
+    phi = set(sol.instance.phi)
+    if any(v not in phi for v in sol.x):
+        return False
+    return all(s >= 0 for s in oracle_slacks(sol).values())
+
+
+def oracle_floor_improve(inst, base, order=None):
+    x = {v: int(val) for v, val in base.items() if int(val)}
+    sol = IpSolution(inst, x)
+    slack = oracle_slacks(sol)
+    for (i, j) in inst.phi if order is None else order:
+        gains = [slack[("O", j - i)] if i != j else slack[("D",)]]
+        if i == j:
+            gains.append(slack[("R", i)] // 2)
+        else:
+            gains.append(slack[("R", i)])
+            gains.append(slack[("R", j)])
+        inc = min(gains)
+        if inc > 0:
+            x[(i, j)] = x.get((i, j), 0) + inc
+            if i == j:
+                slack[("D",)] -= inc
+                slack[("R", i)] -= 2 * inc
+            else:
+                slack[("O", j - i)] -= inc
+                slack[("R", i)] -= inc
+                slack[("R", j)] -= inc
+    out = IpSolution(inst, x)
+    assert oracle_feasible(out)
+    return out
+
+
+ORACLE_FILL_ORDERS = {
+    "band desc, i asc": lambda phi: sorted(phi, key=lambda v: (v[0] - v[1], v[0])),
+    "band desc, i desc": lambda phi: sorted(phi, key=lambda v: (v[0] - v[1], -v[0])),
+}
+
+
 class TestSolutionChecks:
     def test_slacks_match_constraint_sums(self):
         rng = random.Random(5)
@@ -212,16 +276,16 @@ class TestSolutionChecks:
             keys = list(inst.phi) + [(inst.u, inst.u), (inst.d + 1, inst.d + 2)]
             for _ in range(20):
                 x = {v: rng.randint(0, 3) for v in rng.sample(keys, 6)}
-                expect = {("D",): inst.cap_diag - sum(v for (i, j), v in x.items()
-                                                      if i == j)}
-                for ell, cap in inst.cap_off.items():
-                    expect[("O", ell)] = cap - sum(v for (i, j), v in x.items()
-                                                   if j - i == ell)
-                for ell, cap in inst.cap_row.items():
-                    expect[("R", ell)] = cap - sum(v * ((i == ell) + (j == ell))
-                                                   for (i, j), v in x.items())
-                got = IpSolution(inst, x).slacks()
-                assert got == expect and list(got) == list(expect)
+                band = [inst.cap_diag - sum(v for (i, j), v in x.items() if i == j)]
+                for ell in range(1, inst.u + 1):
+                    band.append(inst.cap_off[ell] - sum(v for (i, j), v in x.items()
+                                                        if j - i == ell))
+                row = [0] * (inst.u + 1)
+                for ell in range(inst.u + 1, inst.d + 1):
+                    row.append(inst.cap_row[ell] - sum(v * ((i == ell) + (j == ell))
+                                                       for (i, j), v in x.items()))
+                assert IpSolution(inst, x).slack_lists() == (band, row)
+                assert IpSolution(inst, x).slack_lists() == oracle_slack_lists(inst, x)
 
     def test_variable_outside_phi_rejected(self):
         inst = build_instance(302, 3, "secB")
@@ -709,6 +773,116 @@ class TestLpValue:
 
     def test_trivial(self):
         assert lp_value(build_instance(24, 5, "secB")) == (0, "empty index set")
+
+
+def capped(inst, cap_diag, cap_off, cap_row):
+    return dataclasses.replace(inst, cap_diag=cap_diag, cap_off=cap_off, cap_row=cap_row)
+
+
+class TestFlatSlackChecks:
+    """`IpSolution.feasible`, `_floor_improve` and the fills of
+    `_FILL_ORDERS` against the dict-based oracles they replaced."""
+
+    def test_fills_and_verdicts_match_the_oracles(self):
+        checked = 0
+        for inst in nontrivial_instances((3, 5, 7), 1500):
+            primals = list(ip._integral_primals(inst))
+            for name, order in ip._FILL_ORDERS.items():
+                got = dict(primals)[f"fill {name}"]
+                expect = oracle_floor_improve(inst, {}, ORACLE_FILL_ORDERS[name](inst.phi))
+                assert got.x == expect.x, (inst.n, inst.k, inst.variant, name)
+            if inst.variant == "secA":
+                primals.append(("half loops", ip._half_loops(primals[0][1])))
+            for proof, sol in primals:
+                if sol is not None:
+                    assert sol.feasible() == oracle_feasible(sol), (inst.n, inst.k, proof)
+            checked += 1
+        assert checked == 1001
+
+    def test_fills_on_small_caps(self):
+        # caps of 0 to 6, where a band's budget runs out within its run
+        for seed in range(200):
+            inst, kind, _ = synthetic_instance(seed)
+            for name, order in ip._FILL_ORDERS.items():
+                got = _floor_improve(inst, {}, order(inst.u, inst.d))
+                expect = oracle_floor_improve(inst, {}, ORACLE_FILL_ORDERS[name](inst.phi))
+                assert got.x == expect.x, (seed, kind, name)
+
+    @pytest.mark.parametrize("n", (1310, 1802))
+    def test_floored_lp_matches_the_oracle(self, n):
+        # the LP vertex is integral here, so halve it too, which leaves
+        # fractions to floor and slack to grow into
+        inst = build_instance(n, 3, "secB")
+        vertex = lp_relax(inst)[1]
+        halved = {v: Fraction(2 * val + 1, 4) for v, val in vertex.items()}
+        for base in (vertex, halved):
+            got = _floor_improve(inst, base)
+            assert got.x == oracle_floor_improve(inst, base).x
+            assert got.feasible() and oracle_feasible(got)
+        assert _floor_improve(inst, vertex).objective == upper_bound(inst)[0]
+        assert got.x != {v: int(val) for v, val in halved.items() if int(val)}
+
+    @pytest.mark.parametrize("case", ((302, 3, "secB"), (674, 9, "secB"), (304, 3, "secA")))
+    def test_membership_by_arithmetic(self, case):
+        inst = build_instance(*case)
+        phi = set(inst.phi)
+        box = range(-1, inst.d + 3)
+        assert all(((i, j) in inst) == ((i, j) in phi) for i in box for j in box)
+
+    def test_keys_outside_phi(self):
+        inst = build_instance(302, 3, "secB")
+        u, d = inst.u, inst.d
+        assert u == 2
+        inside = inst.phi[-1]
+        for key in ((u, u), (u, u + 1), (d, d + 1), (d + 1, d + 1), (u + 2, u + 1),
+                    (d, d - 1), (u + 1, 2 * u + 2), (u + 1, d), (1, 2, 3), (u + 1,),
+                    u + 1, "ab", ("a", "b"), (float(u + 1), float(u + 1))):
+            for x in ({key: 1}, {inside: 1, key: 0}):
+                sol = IpSolution(inst, x)
+                assert sol.feasible() is False, key
+                if key != (float(u + 1), float(u + 1)):    # the set holds 1.0 == 1
+                    assert oracle_feasible(sol) is False, key
+        assert IpSolution(inst, {inside: 1}).feasible()
+
+    def test_negative_value(self):
+        inst = build_instance(302, 3, "secB")
+        for v in (-1, Fraction(-1, 2)):
+            sol = IpSolution(inst, {inst.phi[0]: 1, inst.phi[-1]: v})
+            assert not sol.feasible() and not oracle_feasible(sol)
+
+    @pytest.mark.parametrize("case", ((302, 3, "secB"), (674, 9, "secB"), (304, 3, "secA")))
+    def test_each_constraint_exceeded_by_one(self, case):
+        # caps far above any load but the one under test, which is the load
+        # of one unit on an index that meets it, then one less
+        base = build_instance(*case)
+        u, d = base.u, base.d
+        big = 10 ** 6
+        constraints = [("D", 0, (d, d))]
+        constraints += [("O", ell, (u + 1, u + 1 + ell)) for ell in range(1, u + 1)]
+        constraints += [("R", ell, (ell, ell)) for ell in range(u + 1, d + 1)]
+        constraints += [("R", ell, (ell - 1, ell)) for ell in range(u + 2, d + 1)]
+        for kind, ell, key in constraints:
+            load = 2 if kind == "R" and key[0] == key[1] else 1
+            for cap, ok in ((load, True), (load - 1, False)):
+                inst = capped(base, cap if kind == "D" else big,
+                              {e: cap if (kind, e) == ("O", ell) else big for e in base.cap_off},
+                              {e: cap if (kind, e) == ("R", ell) else big for e in base.cap_row})
+                sol = IpSolution(inst, {key: 1})
+                assert sol.feasible() is ok == oracle_feasible(sol), (kind, ell, key, cap)
+
+    def test_half_loops_with_fractions(self):
+        for n in (406, 430, 988):
+            inst = build_instance(n, 3, "secA")
+            half = ip._half_loops(greedy_solve(inst))
+            assert any(type(v) is Fraction for v in half.x.values())
+            assert half.feasible() and oracle_feasible(half)
+        base = build_instance(304, 3, "secA")
+        ell = base.d
+        for cap_diag, cap_row, ok in ((1, 1, True), (0, 1, False), (1, 0, False)):
+            inst = capped(base, cap_diag, dict.fromkeys(base.cap_off, 0),
+                          {e: cap_row if e == ell else 0 for e in base.cap_row})
+            sol = IpSolution(inst, {(ell, ell): Fraction(1, 2)})
+            assert sol.feasible() is ok == oracle_feasible(sol), (cap_diag, cap_row)
 
 
 class TestRealization:
