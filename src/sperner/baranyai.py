@@ -351,17 +351,10 @@ def resolve(m: int, c: int) -> Resolution:
     """Index all c-subsets of {1..m} into binom(m-1,c-1) parallel classes."""
     if m < 1 or c < 1 or m % c != 0:
         raise ValueError(f"need c | m with m >= c >= 1, got m={m}, c={c}")
-    if c == m:
-        classes = [[tuple(range(1, m + 1))]]
-    elif c == 1:
-        classes = [[(e,) for e in range(1, m + 1)]]
-    elif c == 2:
+    if c == 2:
         classes = _resolve_pairs(m)
     else:
-        n_classes = binom(m - 1, c - 1)
-        per_class = m // c
-        alloc = allocate_blocks(range(1, m + 1), c, [per_class] * n_classes)
-        classes = alloc
+        classes = allocate_blocks(range(1, m + 1), c, [m // c] * binom(m - 1, c - 1))
     return Resolution(m, c, _canon_classes(classes))
 
 

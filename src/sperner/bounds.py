@@ -61,16 +61,12 @@ def refined_upper(params: Params) -> int | None:
     hi = max(int(mms(params)) + 2, 4)
     while _bound_satisfied(n, c, r, hi):
         hi *= 2
-    tested = {lo: True, hi: False}
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _bound_satisfied(n, c, r, mid):
             lo = mid
         else:
             hi = mid
-        tested[mid] = lo == mid
-    if max(s for s, ok in tested.items() if ok) >= min(s for s, ok in tested.items() if not ok):
-        raise AssertionError("bound predicate is not monotone on tested points")
     return lo
 
 

@@ -88,6 +88,20 @@ def _verify_system(system: PartitionSystem, params=None) -> tuple[list, bool]:
     return notes, ok
 
 
+def _report_built(system: PartitionSystem, params, headline: str, out: str | None) -> int:
+    """Verify a built system, print `headline` and the notes of its checks,
+    write it to `out` if given; the exit code, 1 if a check failed."""
+    notes, ok = _verify_system(system, params)
+    print(headline)
+    for note in notes:
+        print(f"  {note}")
+    if out:
+        with open(out, "w") as fh:
+            fh.write(system.to_text())
+        print(f"wrote {out}")
+    return 0 if ok else 1
+
+
 def cmd_construct(args) -> int:
     params = decompose(args.n, args.k)
     if params.r == 0:
@@ -97,15 +111,8 @@ def cmd_construct(args) -> int:
             raise ValueError("construct: --m and --h are required when k does not divide n")
         plan = plan_grouped(args.n, args.k, args.m, args.h, args.case)
         system = construct_grouped(plan, seed=args.seed)
-    notes, ok = _verify_system(system, params)
-    print(f"built {system.size} partitions of {system.n} elements into {system.k} parts")
-    for note in notes:
-        print(f"  {note}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(system.to_text())
-        print(f"wrote {args.out}")
-    return 0 if ok else 1
+    return _report_built(system, params, f"built {system.size} partitions of {system.n} "
+                         f"elements into {system.k} parts", args.out)
 
 
 def _exact(inst):
@@ -160,15 +167,7 @@ def cmd_ip(args) -> int:
             fh.write(inst.to_text(sol))
     if args.build:
         system = ipm.realize_system(inst, sol, seed=args.seed)
-        notes, ok = _verify_system(system, inst.params)
-        print(f"built {system.size} partitions")
-        for note in notes:
-            print(f"  {note}")
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(system.to_text())
-            print(f"wrote {args.out}")
-        return 0 if ok else 1
+        return _report_built(system, inst.params, f"built {system.size} partitions", args.out)
     return 0
 
 
@@ -221,32 +220,30 @@ def cmd_verify(args) -> int:
 def cmd_asym(args) -> int:
     if args.k % 2 == 0 or args.k < 3:
         raise ValueError("asym: --k must be odd and at least 3")
-    rem = (args.k + 1) % (2 * args.k) if args.variant == "secA" else (args.k - 1) % (2 * args.k)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "k", "variant", "d", "u", "q", "mms", "objective",
                      "lp", "estar0_ratio", "u_ratio", "q_over_mms"])
-    n = 2 * args.k + 1
-    while n <= args.n_max:
-        if n % (2 * args.k) == rem:
-            inst = ipm.build_instance(n, args.k, args.variant)
-            rep = ipm.asymptotic_report(inst)
-            obj = ""
-            lp = ""
-            sol = None
-            if args.variant == "secA" and not inst.trivial:
-                sol = ipm.greedy_solve(inst)
-                obj = sol.objective
-                gap = Fraction(inst.q - sol.objective)
-                assert gap <= ipm.greedy_gap_bound(inst)
-            if not inst.trivial:
-                lp = _fmt_fraction(ipm.lp_value(inst, sol)[0])
-            writer.writerow([n, args.k, args.variant, rep.d, rep.u, rep.q,
-                             _fmt_fraction(rep.mms_value), obj, lp,
-                             f"{rep.estar_ratios[0]:.9f}",
-                             f"{rep.u_ratio:.9f}",
-                             f"{rep.q_over_mms:.9f}"])
-        n += 1
+    # the first n > 2k of the class: n = k + 1 or k - 1 (mod 2k)
+    first = 3 * args.k + 1 if args.variant == "secA" else 3 * args.k - 1
+    for n in range(first, args.n_max + 1, 2 * args.k):
+        inst = ipm.build_instance(n, args.k, args.variant)
+        rep = ipm.asymptotic_report(inst)
+        obj = ""
+        lp = ""
+        sol = None
+        if args.variant == "secA" and not inst.trivial:
+            sol = ipm.greedy_solve(inst)
+            obj = sol.objective
+            gap = Fraction(inst.q - sol.objective)
+            assert gap <= ipm.greedy_gap_bound(inst)
+        if not inst.trivial:
+            lp = _fmt_fraction(ipm.lp_value(inst, sol)[0])
+        writer.writerow([n, args.k, args.variant, rep.d, rep.u, rep.q,
+                         _fmt_fraction(rep.mms_value), obj, lp,
+                         f"{rep.estar_ratios[0]:.9f}",
+                         f"{rep.u_ratio:.9f}",
+                         f"{rep.q_over_mms:.9f}"])
     _write(buf.getvalue(), args.out)
     return 0
 

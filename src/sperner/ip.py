@@ -211,8 +211,9 @@ class IpSolution:
 
     def slack_lists(self) -> tuple:
         """The slacks in one pass over x: (band, row), band[0] for D, band[l]
-        for O_l and row[l] for R_l (0 for l <= u).  A key meets only the
-        constraints that exist: D or O_{j-i}, and the rows R_i, R_j."""
+        for O_l and row[l] for R_l (0 for l <= u).  This is the one model
+        that every primal and `_build_lp` read: index (i, j) meets band
+        j - i and rows i and j, and a key outside Phi only those that exist."""
         inst = self.instance
         u, d = inst.u, inst.d
         band = [inst.cap_diag] + [inst.cap_off[ell] for ell in range(1, u + 1)]
@@ -253,18 +254,16 @@ def greedy_solve(inst: IpInstance) -> IpSolution:
     furthest row z with enough slack, and increments an anti-diagonal run
     of y variables; with y = 0 it grows the diagonal instead.  Steps are
     applied in the largest batch that leaves every intermediate unit step
-    valid, so the trace matches the unit process exactly.
+    valid, so the trace matches the unit process exactly.  The band-desc
+    fill of `_FILL_ORDERS` spends what the steps leave.
     """
     if inst.variant != "secA":
         raise ValueError("greedy_solve applies to variant secA")
     u, d, k = inst.u, inst.d, inst.k
-    x: dict = defaultdict(int)
-    beta = {0: inst.cap_diag}
-    for ell in range(1, u + 1):
-        beta[ell] = inst.cap_off[ell]
-    alpha = {ell: inst.cap_row[ell] for ell in range(u + 1, d + 1)}
     if inst.trivial:
         return zero_solution(inst)
+    x: dict = defaultdict(int)
+    beta, alpha = zero_solution(inst).slack_lists()
     while True:
         y = next((ell for ell in range(u, 0, -1) if beta[ell] >= ell), None)
         if y is None:
@@ -295,23 +294,9 @@ def greedy_solve(inst: IpInstance) -> IpSolution:
             beta[0] -= step
             alpha[z] -= 2 * step
     # The termination threshold above is what makes the existence of z
-    # provable, not what exhausts the budgets; keep improving while any
-    # single move stays feasible.
-    for y in range(u, 0, -1):
-        for z in range(d, u + y, -1):
-            while beta[y] >= 1 and alpha[z] >= 1 and alpha[z - y] >= 1:
-                x[(z - y, z)] += 1
-                beta[y] -= 1
-                alpha[z] -= 1
-                alpha[z - y] -= 1
-    for z in range(d, u, -1):
-        step = min(beta[0], alpha[z] // 2)
-        if step:
-            x[(z, z)] += step
-            beta[0] -= step
-            alpha[z] -= 2 * step
-    sol = IpSolution(inst, dict(x))
-    assert sol.feasible()
+    # provable, not what exhausts the budgets; the band-desc fill then
+    # grows every index while it stays feasible.
+    sol = _floor_improve(inst, x, _FILL_ORDERS["band desc, i desc"](u, d))
     assert sol.objective <= inst.q
     assert Fraction(sol.objective) >= inst.q - greedy_gap_bound(inst)
     return sol
@@ -366,42 +351,35 @@ def closed_form_solve(inst: IpInstance) -> ClosedFormResult:
 # LP relaxation, exact solver
 # --------------------------------------------------------------------------
 
-def _build_lp(inst: IpInstance):
-    """The LP relaxation, (lp, column of each index): integer rows with
-    nonnegative caps, so x = 0 is feasible."""
-    phi = inst.phi
-    idx = {v: i for i, v in enumerate(phi)}
-    lp = LinearProgram(len(phi))
-    lp.set_objective([2] * len(phi))
-    # one pass over Phi fills the band, diagonal and row constraints
-    bands = {ell: {} for ell in inst.cap_off}
-    diag: dict = {}
-    rows = {ell: {} for ell in inst.cap_row}
-    for col, (i, j) in enumerate(phi):
-        if i == j:
-            diag[col] = 1
-        else:
-            bands[j - i][col] = 1
+def _build_lp(inst: IpInstance) -> LinearProgram:
+    """The LP relaxation, column c for Phi[c]: integer rows with the
+    nonnegative caps of `slack_lists`, so x = 0 is feasible.  The rows are
+    O_1..O_u, then D, then the nonempty R_l."""
+    band_cap, row_cap = zero_solution(inst).slack_lists()
+    lp = LinearProgram(len(inst.phi))
+    lp.set_objective([2] * len(inst.phi))
+    # one pass over Phi puts each column in its band and its two rows
+    bands = [{} for _ in band_cap]
+    rows = [{} for _ in row_cap]
+    for col, (i, j) in enumerate(inst.phi):
+        bands[j - i][col] = 1
         for ell in (i, j):
             rows[ell][col] = rows[ell].get(col, 0) + 1
-    for ell, cap in sorted(inst.cap_off.items()):
-        lp.add_constraint(bands[ell], cap)
-    lp.add_constraint(diag, inst.cap_diag)
-    for ell, cap in sorted(inst.cap_row.items()):
-        if rows[ell]:
-            lp.add_constraint(rows[ell], cap)
-    return lp, idx
+    for ell in [*range(1, len(bands)), 0]:
+        lp.add_constraint(bands[ell], band_cap[ell])
+    for coeffs, cap in zip(rows, row_cap):
+        if coeffs:
+            lp.add_constraint(coeffs, cap)
+    return lp
 
 
 def lp_relax(inst: IpInstance):
     """Exact rational optimum of the LP relaxation; (value, solution dict)."""
     if inst.trivial:
         return Fraction(0), {}
-    lp, idx = _build_lp(inst)
-    value, xs = lp.solve()
-    sol = {v: xs[idx[v]] for v in inst.phi if xs[idx[v]]}
+    value, xs = _build_lp(inst).solve()
     assert value <= inst.q
-    return value, sol
+    return value, {v: x for v, x in zip(inst.phi, xs) if x}
 
 
 def _floor_improve(inst: IpInstance, base: dict, runs=None) -> IpSolution:
@@ -547,6 +525,8 @@ class _ClassStream(NamedTuple):
     width: int          # padding levels per class, (k - 3) / 2
     tag: str            # the family of the padding pairs
     d: int
+    half: int           # points on the first side, n / 2
+    size_of: dict       # family tag -> part size: EA c, EB c + 1
 
     def padded(self, base: tuple, levels) -> tuple:
         tag, d = self.tag, self.d
@@ -566,13 +546,13 @@ def _class_stream(inst: IpInstance, sol: IpSolution) -> _ClassStream:
     assert sum(supply.values()) >= sol.objective * width
     runs = [(((pair, d - a), (pair, d + 1 + b), (single, d + shift + a - b)), x)
             for (i, j), x in sorted(sol.x.items()) for a, b in ((i, j), (j, i))]
-    return _ClassStream(runs, supply, width, pair, d)
+    c = 2 * d + (1 if inst.variant == "secA" else 0)
+    return _ClassStream(runs, supply, width, pair, d, inst.n // 2, {"EA": c, "EB": c + 1})
 
 
-def _class_profiles(inst: IpInstance, sol: IpSolution):
+def _class_profiles(stream: _ClassStream):
     """Per-class part profiles, including padding, yielded one class at a
-    time in the order of `_class_stream`."""
-    stream = _class_stream(inst, sol)
+    time in the order of `stream`."""
     levels = round_robin(stream.supply)
     for base, count in stream.runs:
         for _ in range(count):
@@ -599,13 +579,12 @@ def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0) -> Partitio
     that stream, without building a class.
     """
     n, k = inst.n, inst.k
-    half = n // 2
-    c = 2 * inst.d + (1 if inst.variant == "secA" else 0)
-    size_of = {"EA": c, "EB": c + 1}
-    tag_of = {c: "EA", c + 1: "EB"}
+    stream = _class_stream(inst, sol)
+    half, size_of = stream.half, stream.size_of
+    tag_of = {size: tag for tag, size in size_of.items()}
     sides = (range(half), range(half, n))
     units = [[(t, size_of[tag] - t) for tag, t in prof]
-             for prof in _class_profiles(inst, sol)]
+             for prof in _class_profiles(stream)]
     partitions = partition_ground(range(n), units, sides=sides,
                                   rng=random.Random(f"{seed}:ip-realize"))
     tags = [[(tag_of[len(b)], sum(e < half for e in b)) for b in parts]
@@ -623,10 +602,8 @@ def certificate(inst: IpInstance, sol: IpSolution) -> SystemCertificate:
     classes.  On (8750, 13, secA), Q of 3,414 bits, the greedy optimum
     certifies in 578 profiles.
     """
-    half = inst.n // 2
-    c = 2 * inst.d + (1 if inst.variant == "secA" else 0)
-    size_of = {"EA": c, "EB": c + 1}
     stream = _class_stream(inst, sol)
+    size_of = stream.size_of
     windows = window_counts(stream.supply, stream.width, [m for _, m in stream.runs])
     counts = Counter()
     for (base, _), run in zip(stream.runs, windows):
@@ -634,7 +611,7 @@ def certificate(inst: IpInstance, sol: IpSolution) -> SystemCertificate:
             # profile tags carry the first-side count, matching the checker's key
             counts[tuple(sorted(((tag, t), size_of[tag], (t, size_of[tag] - t))
                                 for tag, t in stream.padded(base, levels)))] += cnt
-    return SystemCertificate(inst.n, inst.k, sol.objective, (half, half),
+    return SystemCertificate(inst.n, inst.k, sol.objective, (stream.half, stream.half),
                              sorted(counts.items()))
 
 

@@ -46,6 +46,15 @@ class TestResolve:
         assert res.n_classes == binom(m - 1, c - 1)
         assert all(len(cls) == m // c for cls in res.classes)
 
+    @pytest.mark.parametrize("m,c", [(1, 1), (3, 3), (5, 5), (6, 6), (9, 9), (30, 30),
+                                     (2, 1), (3, 1), (7, 1), (12, 1), (30, 1)])
+    def test_one_block_and_singletons_through_the_flow(self, m, c):
+        # c = m and c = 1 have one class each, which the flow builds
+        expect = [[tuple(range(1, m + 1))]] if c == m else [[(e,) for e in range(1, m + 1)]]
+        res = resolve(m, c)
+        assert res.classes == expect
+        assert not verify_resolution(res)
+
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
             resolve(7, 2)

@@ -35,6 +35,23 @@ class TestRefinedUpper:
         assert upper is not None
         assert 0 < upper <= mms(params)
 
+    def test_predicate_holds_exactly_up_to_the_bound(self):
+        # the bisection reads the predicate at about log2(mms) points; this
+        # reads it at every s of its first bracket [0, floor(mms) + 2]
+        instances = tests = 0
+        for n in range(10, 61):
+            for k in range(4, n // 2):
+                params = decompose(n, k)
+                if params.c > 3 or not bounds._in_domain(params):
+                    continue
+                upper = refined_upper(params)
+                for s in range(int(mms(params)) + 3):
+                    ok = bounds._bound_satisfied(n, params.c, params.r, s)
+                    assert ok == (s <= upper), (n, k, s, upper)
+                instances += 1
+                tests += int(mms(params)) + 3
+        assert (instances, tests) == (383, 350585)
+
 
 class TestSmallR:
     def test_threshold_ceilings(self):
@@ -202,8 +219,7 @@ def _scan_oracle(n_max: int, c_max: int):
 
 def _small_r_oracle(r_lo: int, r_hi: int):
     """scan_small_r without the early stop: refined_upper at every k in
-    4..ceil(9r^2/2), which also runs its monotonicity check at the k the
-    early stop skips."""
+    4..ceil(9r^2/2), the k the early stop skips included."""
     rows = []
     for r in range(r_lo, r_hi + 1):
         add = 4 * r - small_r_ceiling(r) - 1

@@ -288,8 +288,8 @@ class TestLpGolden:
     the floored LP vertices that the integer simplex must reproduce
     exactly, up to (502,3,secA), the largest LP of the benchmark.  The secA file to 1000 holds the parity-cut rows, closed by
     half loops.  The `--solver exact` dumps pin the x of a fill and of the
-    floored LP fallback, and the k = 5 and 7 files the closed form and the
-    greedy."""
+    floored LP fallback, the `--solver greedy` dumps the greedy's x, and
+    the k = 5 and 7 files the closed form and the greedy."""
 
     @pytest.mark.parametrize("variant,n_max", (("secB", 800), ("secA", 300), ("secA", 1000)))
     def test_asym_matches_golden(self, tmp_path, capsys, variant, n_max):
@@ -327,6 +327,17 @@ class TestLpGolden:
         assert code == 0
         golden = GOLDEN / f"ip-lp-{n}-3-{variant}.dump"
         assert path.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("n", (202, 406))
+    def test_greedy_dump_matches_golden(self, tmp_path, capsys, n):
+        # the greedy meets Q at 202 and stops at Q - 2 at 406, where the
+        # parity cut proves Q - 2 optimal
+        path = tmp_path / "ip.dump"
+        code, out, _ = run(["ip", "--n", str(n), "--k", "3", "--variant", "secA",
+                            "--solver", "greedy", "--dump", str(path)], capsys)
+        assert code == 0
+        assert f"gap to Q = {0 if n == 202 else 2}" in out
+        assert path.read_bytes() == (GOLDEN / f"ip-greedy-{n}-3-secA.dump").read_bytes()
 
 
 class TestSystemGolden:

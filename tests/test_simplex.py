@@ -365,7 +365,7 @@ class TestAgainstRationalOracle:
             inst = ip.build_instance(n, k, variant)
             if inst.trivial:
                 continue
-            lp, _ = ip._build_lp(inst)
+            lp = ip._build_lp(inst)
             assert_matches_oracle(lp)
             solved += 1
         assert solved >= 36
@@ -515,7 +515,7 @@ class TestAgainstDenseEngine:
         solved = 0
         for n in range(2 * k + 1, 601):
             if n % (2 * k) == rem and not (inst := ip.build_instance(n, k, variant)).trivial:
-                assert_matches_dense(ip._build_lp(inst)[0])
+                assert_matches_dense(ip._build_lp(inst))
                 solved += 1
         assert solved >= 40
 
@@ -523,6 +523,6 @@ class TestAgainstDenseEngine:
         (400, "secA"), (502, "secA"), (904, "secA"),
         (1310, "secB"), (1802, "secB"), (1808, "secB")))
     def test_large_lps(self, n, variant):
-        lp = ip._build_lp(ip.build_instance(n, 3, variant))[0]
+        lp = ip._build_lp(ip.build_instance(n, 3, variant))
         assert isinstance(assert_matches_dense(lp), tuple)
         assert len(lp.pivots) >= 79
