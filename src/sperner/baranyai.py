@@ -309,23 +309,10 @@ class Resolution:
     m: int
     c: int
     classes: list = field(repr=False)
-    lookup: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self.lookup:
-            for ell, cls in enumerate(self.classes):
-                for i, block in enumerate(cls):
-                    self.lookup[block] = (ell, i)
 
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    def to_text(self) -> str:
-        lines = []
-        for cls in self.classes:
-            lines.append(" | ".join(" ".join(map(str, b)) for b in cls))
-        return "\n".join(lines) + "\n"
 
 
 def _resolve_pairs(m: int) -> list:

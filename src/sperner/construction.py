@@ -82,35 +82,45 @@ class PartitionSystem:
 
     @classmethod
     def from_text(cls, text: str) -> "PartitionSystem":
-        lines = text.splitlines()
-        if not lines:
-            raise ValueError("empty input")
-        head = lines[0].split()
-        if len(head) != 4 or head[0] != "SPS":
-            raise ValueError(f"line 1: bad header {lines[0]!r}")
-        n, k, p = (int(x) for x in head[1:])
-        partitions = []
-        for ln, line in enumerate(lines[1:p + 1], start=2):
-            try:
-                parts = [tuple(sorted(map(int, blk.split())))
-                         for blk in line.split("|")]
-            except ValueError as exc:
-                raise ValueError(f"line {ln}: {exc}") from None
-            if len(parts) != k:
-                raise ValueError(f"line {ln}: {len(parts)} blocks, want {k}")
-            partitions.append(parts)
-        if len(partitions) != p:
-            raise ValueError(f"expected {p} partition lines, found {len(partitions)}")
-        _reject_extra_lines(lines, p + 1, f"{p} partition lines")
+        (n, k, p), partitions = read_records(text, "SPS", 2, "partition lines",
+                                             _parse_partition)
         return cls(n, k, partitions)
 
 
-def _reject_extra_lines(lines: list, used: int, what: str) -> None:
-    """Raise on a non-blank line past the first `used` lines of a file, so
-    that a file is never accepted after being read only in part."""
-    for ln, line in enumerate(lines[used:], start=used + 1):
+def _parse_partition(line: str, n: int, k: int, p: int) -> list:
+    parts = [tuple(sorted(map(int, blk.split()))) for blk in line.split("|")]
+    if len(parts) != k:
+        raise ValueError(f"{len(parts)} blocks, want {k}")
+    return parts
+
+
+def read_records(text: str, tag: str, count_field: int, what: str, parse) -> tuple:
+    """The header `tag n k p` of a text format, with n, k and p decimal
+    integers, and its records: the next
+    (n, k, p)[count_field] lines, each read by parse(line, n, k, p), whose
+    ValueError gets the line number.  Raises ValueError on a short file and
+    on a non-blank line after the records, so that a file is never
+    accepted after being read only in part."""
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError("empty input")
+    head = lines[0].split()
+    if len(head) != 4 or head[0] != tag or not all(x.isdecimal() for x in head[1:]):
+        raise ValueError(f"line 1: bad header {lines[0]!r}")
+    dims = tuple(map(int, head[1:]))
+    want = dims[count_field]
+    records = []
+    for ln, line in enumerate(lines[1:want + 1], start=2):
+        try:
+            records.append(parse(line, *dims))
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
+    if len(records) != want:
+        raise ValueError(f"expected {want} {what}, found {len(records)}")
+    for ln, line in enumerate(lines[want + 1:], start=want + 2):
         if line.strip():
-            raise ValueError(f"line {ln}: text after the {what} the header declares")
+            raise ValueError(f"line {ln}: text after the {want} {what} the header declares")
+    return dims, records
 
 
 def extend_system(system: PartitionSystem) -> PartitionSystem:
@@ -130,22 +140,23 @@ def extend_system(system: PartitionSystem) -> PartitionSystem:
 def balanced_matrix(n_rows: int, n_cols: int, low: int, n_high: int):
     """Rows with n_high entries low+1 and the rest low; column sums within 1.
 
-    Follows the row-by-row greedy: each new row puts its larger entries on
-    the columns of currently minimum sum.
+    Row z puts its larger entries on the cyclic window of n_high columns
+    that starts at z*n_high mod n_cols, so the windows tile the columns in
+    order.  It is the row-by-row greedy that puts each row's larger entries
+    on the columns of least sum, least index first: after z rows the
+    columns of larger sum are exactly the first z*n_high mod n_cols.
     """
     if n_high > n_cols or n_high < 0 or low < 0 or n_rows < 1 or n_cols < 1:
         raise ValueError(f"bad balanced matrix shape ({n_rows},{n_cols},{low},{n_high})")
-    mat = []
-    sums = [0] * n_cols
-    for _ in range(n_rows):
-        order = sorted(range(n_cols), key=lambda j: (sums[j], j))
-        row = [low] * n_cols
-        for j in order[:n_high]:
-            row[j] = low + 1
-        for j in range(n_cols):
-            sums[j] += row[j]
-        mat.append(row)
-    return mat
+    return [[low + ((i - z * n_high) % n_cols < n_high) for i in range(n_cols)]
+            for z in range(n_rows)]
+
+
+def balanced_column_sums(n_rows: int, n_cols: int, low: int, n_high: int) -> list:
+    """The column sums of balanced_matrix(n_rows, n_cols, low, n_high): the
+    windows cover the first n_rows*n_high mod n_cols columns once more."""
+    whole, extra = divmod(n_rows * n_high, n_cols)
+    return [n_rows * low + whole + (i < extra) for i in range(n_cols)]
 
 
 # --------------------------------------------------------------------------
@@ -252,37 +263,31 @@ def plan_grouped(n: int, k: int, m: int, h: int, case: str) -> GroupedPlan:
 # Realization
 # --------------------------------------------------------------------------
 
-def _t_matrix(plan: GroupedPlan):
+def _t_matrix(plan: GroupedPlan) -> tuple:
+    """T, whose p rows spread r/c over the m/c columns, and its column sums."""
     c, r = plan.params.c, plan.params.r
-    x = r // plan.m
+    cols, x = plan.m // c, r // plan.m
     a = (r - plan.m * x) // c
-    T = balanced_matrix(plan.p, plan.m // c, x, a)
+    sums = balanced_column_sums(plan.p, cols, x, a)
     # row sums r/c exactly, column sums within the floor/ceil of p*r/m
-    for row in T:
-        assert sum(row) * c == r
+    assert (cols * x + a) * c == r
     lo, hi = (plan.p * r) // plan.m, -(-(plan.p * r) // plan.m)
-    for i in range(plan.m // c):
-        s = sum(T[z][i] for z in range(plan.p))
-        assert lo <= s <= hi
-    return T
+    assert lo <= min(sums) and max(sums) <= hi
+    return balanced_matrix(plan.p, cols, x, a), sums
 
 
-def _check_usage(plan: GroupedPlan, res: Resolution, T):
-    """The counting argument's supply checks, asserted exactly."""
-    c, r = plan.params.c, plan.params.r
-    h, m, p = plan.h, plan.m, plan.p
-    n_cls = plan.n_classes
-    for i in range(m // c):
-        used = sum(h - (c + 1) * T[z][i] for z in range(p))
-        if used > h ** c:
+def _check_usage(plan: GroupedPlan, sums) -> None:
+    """The counting argument's supply checks on T's column sums, asserted
+    exactly.  Block i of every class takes column i of T."""
+    c, h, p = plan.params.c, plan.h, plan.p
+    for i, s in enumerate(sums):
+        if p * h - (c + 1) * s > h ** c:
             raise ConstructionError(f"transversal family over capacity at column {i}")
     # per (group, class index): block usage within the equal share of binom(h,c+1)
-    for ell in range(n_cls):
-        for i, block in enumerate(res.classes[ell]):
-            used = sum(T[z][i] for z in range(p))
-            if used * binom(m - 1, c - 1) > binom(h, c + 1):
-                raise ConstructionError(
-                    f"(c+1)-block family over capacity at class {ell}, column {i}")
+    for i, s in enumerate(sums):
+        if s * plan.n_classes > binom(h, c + 1):
+            raise ConstructionError(
+                f"(c+1)-block family over capacity at column {i} of every class")
 
 
 def _detach_all(plan: GroupedPlan, res: Resolution, T, seed: int) -> PartitionSystem:
@@ -350,8 +355,8 @@ def construct_grouped(plan: GroupedPlan, seed: int = 0) -> PartitionSystem:
                                [list(range(w * plan.h, (w + 1) * plan.h))
                                 for w in range(plan.m)], [])
     res = resolve(plan.m, plan.params.c)
-    T = _t_matrix(plan)
-    _check_usage(plan, res, T)
+    T, sums = _t_matrix(plan)
+    _check_usage(plan, sums)
     system = _detach_all(plan, res, T, seed)
     _check_classes(plan, system)
     return system

@@ -52,7 +52,6 @@ class IpInstance:
     e: tuple
     estar: tuple
     eta: tuple | None
-    phi: tuple
     cap_diag: int
     cap_off: dict = field(hash=False)
     cap_row: dict = field(hash=False)
@@ -67,7 +66,13 @@ class IpInstance:
 
     @property
     def trivial(self) -> bool:
-        return not self.phi
+        """Whether Phi is empty: u < d holds, so only u = -1 leaves no index."""
+        return self.u < 0
+
+    @functools.cached_property
+    def phi(self) -> tuple:
+        """The index set: (i, j) with u < i <= j <= d and j - i <= u, by rows."""
+        return _phi(self.u, self.d)
 
     @functools.cached_property
     def mms_value(self) -> Fraction:
@@ -130,8 +135,8 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
         cap_diag = eta[0] // 2
         cap_off = {ell: eta[ell] for ell in range(1, u + 1)}
         cap_row = {ell: e[ell] for ell in range(u + 1, d + 1)}
-        inst = IpInstance("secA", params, d, u, q, e, estar, eta, _phi(u, d),
-                          cap_diag, cap_off, cap_row)
+        inst = IpInstance("secA", params, d, u, q, e, estar, eta, cap_diag,
+                          cap_off, cap_row)
         assert q <= inst.mms_value
         return inst
 
@@ -154,8 +159,8 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
     cap_diag = e[0] // 2
     cap_off = {ell: e[ell] for ell in range(1, u + 1)}
     cap_row = {ell: estar[ell] for ell in range(u + 1, d + 1)}
-    inst = IpInstance("secB", params, d, u, q, e, estar, None, _phi(u, d),
-                      cap_diag, cap_off, cap_row)
+    inst = IpInstance("secB", params, d, u, q, e, estar, None, cap_diag,
+                      cap_off, cap_row)
     top = binom(n, 2 * d)
     assert (k - 1) * top == binom(n, 2 * d + 1)
     assert 2 * au <= top
@@ -628,22 +633,17 @@ class AsymptoticReport:
     u: int
     q: int
     mms_value: Fraction
-    estar_ratios: list    # estar_l / ((k-1) e_l) for l up to ceil(sqrt(d))
-    gauss_ratios: list    # e_l / (e_0 exp(-k l^2 / (d (k-1))))
+    estar0_ratio: float   # estar_0 / ((k-1) e_0)
     u_ratio: float        # u / (erf^-1(1/2) sqrt(d (k-1) / k))
     q_over_mms: float
 
 
 def asymptotic_report(inst: IpInstance) -> AsymptoticReport:
     n, k, d, u, q = inst.n, inst.k, inst.d, inst.u, inst.q
-    lmax = math.isqrt(d - 1) + 1 if d > 1 else 1
-    lmax = min(lmax, len(inst.e) - 1, len(inst.estar) - 1)
-    # int / int is correctly rounded, as float(Fraction(...)) is
-    estar_ratios = [inst.estar[ell] / ((k - 1) * inst.e[ell]) for ell in range(lmax + 1)]
-    gauss_ratios = [inst.e[ell] / inst.e[0] / math.exp(-k * ell * ell / (d * (k - 1)))
-                    for ell in range(lmax + 1)]
     u_pred = ERF_INV_HALF * math.sqrt(d * (k - 1) / k)
     mv = inst.mms_value
-    return AsymptoticReport(n, k, inst.variant, d, u, q, mv, estar_ratios,
-                            gauss_ratios, u / u_pred if u_pred else float("nan"),
+    # int / int is correctly rounded, as float(Fraction(...)) is
+    return AsymptoticReport(n, k, inst.variant, d, u, q, mv,
+                            inst.estar[0] / ((k - 1) * inst.e[0]),
+                            u / u_pred if u_pred else float("nan"),
                             float(Fraction(q) / mv))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .combinat import Params, binom
-from .construction import PartitionSystem, _reject_extra_lines
+from .construction import PartitionSystem, read_records
 
 
 @dataclass
@@ -204,25 +204,17 @@ class DetectingArray:
 
     @classmethod
     def from_text(cls, text: str) -> "DetectingArray":
-        lines = text.splitlines()
-        if not lines:
-            raise ValueError("empty input")
-        head = lines[0].split()
-        if len(head) != 4 or head[0] != "DA":
-            raise ValueError(f"line 1: bad header {lines[0]!r}")
-        n, k, p = (int(x) for x in head[1:])
-        rows = []
-        for ln, line in enumerate(lines[1:n + 1], start=2):
-            row = tuple(int(s) for s in line.split())
-            if len(row) != p:
-                raise ValueError(f"line {ln}: {len(row)} entries, want {p}")
-            if any(s < 1 or s > k for s in row):
-                raise ValueError(f"line {ln}: symbol out of range 1..{k}")
-            rows.append(row)
-        if len(rows) != n:
-            raise ValueError(f"expected {n} rows, found {len(rows)}")
-        _reject_extra_lines(lines, n + 1, f"{n} rows")
+        (n, k, p), rows = read_records(text, "DA", 0, "rows", _parse_da_row)
         return cls(n, k, p, rows)
+
+
+def _parse_da_row(line: str, n: int, k: int, p: int) -> tuple:
+    row = tuple(int(s) for s in line.split())
+    if len(row) != p:
+        raise ValueError(f"{len(row)} entries, want {p}")
+    if any(s < 1 or s > k for s in row):
+        raise ValueError(f"symbol out of range 1..{k}")
+    return row
 
 
 def to_detecting_array(system: PartitionSystem) -> DetectingArray:

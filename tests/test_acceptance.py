@@ -196,7 +196,7 @@ def test_criterion_09_lp_matches_q_desk_scale():
 def test_criterion_10_asymptotic_surrogates():
     for n, k in ((8750, 3), (16004, 5)):
         rep = asymptotic_report(build_instance(n, k, "secB"))
-        assert 0.97 <= rep.estar_ratios[0] <= 1.03, (n, k, rep.estar_ratios[0])
+        assert 0.97 <= rep.estar0_ratio <= 1.03, (n, k, rep.estar0_ratio)
         assert abs(rep.u_ratio - 1) <= 0.10, (n, k, rep.u_ratio)
         assert 0.9 <= rep.q_over_mms <= 1.0, (n, k, rep.q_over_mms)
     _report(10, "finite-n surrogates within stated tolerances at n=8750 (k=3), "

@@ -59,12 +59,6 @@ class TestResolve:
         with pytest.raises(ValueError):
             resolve(7, 2)
 
-    def test_lookup(self):
-        res = resolve(6, 2)
-        for ell, cls in enumerate(res.classes):
-            for i, blk in enumerate(cls):
-                assert res.lookup[blk] == (ell, i)
-
 
 class TestVerifyResolution:
     def test_planted_duplicate(self):
@@ -80,13 +74,6 @@ class TestVerifyResolution:
         bad = Resolution(4, 2, classes)
         violations = verify_resolution(bad)
         assert violations
-
-    def test_text_dump(self):
-        res = resolve(4, 2)
-        text = res.to_text()
-        lines = text.strip().splitlines()
-        assert len(lines) == 3
-        assert all("|" in line for line in lines)
 
 
 class TestPartitionGround:

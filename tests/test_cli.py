@@ -142,6 +142,20 @@ class TestConstructAndVerify:
         assert code == 1
         assert "column 0" in out
 
+    @pytest.mark.parametrize("name,text,error", (
+        ("bad.sps", "SPS 4 2 2\n0 1 | 2 3\n0 x | 2 3\n",
+         "line 3: invalid literal for int() with base 10: 'x'"),
+        ("bad.da", "DA 3 2 2\n1 2\n2 x\n1 1\n",
+         "line 3: invalid literal for int() with base 10: 'x'"),
+        ("head.sps", "SPS 4 2 -1\n", "line 1: bad header 'SPS 4 2 -1'"),
+        ("head.da", "DA 2 x 2\n1 2\n2 1\n", "line 1: bad header 'DA 2 x 2'")),
+        ids=["sps", "da", "sps-header", "da-header"])
+    def test_verify_parse_error_names_its_line(self, tmp_path, capsys, name, text, error):
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run(["verify", str(path)], capsys)
+        assert (code, err) == (2, f"parse error: {error}\n")
+
     def test_verify_da_roundtrip(self, tmp_path, capsys):
         from sperner.construction import construct_uniform
         from sperner.verify import to_detecting_array
@@ -357,6 +371,19 @@ class TestSystemGolden:
         assert path.read_bytes() == (GOLDEN / name).read_bytes()
         code, out, _ = run(["verify", str(path)], capsys)
         assert code == 0 and out.splitlines()[-1] == "PASS"
+
+    def test_detecting_array_matches_golden(self, capsys):
+        from sperner.construction import PartitionSystem, construct_grouped, plan_grouped
+        from sperner.verify import to_detecting_array
+        golden = GOLDEN / "construct-36-15-4-9.da"
+        sps = PartitionSystem.from_text((GOLDEN / "construct-36-15-4-9.sps").read_text())
+        built = construct_grouped(plan_grouped(36, 15, 4, 9, "b"), seed=0)
+        for system in (sps, built):
+            assert to_detecting_array(system).to_text().encode() == golden.read_bytes()
+        # the structure of a DA's columns follows from its format, so the
+        # detecting property is the one check that runs
+        code, out, _ = run(["verify", str(golden)], capsys)
+        assert (code, out) == (0, "detecting property: ok\nPASS\n")
 
 
 class TestAsym:

@@ -7,12 +7,28 @@ import pytest
 from sperner import baranyai
 from sperner.cli import main
 from sperner.combinat import binom, decompose
-from sperner.construction import (PartitionSystem, balanced_matrix,
-                                  construct_grouped, construct_uniform,
-                                  extend_system, plan_grouped)
+from sperner.construction import (PartitionSystem, balanced_column_sums,
+                                  balanced_matrix, construct_grouped,
+                                  construct_uniform, extend_system, plan_grouped)
 from sperner.ip import build_instance, exact_solve, realize_system
 from sperner.verify import (check_almost_uniform, check_certificate,
                             check_partition_system, check_sperner)
+
+
+def greedy_balanced_matrix(n_rows, n_cols, low, n_high):
+    """Oracle: the row-by-row greedy, each new row putting its larger
+    entries on the columns of currently minimum sum, least index first."""
+    mat = []
+    sums = [0] * n_cols
+    for _ in range(n_rows):
+        order = sorted(range(n_cols), key=lambda j: (sums[j], j))
+        row = [low] * n_cols
+        for j in order[:n_high]:
+            row[j] = low + 1
+        for j in range(n_cols):
+            sums[j] += row[j]
+        mat.append(row)
+    return mat
 
 
 class TestBalancedMatrix:
@@ -33,15 +49,20 @@ class TestBalancedMatrix:
         assert [sum(col) for col in zip(*mat)] == [4] * 4
 
     def test_invariants_exhaustive(self):
-        for s1 in range(1, 9):
-            for s2 in range(1, 9):
+        # the closed form against the greedy oracle, with its row counts and
+        # its column sums, which balanced_column_sums gives in closed form
+        for s1 in (*range(1, 9), 40):
+            for s2 in range(1, 25):
                 for x in range(3):
                     for a in range(s2 + 1):
-                        mat = balanced_matrix(s1, s2, x, a)
+                        shape = (s1, s2, x, a)
+                        mat = balanced_matrix(*shape)
+                        assert mat == greedy_balanced_matrix(*shape), shape
                         for row in mat:
                             assert row.count(x + 1) == a
                             assert row.count(x) + row.count(x + 1) == s2
                         sums = [sum(col) for col in zip(*mat)]
+                        assert sums == balanced_column_sums(*shape), shape
                         assert max(sums) - min(sums) <= 1
 
     def test_rejects_bad_shape(self):

@@ -12,7 +12,7 @@ from sperner import ip, roundrobin
 from sperner.cli import main
 from sperner.combinat import binom, decompose, mms
 from sperner.ip import (IpInstance, IpSolution, _build_lp, _eta_sequence, _floor_improve,
-                        _phi, asymptotic_report, band_dual, build_instance,
+                        asymptotic_report, band_dual, build_instance,
                         certificate, closed_form_solve, exact_solve,
                         greedy_gap_bound, greedy_solve, lp_relax, lp_value,
                         realize_system, upper_bound, zero_solution)
@@ -84,7 +84,7 @@ def oracle_instance(n, k, variant):
         u = next(x for x in range(d + 1) if a(x) <= (k - 1) * b(x))
         q = 2 * (a(u) // (2 * (k - 1)))
         eta = _eta_sequence(q, estar, u)
-        return IpInstance("secA", params, d, u, q, e, estar, eta, _phi(u, d),
+        return IpInstance("secA", params, d, u, q, e, estar, eta,
                           eta[0] // 2, {ell: eta[ell] for ell in range(1, u + 1)},
                           {ell: e[ell] for ell in range(u + 1, d + 1)})
     d = (n + 1 - k) // (2 * k)
@@ -100,7 +100,7 @@ def oracle_instance(n, k, variant):
 
     u = max(x for x in range(-1, d) if (k - 1) * a(x) <= b(x))
     q = a(u) - (a(u) & 1)
-    return IpInstance("secB", params, d, u, q, e, estar, None, _phi(u, d),
+    return IpInstance("secB", params, d, u, q, e, estar, None,
                       e[0] // 2, {ell: e[ell] for ell in range(1, u + 1)},
                       {ell: estar[ell] for ell in range(u + 1, d + 1)})
 
@@ -116,6 +116,28 @@ class TestInstances:
             inst = build_instance(n, k, variant)
             expect = oracle_instance(n, k, variant)
             assert inst == expect, (n, k, variant)
+            d, u = inst.d, inst.u
+            assert inst.phi == tuple((i, j) for i in range(d + 1) for j in range(d + 1)
+                                     if u < i <= j <= d and j - i <= u)
+
+    def test_trivial_exactly_when_phi_is_empty(self):
+        # u < d in both variants, so Phi is empty exactly when u = -1
+        count = 0
+        for k in range(3, 12, 2):
+            for variant, rem in (("secA", k + 1), ("secB", k - 1)):
+                for n in range(2 * k + rem, 2001, 2 * k):
+                    inst = build_instance(n, k, variant)
+                    assert inst.trivial == (not inst.phi), (n, k, variant)
+                    count += 1
+        assert count == 1747
+
+    def test_asym_never_builds_phi(self, monkeypatch, tmp_path):
+        def no_phi(u, d):
+            raise AssertionError("Phi built")
+        monkeypatch.setattr(ip, "_phi", no_phi)
+        for variant, n_max in (("secA", 300), ("secB", 800)):
+            assert main(["asym", "--k", "3", "--variant", variant, "--n-max", str(n_max),
+                         "--out", str(tmp_path / "asym.csv")]) == 0
 
     def test_secA_22_3(self):
         inst = build_instance(22, 3, "secA")
@@ -1160,13 +1182,7 @@ class TestClosedFormCertificate:
 class TestAsymptotics:
     def test_26_3_ratios(self):
         rep = asymptotic_report(build_instance(26, 3, "secB"))
-        assert rep.estar_ratios[0] == pytest.approx(920205 / 1022450)
-        assert rep.gauss_ratios[0] == pytest.approx(1.0)
+        assert rep.estar0_ratio == pytest.approx(920205 / 1022450)
         # mms(26, 3) = binom(26, 8) / 2 = 781137.5 exactly
         assert mms(build_instance(26, 3, "secB").params) == Fraction(1562275, 2)
         assert rep.q_over_mms == pytest.approx(511224 / 781137.5, rel=1e-9)
-
-    def test_gauss_ratio_at_zero_always_one(self):
-        for n, k, variant in [(22, 3, "secA"), (26, 3, "secB"), (174, 5, "secB")]:
-            rep = asymptotic_report(build_instance(n, k, variant))
-            assert rep.gauss_ratios[0] == pytest.approx(1.0)

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sperner import cli, verify
 from sperner.cli import main
@@ -273,6 +275,22 @@ class TestDetectingArrays:
             DetectingArray.from_text("XX 1 2 3\n")
         with pytest.raises(ValueError, match="line 2"):
             DetectingArray.from_text("DA 2 2 2\n1 9\n2 1\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 7), st.integers(0, 4), st.data())
+    def test_every_symbol_in_every_column_makes_partitions(self, k, n, p, data):
+        # why `verify` runs no partition check on a DA file: the format
+        # gives each row one symbol in 1..k per column, so a column with
+        # all k symbols is a partition into k parts, and check_detecting
+        # fails a column without
+        rows = data.draw(st.lists(st.lists(st.integers(1, k), min_size=p, max_size=p),
+                                  min_size=n, max_size=n))
+        text = "\n".join([f"DA {n} {k} {p}"] + [" ".join(map(str, r)) for r in rows])
+        arr = DetectingArray.from_text(text + "\n")
+        if all({row[j] for row in arr.rows} == set(range(1, k + 1)) for j in range(p)):
+            assert check_partition_system(from_detecting_array(arr)).ok
+        else:
+            assert not check_detecting(arr).ok
 
     def test_rows_past_the_declared_count_rejected(self, tmp_path, capsys):
         text = to_detecting_array(construct_uniform(4, 2)).to_text()
