@@ -96,11 +96,11 @@ def _parse_partition(line: str, n: int, k: int, p: int) -> list:
 
 def read_records(text: str, tag: str, count_field: int, what: str, parse) -> tuple:
     """The header `tag n k p` of a text format, with n, k and p decimal
-    integers, and its records: the next
-    (n, k, p)[count_field] lines, each read by parse(line, n, k, p), whose
-    ValueError gets the line number.  Raises ValueError on a short file and
-    on a non-blank line after the records, so that a file is never
-    accepted after being read only in part."""
+    integers, and its records: the next (n, k, p)[count_field] lines, each
+    read by parse(line, n, k, p), whose ValueError gets the line number.
+    Raises ValueError on a short file and on a non-blank line after the
+    records, so that a file is never accepted after being read only in
+    part."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty input")
