@@ -27,7 +27,7 @@ from .simplex import LinearProgram, SimplexError, Unbounded
 from .verify import (DetectingArray, PartIndex, SystemCertificate,
                      VerificationReport, check_almost_uniform, check_certificate,
                      check_certificate_summary, check_detecting,
-                     check_partition_system, check_sperner,
+                     check_partition_system, check_sperner, check_system,
                      from_detecting_array, to_detecting_array)
 
 __version__ = "0.1.0"

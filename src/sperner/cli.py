@@ -21,9 +21,7 @@ from . import ip as ipm
 from .combinat import decompose, mms
 from .construction import (PartitionSystem, construct_grouped, construct_uniform,
                            plan_grouped)
-from .verify import (DetectingArray, PartIndex, check_almost_uniform,
-                     check_certificate, check_detecting, check_partition_system,
-                     check_sperner)
+from .verify import DetectingArray, check_detecting, check_system
 
 
 def _write(text: str, out: str | None):
@@ -65,41 +63,19 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _verify_system(system: PartitionSystem, params=None) -> tuple[list, bool]:
-    """Every check that applies, each system checked exactly: one part index
-    serves both the certificate's reuse test and the subset test."""
-    notes = []
-    ok = True
-    rep = check_partition_system(system)
-    notes.append(f"partition structure: {'ok' if rep.ok else 'FAIL'}")
-    ok &= rep.ok
-    if params is not None:
-        rep = check_almost_uniform(system, params)
-        notes.append(f"almost uniform: {'ok' if rep.ok else 'FAIL'}")
-        ok &= rep.ok
-    index = PartIndex(system.partitions)
-    if system.part_tags is not None:
-        rep = check_certificate(system, index)
-        notes.append(f"certificate: {'ok' if rep.ok else 'FAIL'}")
-        ok &= rep.ok
-    rep = check_sperner(system, index)
-    notes.append(f"exact subset test: {'ok' if rep.ok else 'FAIL'}")
-    ok &= rep.ok
-    return notes, ok
-
-
 def _report_built(system: PartitionSystem, params, headline: str, out: str | None) -> int:
-    """Verify a built system, print `headline` and the notes of its checks,
-    write it to `out` if given; the exit code, 1 if a check failed."""
-    notes, ok = _verify_system(system, params)
+    """Verify a built system, print `headline` and, indented under it, the
+    reports of its checks, write it to `out` if given; the exit code, 1 if
+    a check failed."""
+    reports = check_system(system, params)
     print(headline)
-    for note in notes:
-        print(f"  {note}")
+    for rep in reports:
+        print("  " + rep.summary().replace("\n", "\n  "))
     if out:
         with open(out, "w") as fh:
             fh.write(system.to_text())
         print(f"wrote {out}")
-    return 0 if ok else 1
+    return 0 if all(rep.ok for rep in reports) else 1
 
 
 def cmd_construct(args) -> int:
@@ -135,9 +111,6 @@ def cmd_ip(args) -> int:
     inst = ipm.build_instance(args.n, args.k, args.variant)
     print(f"instance {inst.variant} n={inst.n} k={inst.k}: "
           f"d={inst.d} u={inst.u} Q={inst.q} |Phi|={len(inst.phi)}")
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            fh.write(inst.to_text())
     solver = args.solver
     if solver == "auto":
         solver = "greedy" if inst.variant == "secA" else "exact"
@@ -155,8 +128,8 @@ def cmd_ip(args) -> int:
             sol = res.solution
             print(f"closed-form objective = {sol.objective} (= Q)")
         else:
+            sol = None
             print(f"closed form infeasible: violated {', '.join(res.violations)}")
-            return 1
     elif solver == "lp":
         value, xs = ipm.lp_relax(inst)
         print(f"lp optimum = {_fmt_fraction(value)}")
@@ -165,6 +138,8 @@ def cmd_ip(args) -> int:
     if args.dump:
         with open(args.dump, "w") as fh:
             fh.write(inst.to_text(sol))
+    if sol is None:
+        return 1
     if args.build:
         system = ipm.realize_system(inst, sol, seed=args.seed)
         return _report_built(system, inst.params, f"built {system.size} partitions", args.out)
@@ -192,24 +167,19 @@ def cmd_verify(args) -> int:
     head = text.split(None, 1)[0] if text.split() else ""
     try:
         if head == "SPS":
-            system = PartitionSystem.from_text(text)
-            notes, ok = _verify_system(system)
+            reports = check_system(PartitionSystem.from_text(text))
         elif head == "DA":
             # the format gives each row one symbol in 1..k per column, so a
             # column holding every symbol is a partition: one check decides
-            arr = DetectingArray.from_text(text)
-            rep = check_detecting(arr)
-            notes = [f"detecting property: {'ok' if rep.ok else 'FAIL'}"]
-            for v in rep.violations:
-                notes.append(f"  {v}")
-            ok = rep.ok
+            reports = [check_detecting(DetectingArray.from_text(text))]
         else:
             raise ValueError(f"unrecognized header {head!r} (expected SPS or DA)")
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    for note in notes:
-        print(note)
+    ok = all(rep.ok for rep in reports)
+    for rep in reports:
+        print(rep.summary())
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -234,8 +204,8 @@ def cmd_asym(args) -> int:
             obj = sol.objective
         if not inst.trivial:
             lp = _fmt_fraction(ipm.lp_value(inst, sol)[0])
-        writer.writerow([n, args.k, args.variant, rep.d, rep.u, rep.q,
-                         _fmt_fraction(rep.mms_value), obj, lp,
+        writer.writerow([n, args.k, args.variant, inst.d, inst.u, inst.q,
+                         _fmt_fraction(inst.mms_value), obj, lp,
                          f"{rep.estar0_ratio:.9f}",
                          f"{rep.u_ratio:.9f}",
                          f"{rep.q_over_mms:.9f}"])

@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .baranyai import partition_ground
 from .combinat import ERF_INV_HALF, Params, binom, decompose, mms
 from .construction import PartitionSystem
-from .roundrobin import round_robin, window_counts
+from .roundrobin import phases, window_counts
 from .simplex import LinearProgram
 from .verify import SystemCertificate
 
@@ -557,8 +557,11 @@ def _class_stream(inst: IpInstance, sol: IpSolution) -> _ClassStream:
 
 def _class_profiles(stream: _ClassStream):
     """Per-class part profiles, including padding, yielded one class at a
-    time in the order of `stream`."""
-    levels = round_robin(stream.supply)
+    time in the order of `stream`.  The padding levels are read round by
+    round off the round robin's phases, so `stream.supply` is left as it
+    is."""
+    levels = (key for start, stop, keys in phases(stream.supply)
+              for _ in range((stop - start) // len(keys)) for key in keys)
     for base, count in stream.runs:
         for _ in range(count):
             yield stream.padded(base, itertools.islice(levels, stream.width))
@@ -626,24 +629,15 @@ def certificate(inst: IpInstance, sol: IpSolution) -> SystemCertificate:
 
 @dataclass
 class AsymptoticReport:
-    n: int
-    k: int
-    variant: str
-    d: int
-    u: int
-    q: int
-    mms_value: Fraction
     estar0_ratio: float   # estar_0 / ((k-1) e_0)
     u_ratio: float        # u / (erf^-1(1/2) sqrt(d (k-1) / k))
     q_over_mms: float
 
 
 def asymptotic_report(inst: IpInstance) -> AsymptoticReport:
-    n, k, d, u, q = inst.n, inst.k, inst.d, inst.u, inst.q
+    k, d, u = inst.k, inst.d, inst.u
     u_pred = ERF_INV_HALF * math.sqrt(d * (k - 1) / k)
-    mv = inst.mms_value
     # int / int is correctly rounded, as float(Fraction(...)) is
-    return AsymptoticReport(n, k, inst.variant, d, u, q, mv,
-                            inst.estar[0] / ((k - 1) * inst.e[0]),
+    return AsymptoticReport(inst.estar[0] / ((k - 1) * inst.e[0]),
                             u / u_pred if u_pred else float("nan"),
-                            float(Fraction(q) / mv))
+                            float(Fraction(inst.q) / inst.mms_value))

@@ -1,16 +1,16 @@
-"""The round robin that pads IP classes, as a stream and in closed form.
+"""The round robin that pads IP classes, as phases and in closed form.
 
-`round_robin(supply)` yields keys in turn by decreasing supply, each while
-its supply lasts; an IP realization cuts it into consecutive windows of
-`width` keys, one window per class.  `window_counts` gives the same
-windows' counts per run of classes without producing the sequence: round
-r yields the keys whose supply exceeds r, a prefix of one fixed order, so
-the sequence is periodic between the points where a supply runs out.
+The round robin over `supply` yields keys in turn by decreasing supply,
+each while its supply lasts; an IP realization cuts it into consecutive
+windows of `width` keys, one window per class.  Round r yields the keys
+whose supply exceeds r, a prefix of one fixed order, so the sequence is
+periodic between the points where a supply runs out: `phases` lists those
+periodic stretches without consuming `supply`, and `window_counts` gives
+the windows' counts per run of classes without producing the sequence.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 
@@ -20,17 +20,8 @@ def order(supply: dict) -> list:
     return sorted(supply, key=lambda key: -supply[key])
 
 
-def round_robin(supply: dict):
-    """Keys in turn by decreasing supply, each yielded while its supply
-    lasts; consumes `supply`."""
-    for key in itertools.cycle(order(supply)):
-        if supply[key] > 0:
-            supply[key] -= 1
-            yield key
-
-
 def phases(supply: dict) -> list:
-    """The `round_robin(supply)` sequence as phases (start, stop, keys):
+    """The round-robin sequence as phases (start, stop, keys):
     positions start <= s < stop hold keys[(s - start) % len(keys)]."""
     keys = order(supply)
     tops = [max(supply[key], 0) for key in keys] + [0]
@@ -52,7 +43,7 @@ def cycle_piece(keys: list, offset: int, length: int) -> list:
 def window_counts(supply: dict, width: int, runs) -> list:
     """Per run, a Counter of its windows as sorted key tuples.
 
-    The same counts as cutting `round_robin(supply)` into consecutive
+    The same counts as cutting the round robin over `supply` into consecutive
     windows of `width` keys and giving each run its number of windows in
     turn.  A window inside a phase depends only on its offset modulo the
     phase's key count a, and the offsets of consecutive windows repeat

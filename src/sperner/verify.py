@@ -11,7 +11,9 @@ coded once, over (class profile, count) pairs, which `check_certificate`
 streams one materialized class at a time and an IP certificate aggregates.
 Both checks of a materialized system read one `PartIndex` of its parts:
 the Sperner check for equal parts and subset lookups, the certificate for
-reused parts, so a system checked both ways is indexed once.
+reused parts, so a system checked both ways is indexed once.  Each check
+returns one report under the name that every command prints, and
+`check_system` runs each check that applies to a materialized system.
 """
 
 from __future__ import annotations
@@ -26,32 +28,31 @@ from .construction import PartitionSystem, read_records
 
 @dataclass
 class VerificationReport:
-    checks: list = field(default_factory=list)
+    """One check's outcome: its name, as every command prints it, and the
+    violations it found."""
+
+    name: str
     violations: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def note(self, check: str):
-        self.checks.append(check)
-
     def fail(self, msg: str):
         self.violations.append(msg)
 
     def summary(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        lines = [f"{status}: {len(self.checks)} checks, {len(self.violations)} violations"]
-        lines.extend(f"  - {v}" for v in self.violations)
-        return "\n".join(lines)
+        """`name: ok`, or `name: FAIL` and one indented line per violation."""
+        if self.ok:
+            return f"{self.name}: ok"
+        return "\n".join([f"{self.name}: FAIL", *(f"  {v}" for v in self.violations)])
 
 
 def check_partition_system(system: PartitionSystem) -> VerificationReport:
     """Each partition covers {0..n-1} disjointly with k nonempty parts.
     Occurrences are counted, so an element repeated inside one part fails
     as one held by two parts does."""
-    rep = VerificationReport()
-    rep.note("partition structure")
+    rep = VerificationReport("partition structure")
     ground = set(range(system.n))
     for idx, parts in enumerate(system.partitions):
         if len(parts) != system.k:
@@ -127,8 +128,7 @@ def check_sperner(system: PartitionSystem, index: PartIndex | None = None
     comparing every pair.  Parts are sorted tuples, so `combinations`
     lists a large part's s-subsets in the form the table keys them.
     """
-    rep = VerificationReport()
-    rep.note("exact subset test")
+    rep = VerificationReport("exact subset test")
     for pa, ja, pb, jb in _containments(system.partitions, index):
         rep.fail(f"part {ja} of partition {pa} is contained in "
                  f"part {jb} of partition {pb}")
@@ -173,14 +173,28 @@ def _position(parts, part) -> int:
 
 def check_almost_uniform(system: PartitionSystem, params: Params) -> VerificationReport:
     """Every partition has k-r parts of size c and r parts of size c+1."""
-    rep = VerificationReport()
-    rep.note("almost-uniform size profile")
+    rep = VerificationReport("almost uniform")
     want = sorted([params.c] * (params.k - params.r) + [params.c + 1] * params.r)
     for idx, parts in enumerate(system.partitions):
         got = sorted(len(p) for p in parts)
         if got != want:
             rep.fail(f"partition {idx}: size profile {got}, want {want}")
     return rep
+
+
+def check_system(system: PartitionSystem, params: Params | None = None) -> list:
+    """The report of every check that applies to a materialized system, in
+    the order they print: the size profile only against given params, the
+    certificate only when the system carries family tags.  One `PartIndex`
+    serves both the certificate's reuse test and the subset test."""
+    reports = [check_partition_system(system)]
+    if params is not None:
+        reports.append(check_almost_uniform(system, params))
+    index = PartIndex(system.partitions)
+    if system.part_tags is not None:
+        reports.append(check_certificate(system, index))
+    reports.append(check_sperner(system, index))
+    return reports
 
 
 # --------------------------------------------------------------------------
@@ -231,16 +245,23 @@ def to_detecting_array(system: PartitionSystem) -> DetectingArray:
                           [tuple(row) for row in rows])
 
 
+def _columns(arr: DetectingArray) -> list:
+    """Per column, in one pass over the rows: its row sets in symbol order,
+    and the symbols of 1..k it never holds."""
+    groups = [defaultdict(list) for _ in range(arr.p)]
+    for i, row in enumerate(arr.rows):
+        for column, s in zip(groups, row):
+            column[s].append(i)
+    return [([tuple(g[s]) for s in sorted(g)],
+             [s for s in range(1, arr.k + 1) if s not in g]) for g in groups]
+
+
 def from_detecting_array(arr: DetectingArray) -> PartitionSystem:
     partitions = []
-    for j in range(arr.p):
-        groups = defaultdict(list)
-        for i in range(arr.n):
-            groups[arr.rows[i][j]].append(i)
-        missing = [s for s in range(1, arr.k + 1) if s not in groups]
+    for j, (parts, missing) in enumerate(_columns(arr)):
         if missing:
             raise ValueError(f"column {j}: symbol(s) {missing} never appear")
-        partitions.append([tuple(groups[s]) for s in sorted(groups)])
+        partitions.append(parts)
     return PartitionSystem(arr.n, arr.k, partitions)
 
 
@@ -253,15 +274,13 @@ def check_detecting(arr: DetectingArray) -> VerificationReport:
     the exact engine of `check_sperner`.  A symbol missing from a column
     is a violation (an empty row set lies in every other).
     """
-    rep = VerificationReport()
-    rep.note("detecting property: exact subset test on the column partitions")
-    symbols = set(range(1, arr.k + 1))
-    for j in range(arr.p):
-        missing = sorted(symbols.difference(row[j] for row in arr.rows))
+    rep = VerificationReport("detecting property")
+    columns = _columns(arr)
+    for j, (_, missing) in enumerate(columns):
         if missing:
             rep.fail(f"column {j}: symbol(s) {missing} never appear")
     if rep.ok:
-        for col_a, ja, col_b, jb in _containments(from_detecting_array(arr).partitions):
+        for col_a, ja, col_b, jb in _containments([parts for parts, _ in columns]):
             rep.fail(f"rows of symbol {ja + 1} in column {col_a} are contained "
                      f"in rows of symbol {jb + 1} in column {col_b}")
     return rep
@@ -298,7 +317,6 @@ def _layer_separation(rep: VerificationReport, small_sigs, large_sigs):
     Containment of parts implies domination of group signatures, so this
     rules out cross-layer containments without any pairwise set tests.
     """
-    rep.note("family layer separation")
     for sa in small_sigs:
         for sb in large_sigs:
             if all(x <= y for x, y in zip(sa, sb)):
@@ -317,7 +335,6 @@ def _check_profiles(rep: VerificationReport, k: int, p: int, group_sizes: tuple,
     and c+1, and are separated; no family is used beyond its capacity.
     Each distinct part shape's capacity is derived once.
     """
-    rep.note("family shapes, class sizes and degree sums")
     total = 0
     usage, caps = defaultdict(int), {}
     fits = {}       # (tag, size, sig) -> capacity or why the part does not fit
@@ -348,7 +365,6 @@ def _check_profiles(rep: VerificationReport, k: int, p: int, group_sizes: tuple,
     if len(small) > 1 or len(large) > 1 or (small and large and min(small) + 1 != min(large)):
         rep.fail(f"layer sizes {sorted(small)} / {sorted(large)} are not c and c+1")
     _layer_separation(rep, *sigs)
-    rep.note("family capacities")
     for (tag, size), used in usage.items():
         if used > caps[tag, size]:
             rep.fail(f"family {tag}: {used} parts of size {size} used, "
@@ -365,7 +381,7 @@ def check_certificate(system: PartitionSystem, index: PartIndex | None = None
     each class then goes to the shared family-accounting checks as a
     profile of count 1, with signatures read from one point-to-group table.
     """
-    rep = VerificationReport()
+    rep = VerificationReport("certificate")
     if system.groups is None or system.part_tags is None:
         rep.fail("system carries no family metadata")
         return rep
@@ -373,7 +389,6 @@ def check_certificate(system: PartitionSystem, index: PartIndex | None = None
     group_of = {e: w for w, g in enumerate(system.groups) for e in g}
     if len(group_of) != sum(group_sizes):
         rep.fail("groups overlap")
-    rep.note("no part reused")
     if index is None:
         index = PartIndex(system.partitions)
     for part in index.more:
@@ -415,8 +430,7 @@ class SystemCertificate:
 
 
 def check_certificate_summary(cert: SystemCertificate) -> VerificationReport:
-    rep = VerificationReport()
-    rep.note("aggregated class profiles")
+    rep = VerificationReport("certificate")
     _check_profiles(rep, cert.k, cert.p, tuple(cert.group_sizes), cert.profiles,
                     "profile")
     return rep

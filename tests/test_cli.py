@@ -156,6 +156,32 @@ class TestConstructAndVerify:
         code, _, err = run(["verify", str(path)], capsys)
         assert (code, err) == (2, f"parse error: {error}\n")
 
+    def test_verify_lists_the_violations_of_a_failing_sps_check(self, tmp_path, capsys):
+        # a failing SPS check lists its violations, as a DA file's does
+        path = tmp_path / "dup.sps"
+        path.write_text("SPS 4 2 2\n0 1 | 2 3\n0 1 | 2 3\n")
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert (code, out) == (1, "partition structure: ok\n"
+                                  "exact subset test: FAIL\n"
+                                  "  part 0 of partition 0 is contained in part 0 of partition 1\n"
+                                  "  part 1 of partition 0 is contained in part 1 of partition 1\n"
+                                  "FAIL\n")
+
+    def test_built_system_reports_are_indented(self, capsys):
+        # construct and ip --build print each report under the headline,
+        # so a violation sits two spaces under its check
+        from sperner.cli import _report_built
+        from sperner.construction import PartitionSystem
+        dup = PartitionSystem(4, 2, [[(0, 1), (2, 3)], [(0, 1), (2, 3)]])
+        assert _report_built(dup, decompose(4, 2), "built 2", None) == 1
+        assert capsys.readouterr().out == (
+            "built 2\n"
+            "  partition structure: ok\n"
+            "  almost uniform: ok\n"
+            "  exact subset test: FAIL\n"
+            "    part 0 of partition 0 is contained in part 0 of partition 1\n"
+            "    part 1 of partition 0 is contained in part 1 of partition 1\n")
+
     def test_verify_da_roundtrip(self, tmp_path, capsys):
         from sperner.construction import construct_uniform
         from sperner.verify import to_detecting_array
@@ -252,6 +278,14 @@ class TestIp:
         assert code == 2 and out == ""
         assert "--out writes the built system, so it needs --build" in err
         assert not path.exists()
+
+    def test_infeasible_closed_form_dumps_the_instance_alone(self, tmp_path, capsys):
+        path = tmp_path / "c26.dump"
+        code, out, _ = run(["ip", "--n", "26", "--k", "3", "--variant", "secB",
+                            "--solver", "closed", "--dump", str(path)], capsys)
+        assert code == 1
+        assert out.endswith("closed form infeasible: violated beta_1\n")
+        assert path.read_text() == ipm.build_instance(26, 3, "secB").to_text()
 
     def test_wrong_congruence_exit_2(self, capsys):
         code, _, err = run(["ip", "--n", "24", "--k", "3", "--variant", "secA"],
@@ -370,7 +404,7 @@ class TestSystemGolden:
         assert code == 0
         assert path.read_bytes() == (GOLDEN / name).read_bytes()
         code, out, _ = run(["verify", str(path)], capsys)
-        assert code == 0 and out.splitlines()[-1] == "PASS"
+        assert (code, out) == (0, "partition structure: ok\nexact subset test: ok\nPASS\n")
 
     def test_detecting_array_matches_golden(self, capsys):
         from sperner.construction import PartitionSystem, construct_grouped, plan_grouped

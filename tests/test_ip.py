@@ -1047,6 +1047,21 @@ class TestRealization:
                  if len(p) == 5 and p[3] < 8 <= p[4]]
         assert len(quads) == 560 and len(set(quads)) == 70
 
+    @pytest.mark.parametrize("n,k,variant", ((16, 5, "secA"), (36, 7, "secA")))
+    def test_class_profiles_leave_the_supply(self, n, k, variant):
+        # the padding is read off the round robin's phases: the supply is
+        # untouched, a second pass streams the same classes, and the levels
+        # are the round robin's, in order
+        inst = build_instance(n, k, variant)
+        stream = ip._class_stream(inst, greedy_solve(inst))
+        supply = dict(stream.supply)
+        profiles = list(ip._class_profiles(stream))
+        assert stream.supply == supply
+        assert list(ip._class_profiles(stream)) == profiles
+        levels = [inst.d - t for prof in profiles for _, t in prof[3::2]]
+        assert len(levels) == len(profiles) * stream.width > 0
+        assert levels == list(itertools.islice(round_robin(dict(supply)), len(levels)))
+
     @pytest.mark.parametrize("n,k,variant,solver", SMALL_SOLUTIONS,
                              ids=["-".join(map(str, case)) for case in SMALL_SOLUTIONS])
     def test_every_small_solution_realizes(self, n, k, variant, solver):
@@ -1094,9 +1109,18 @@ def streamed_certificate(inst, sol):
     return sorted(counts.items())
 
 
+def round_robin(supply: dict):
+    """Oracle: keys in turn by decreasing supply, each yielded while its
+    supply lasts; consumes `supply`."""
+    for key in itertools.cycle(roundrobin.order(supply)):
+        if supply[key] > 0:
+            supply[key] -= 1
+            yield key
+
+
 def round_robin_windows(supply, width, runs):
     """Oracle: cut `round_robin` into windows of `width`, run after run."""
-    levels = roundrobin.round_robin(dict(supply))
+    levels = round_robin(dict(supply))
     return [Counter(tuple(sorted(itertools.islice(levels, width))) for _ in range(m))
             for m in runs]
 
@@ -1159,7 +1183,7 @@ class TestClosedFormCertificate:
             total = sum(supply.values())
             assert [key for start, stop, keys in phases
                     for key in roundrobin.cycle_piece(keys, 0, stop - start)] == \
-                list(itertools.islice(roundrobin.round_robin(dict(supply)), total))
+                list(itertools.islice(round_robin(dict(supply)), total))
             used = sum(runs) * width
             straddles += sum(any(s < stop < s + width for _, stop, _ in phases)
                              for s in range(0, used, width))

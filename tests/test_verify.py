@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sperner import cli, verify
+from sperner import verify
 from sperner.cli import main
 from sperner.combinat import binom, decompose
 from sperner.construction import (PartitionSystem, construct_grouped,
@@ -69,6 +69,17 @@ class TestPartitionStructure:
         out = capsys.readouterr().out.splitlines()
         assert "partition structure: FAIL" in out
         assert out[-1] == "FAIL"
+
+
+class TestReports:
+    def test_check_system_runs_what_applies_in_print_order(self):
+        grouped = construct_grouped(plan_grouped(8, 3, 2, 4, "b"), seed=0)
+        plain = PartitionSystem(grouped.n, grouped.k, grouped.partitions)
+        assert [rep.name for rep in verify.check_system(grouped, decompose(8, 3))] == [
+            "partition structure", "almost uniform", "certificate", "exact subset test"]
+        assert [rep.name for rep in verify.check_system(plain)] == [
+            "partition structure", "exact subset test"]
+        assert all(rep.ok for rep in verify.check_system(grouped, decompose(8, 3)))
 
 
 class TestSperner:
@@ -528,9 +539,9 @@ class TestCertificates:
             return real(partitions)
 
         monkeypatch.setattr(verify, "PartIndex", counting)
-        monkeypatch.setattr(cli, "PartIndex", counting)
-        notes, ok = cli._verify_system(bad, decompose(88, 33))
-        assert not ok
+        reports = verify.check_system(bad, decompose(88, 33))
+        assert not all(rep.ok for rep in reports)
+        notes = [rep.summary().splitlines()[0] for rep in reports]
         assert "certificate: FAIL" in notes
         assert "exact subset test: FAIL" in notes
         assert built == [len(bad.partitions)]
