@@ -149,7 +149,7 @@ def partition_ground(points, unit_blocks, parents=None, rng=None, stubs=None,
     # open members of it as its upper bound and is tagged (unit, key,
     # is_stub); a stage patches only the arcs that carried flow.
     net = Circulation()
-    low, hi, head = net.low, net.hi, net.head
+    low, hi = net.low, net.hi
     src, snk = net.add_node(), net.add_node()
     net.link(snk, src, 0, 1 << 60)
     pnode = [net.add_node() for _ in pid]
@@ -227,10 +227,10 @@ def partition_ground(points, unit_blocks, parents=None, rng=None, stubs=None,
             cc, nn = completions[need]
             low[e], hi[e] = max(0, r - cc + nn), min(nn, r)
             if need[x] == s:
-                _force(head[v], low, hi)
+                net.force_into(v)
         if s == 1:
             for _, v, _ in stub_census.values():
-                _force(head[v], low, hi)
+                net.force_into(v)
 
         if not net.solve():
             raise AllocationError(f"stage {stage} infeasible")
@@ -279,27 +279,17 @@ def _window_bounds(low, hi, s, arcs) -> None:
         hi[e] = beta if beta < up else up
 
 
-def _force(arcs, low, hi) -> None:
-    """Set the lower bound of every arc into a node to its upper bound."""
-    for a in arcs:
-        if a & 1:
-            low[a >> 1] = hi[a >> 1]
-
-
-def allocate_blocks(points, size, unit_sizes, parents=None, rng=None):
+def allocate_blocks(points, size, unit_sizes):
     """Partition all `size`-subsets of points into units of given sizes.
 
     Returns a list of block lists (sorted tuples), one per unit.  Each unit's
-    per-point degree is floor or ceil of size*unit_size/len(points); the
-    same window holds per parent group when `parents` labels units.  The
-    rng only shuffles the placement order of points.
+    per-point degree is floor or ceil of size*unit_size/len(points).
     """
     points = list(points)
     total = binom(len(points), size)
     if sum(unit_sizes) != total:
         raise ValueError(f"unit sizes sum to {sum(unit_sizes)}, need {total}")
-    return partition_ground(points, [[size] * cnt for cnt in unit_sizes],
-                            parents=parents, rng=rng)
+    return partition_ground(points, [[size] * cnt for cnt in unit_sizes])
 
 
 @dataclass

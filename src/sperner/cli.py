@@ -72,8 +72,7 @@ def _report_built(system: PartitionSystem, params, headline: str, out: str | Non
     for rep in reports:
         print("  " + rep.summary().replace("\n", "\n  "))
     if out:
-        with open(out, "w") as fh:
-            fh.write(system.to_text())
+        _write(system.to_text(), out)
         print(f"wrote {out}")
     return 0 if all(rep.ok for rep in reports) else 1
 
@@ -95,12 +94,9 @@ def _exact(inst):
     """`exact_solve` with its verdict printed: nothing more when the band
     dual proves it, the parity cut by name when the cut does, and
     `(not proved optimal)` when it falls short of the bound."""
-    sol, optimal = ipm.exact_solve(inst)
-    note = ""
-    if not optimal:
-        note = " (not proved optimal)"
-    elif ipm.upper_bound(inst)[1] == "parity cut":
-        note = " (optimal by the parity cut)"
+    sol, proof = ipm.exact_solve(inst)
+    note = {None: " (not proved optimal)",
+            "parity cut": " (optimal by the parity cut)"}.get(proof, "")
     print(f"exact objective = {sol.objective}, gap to Q = {inst.q - sol.objective}{note}")
     return sol
 
@@ -136,8 +132,7 @@ def cmd_ip(args) -> int:
         sol = ipm.IpSolution(inst, {v: int(val) for v, val in xs.items() if int(val)})
         print(f"floor-rounded objective = {sol.objective}")
     if args.dump:
-        with open(args.dump, "w") as fh:
-            fh.write(inst.to_text(sol))
+        _write(inst.to_text(sol), args.dump)
     if sol is None:
         return 1
     if args.build:

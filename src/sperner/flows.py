@@ -183,6 +183,12 @@ class Circulation(FlowNet):
         self.low[e] = 0
         self.tag[e] = tag
 
+    def force_into(self, v: int) -> None:
+        """Set the lower bound of every arc into v to its upper bound."""
+        for a in self.head[v]:
+            if a & 1:
+                self.low[a >> 1] = self.hi[a >> 1]
+
     def solve(self) -> bool:
         """Find integral flows within the bounds that are conserved at every
         node; False when there are none.  `flows` and `carrying` read them."""

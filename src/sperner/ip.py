@@ -51,7 +51,6 @@ class IpInstance:
     q: int
     e: tuple
     estar: tuple
-    eta: tuple | None
     cap_diag: int
     cap_off: dict = field(hash=False)
     cap_row: dict = field(hash=False)
@@ -131,12 +130,19 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
         if u > d - 1:
             raise ArithmeticError(f"instance ({n},{k}): u = {u} exceeds d-1")
         q = 2 * (a // (2 * (k - 1)))
-        eta = _eta_sequence(q, estar, u)
-        cap_diag = eta[0] // 2
-        cap_off = {ell: eta[ell] for ell in range(1, u + 1)}
+        # spend q/2 on the diagonal, then band by band, each up to its
+        # (c+1)-family size
+        rest = q // 2
+        cap_diag = min(rest, estar[0] // 2)
+        rest -= cap_diag
+        cap_off = {}
+        for ell in range(1, u + 1):
+            cap_off[ell] = min(rest, estar[ell])
+            rest -= cap_off[ell]
+        if rest:
+            raise ArithmeticError(f"the caps cannot reach q/2 = {q // 2} (short by {rest})")
         cap_row = {ell: e[ell] for ell in range(u + 1, d + 1)}
-        inst = IpInstance("secA", params, d, u, q, e, estar, eta, cap_diag,
-                          cap_off, cap_row)
+        inst = IpInstance("secA", params, d, u, q, e, estar, cap_diag, cap_off, cap_row)
         assert q <= inst.mms_value
         return inst
 
@@ -159,8 +165,7 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
     cap_diag = e[0] // 2
     cap_off = {ell: e[ell] for ell in range(1, u + 1)}
     cap_row = {ell: estar[ell] for ell in range(u + 1, d + 1)}
-    inst = IpInstance("secB", params, d, u, q, e, estar, None, cap_diag,
-                      cap_off, cap_row)
+    inst = IpInstance("secB", params, d, u, q, e, estar, cap_diag, cap_off, cap_row)
     top = binom(n, 2 * d)
     assert (k - 1) * top == binom(n, 2 * d + 1)
     assert 2 * au <= top
@@ -176,29 +181,6 @@ def _binom_row(h: int, top: int) -> list:
     for j in range(top):
         row.append(row[-1] * (h - j) // (j + 1))
     return row
-
-
-def _eta_sequence(q: int, estar: tuple, u: int) -> tuple:
-    """The truncated prefix of the (c+1)-family sizes summing to q/2."""
-    target = q // 2
-    cand = 2 * target + (estar[0] & 1)
-    if cand <= estar[0]:
-        eta = [cand] + [0] * u
-    else:
-        eta = [estar[0]]
-        rem = target - estar[0] // 2
-        for ell in range(1, u + 1):
-            take = min(rem, estar[ell])
-            eta.append(take)
-            rem -= take
-        if rem:
-            raise ArithmeticError(
-                f"budget sequence cannot reach q/2 = {target} (short by {rem})")
-    got = eta[0] // 2 + sum(eta[1:])
-    if got != target:
-        raise ArithmeticError(
-            f"budget sequence sums to {got}, want q/2 = {target}")
-    return tuple(eta)
 
 
 # --------------------------------------------------------------------------
@@ -322,22 +304,25 @@ class ClosedFormResult:
 
 
 def closed_form_solve(inst: IpInstance) -> ClosedFormResult:
-    """The sparse candidate that saturates every band and the diagonal.
+    """The sparse candidate that saturates every cap on one index each:
+    O_l on (i, i + l) with i = u + 1 + (u - l) // 2, the bands l = u, u - 2,
+    ... first and then l = u - 1, u - 3, ..., and D on the loop at
+    3u // 2 + 1.
 
     Feasible (with objective exactly q) whenever all row slacks stay
     nonnegative; otherwise the violated row slacks are reported.
     """
     if inst.variant != "secB":
         raise ValueError("closed_form_solve applies to variant secB")
-    if inst.u < 0:
+    if inst.trivial:
         return ClosedFormResult(zero_solution(inst), [])
     u = inst.u
     assigns = []
-    for i in range((u - 1) // 2 + 1):
-        assigns.append(((u + 1 + i, 2 * u + 1 - i), inst.e[u - 2 * i]))
-    for i in range((u - 2) // 2 + 1):
-        assigns.append(((u + 1 + i, 2 * u - i), inst.e[u - 2 * i - 1]))
-    assigns.append(((3 * u // 2 + 1, 3 * u // 2 + 1), inst.e[0] // 2))
+    for ell in [*range(u, 0, -2), *range(u - 1, 0, -2)]:
+        i = u + 1 + (u - ell) // 2
+        assigns.append(((i, i + ell), inst.cap_off[ell]))
+    loop = 3 * u // 2 + 1
+    assigns.append(((loop, loop), inst.cap_diag))
     bad_index = [f"x_{i}_{j} outside the index set" for (i, j), _ in assigns
                  if (i, j) not in inst]
     if bad_index:
@@ -481,17 +466,18 @@ def _first_proved(primals, bound: int) -> tuple:
 
 
 def exact_solve(inst: IpInstance):
-    """An integer optimum proved by `upper_bound`; (solution, proved_optimal).
+    """An integer optimum proved by `upper_bound`; (solution, proof).
 
     The first of `_integral_primals` that meets the bound, or else the
-    root LP floored and grown by `_floor_improve`; proved_optimal says the
-    result meets the bound.  Over k in {3, 5, 7}, both variants and
-    n <= 1500 only (1310, 3, secB) needs the LP, and it is proved there.
+    root LP floored and grown by `_floor_improve`.  The proof is the name
+    `upper_bound` gives its bound when the result meets it, else None.
+    Over k in {3, 5, 7}, both variants and n <= 1500 only (1310, 3, secB)
+    needs the LP, and it is proved there.
     """
-    bound = upper_bound(inst)[0]
+    bound, proof = upper_bound(inst)
     sol = (_first_proved(_integral_primals(inst), bound)[1]
            or _floor_improve(inst, lp_relax(inst)[1]))
-    return sol, sol.objective == bound
+    return sol, proof if sol.objective == bound else None
 
 
 def lp_value(inst: IpInstance, greedy: IpSolution | None = None) -> tuple:

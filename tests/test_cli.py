@@ -258,7 +258,7 @@ class TestIp:
     def test_unproved_result_marked(self, monkeypatch, capsys):
         # a result the bound does not prove must say so
         real = ipm.exact_solve
-        monkeypatch.setattr(ipm, "exact_solve", lambda inst: (real(inst)[0], False))
+        monkeypatch.setattr(ipm, "exact_solve", lambda inst: (real(inst)[0], None))
         code, out, _ = run(["ip", "--n", "26", "--k", "3", "--variant", "secB",
                             "--solver", "exact"], capsys)
         assert code == 0
@@ -270,6 +270,17 @@ class TestIp:
                             "--solver", "exact"], capsys)
         assert code == 0
         assert out.rstrip().endswith(", gap to Q = 2 (optimal by the parity cut)")
+
+    def test_exact_reads_the_bound_once(self, monkeypatch, capsys):
+        # exact_solve names the bound it met, so the note needs no second call
+        calls = []
+        real = ipm.upper_bound
+        monkeypatch.setattr(ipm, "upper_bound", lambda inst: calls.append(inst) or real(inst))
+        code, out, _ = run(["ip", "--n", "406", "--k", "3", "--variant", "secA",
+                            "--solver", "exact"], capsys)
+        assert code == 0
+        assert out.rstrip().endswith("(optimal by the parity cut)")
+        assert len(calls) == 1
 
     def test_out_needs_build(self, tmp_path, capsys):
         path = tmp_path / "ip.sps"
@@ -336,8 +347,9 @@ class TestLpGolden:
     the floored LP vertices that the integer simplex must reproduce
     exactly, up to (502,3,secA), the largest LP of the benchmark.  The secA file to 1000 holds the parity-cut rows, closed by
     half loops.  The `--solver exact` dumps pin the x of a fill and of the
-    floored LP fallback, the `--solver greedy` dumps the greedy's x, and
-    the k = 5 and 7 files the closed form and the greedy."""
+    floored LP fallback, the `--solver greedy` dumps the greedy's x, the
+    `--solver closed` dump the closed form's x, and the k = 5 and 7 files
+    the closed form and the greedy."""
 
     @pytest.mark.parametrize("variant,n_max", (("secB", 800), ("secA", 300), ("secA", 1000)))
     def test_asym_matches_golden(self, tmp_path, capsys, variant, n_max):
@@ -386,6 +398,15 @@ class TestLpGolden:
         assert code == 0
         assert f"gap to Q = {0 if n == 202 else 2}" in out
         assert path.read_bytes() == (GOLDEN / f"ip-greedy-{n}-3-secA.dump").read_bytes()
+
+    def test_closed_form_dump_matches_golden(self, tmp_path, capsys):
+        # u = 3: three bands and the loop, each holding its whole cap
+        path = tmp_path / "ip.dump"
+        code, out, _ = run(["ip", "--n", "774", "--k", "5", "--variant", "secB",
+                            "--solver", "closed", "--dump", str(path)], capsys)
+        assert code == 0
+        assert out.rstrip().endswith("(= Q)")
+        assert path.read_bytes() == (GOLDEN / "ip-closed-774-5-secB.dump").read_bytes()
 
 
 class TestSystemGolden:

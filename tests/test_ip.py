@@ -11,7 +11,7 @@ import pytest
 from sperner import ip, roundrobin
 from sperner.cli import main
 from sperner.combinat import binom, decompose, mms
-from sperner.ip import (IpInstance, IpSolution, _build_lp, _eta_sequence, _floor_improve,
+from sperner.ip import (IpInstance, IpSolution, _build_lp, _floor_improve,
                         asymptotic_report, band_dual, build_instance,
                         certificate, closed_form_solve, exact_solve,
                         greedy_gap_bound, greedy_solve, lp_relax, lp_value,
@@ -83,9 +83,13 @@ def oracle_instance(n, k, variant):
 
         u = next(x for x in range(d + 1) if a(x) <= (k - 1) * b(x))
         q = 2 * (a(u) // (2 * (k - 1)))
-        eta = _eta_sequence(q, estar, u)
-        return IpInstance("secA", params, d, u, q, e, estar, eta,
-                          eta[0] // 2, {ell: eta[ell] for ell in range(1, u + 1)},
+        # q/2 spent on the diagonal (in pairs of (c+1)-sets) and then on the
+        # bands, each band taking what the diagonal and the full bands
+        # before it leave, up to its family size
+        diag = min(q // 2, estar[0] // 2)
+        off = {ell: max(0, min(estar[ell], q // 2 - estar[0] // 2 - sum(estar[1:ell])))
+               for ell in range(1, u + 1)}
+        return IpInstance("secA", params, d, u, q, e, estar, diag, off,
                           {ell: e[ell] for ell in range(u + 1, d + 1)})
     d = (n + 1 - k) // (2 * k)
     e = tuple(binom(half, d - ell) * binom(half, d + ell) for ell in range(d + 1))
@@ -100,8 +104,7 @@ def oracle_instance(n, k, variant):
 
     u = max(x for x in range(-1, d) if (k - 1) * a(x) <= b(x))
     q = a(u) - (a(u) & 1)
-    return IpInstance("secB", params, d, u, q, e, estar, None,
-                      e[0] // 2, {ell: e[ell] for ell in range(1, u + 1)},
+    return IpInstance("secB", params, d, u, q, e, estar, e[0] // 2, {ell: e[ell] for ell in range(1, u + 1)},
                       {ell: estar[ell] for ell in range(u + 1, d + 1)})
 
 
@@ -146,7 +149,7 @@ class TestInstances:
         assert inst.estar == (108900, 76230, 25410, 3630, 165)
         assert inst.u == 0
         assert inst.q == 30822
-        assert inst.eta == (30822,)
+        assert inst.cap_off == {}
         assert inst.phi == ((1, 1), (2, 2), (3, 3))
         assert inst.cap_diag == 15411
         assert inst.cap_row == {1: 25410, 2: 5082, 3: 330}
@@ -200,9 +203,9 @@ class TestInstances:
         for n in range(10, 301):
             if n % 6 == 4:
                 inst = build_instance(n, 3, "secA")
-                assert inst.eta[0] // 2 + sum(inst.eta[1:]) == inst.q // 2
-                if len(inst.eta) > 1 and inst.eta[0] != inst.estar[0]:
-                    assert all(v == 0 for v in inst.eta[1:])
+                assert inst.cap_diag + sum(inst.cap_off.values()) == inst.q // 2
+                if inst.cap_diag < inst.estar[0] // 2:
+                    assert not any(inst.cap_off.values())
 
     def test_q_le_mms_both_variants(self):
         for n, k, variant in [(22, 3, "secA"), (26, 3, "secB"), (36, 5, "secA"),
@@ -759,10 +762,22 @@ class TestExactAndLp:
         # every LP bound of the old search stayed at Q here
         inst = build_instance(406, 3, "secA")
         assert lp_relax(inst)[0] == inst.q
-        sol, optimal = exact_solve(inst)
-        assert optimal and sol.feasible()
+        sol, proof = exact_solve(inst)
+        assert proof == "parity cut" and sol.feasible()
         assert upper_bound(inst) == (inst.q - 2, "parity cut")
         assert sol.objective == inst.q - 2
+
+    def test_proof_names_the_bound_met(self):
+        inst = build_instance(202, 3, "secA")
+        sol, proof = exact_solve(inst)
+        assert proof == "band dual" and sol.feasible()
+        assert upper_bound(inst) == (sol.objective, "band dual")
+
+    def test_unmet_bound_gives_no_proof(self, monkeypatch):
+        inst = build_instance(202, 3, "secA")
+        monkeypatch.setattr(ip, "upper_bound", lambda inst: (inst.q + 2, "band dual"))
+        sol, proof = exact_solve(inst)
+        assert proof is None and sol.feasible() and sol.objective <= inst.q
 
 
 def nontrivial_instances(ks, n_max):
