@@ -16,9 +16,9 @@ from .bounds import (BoundsReport, ExactRow, SmallRRow, best_grouped_lower,
                      small_r_upper, two_value_range)
 from .combinat import (ERF_INV_HALF, Params, binom, binom_frac, decompose, mms,
                        shadow_bound, shadow_cmp, shadow_root)
-from .construction import (ConstructionError, GroupedPlan, PartitionSystem,
-                           balanced_matrix, construct_grouped, construct_uniform,
-                           extend_system, plan_grouped)
+from .construction import (GroupedPlan, PartitionSystem, balanced_matrix,
+                           construct_grouped, construct_uniform, extend_system,
+                           plan_grouped)
 from .ip import (AsymptoticReport, ClosedFormResult, IpInstance, IpSolution,
                  asymptotic_report, build_instance, certificate,
                  closed_form_solve, exact_solve, greedy_gap_bound, greedy_solve,

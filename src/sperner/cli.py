@@ -104,6 +104,8 @@ def _exact(inst):
 def cmd_ip(args) -> int:
     if args.out and not args.build:
         raise ValueError("ip --out writes the built system, so it needs --build")
+    if (args.solver, args.variant) in (("greedy", "secB"), ("closed", "secA")):
+        raise ValueError(f"ip --solver {args.solver} does not apply to variant {args.variant}")
     inst = ipm.build_instance(args.n, args.k, args.variant)
     print(f"instance {inst.variant} n={inst.n} k={inst.k}: "
           f"d={inst.d} u={inst.u} Q={inst.q} |Phi|={len(inst.phi)}")

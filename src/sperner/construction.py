@@ -23,15 +23,10 @@ deterministic given the seed.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 from .baranyai import Resolution, partition_ground, resolve
 from .combinat import Params, binom, decompose
-
-
-class ConstructionError(RuntimeError):
-    pass
 
 
 # --------------------------------------------------------------------------
@@ -58,26 +53,16 @@ class PartitionSystem:
     def size(self) -> int:
         return len(self.partitions)
 
-    def canonical(self) -> "PartitionSystem":
-        """Parts sorted by minimum element, partitions lexicographically."""
-        order = sorted((sorted(parts), idx) for idx, parts in enumerate(self.partitions))
-        new_parts = []
-        new_tags = [] if self.part_tags is not None else None
-        for key, idx in order:
-            parts = self.partitions[idx]
-            part_order = sorted(range(len(parts)), key=parts.__getitem__)
-            new_parts.append([parts[j] for j in part_order])
-            if new_tags is not None:
-                tags = self.part_tags[idx]
-                new_tags.append([tags[j] for j in part_order])
-        return PartitionSystem(self.n, self.k, new_parts, self.groups, new_tags)
+    def canonical(self) -> list:
+        """The partitions in SPS order: each partition's parts sorted, then
+        the partitions."""
+        return sorted(sorted(parts) for parts in self.partitions)
 
     def to_text(self) -> str:
-        """The SPS text in `canonical()` order: each partition's parts
-        sorted, then the partitions."""
-        rows = sorted(sorted(parts) for parts in self.partitions)
+        """The SPS text, its partitions in `canonical()` order."""
         lines = [f"SPS {self.n} {self.k} {len(self.partitions)}"]
-        lines += [" | ".join(" ".join(map(str, p)) for p in parts) for parts in rows]
+        lines += [" | ".join(" ".join(map(str, p)) for p in parts)
+                  for parts in self.canonical()]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -152,13 +137,6 @@ def balanced_matrix(n_rows: int, n_cols: int, low: int, n_high: int):
             for z in range(n_rows)]
 
 
-def balanced_column_sums(n_rows: int, n_cols: int, low: int, n_high: int) -> list:
-    """The column sums of balanced_matrix(n_rows, n_cols, low, n_high): the
-    windows cover the first n_rows*n_high mod n_cols columns once more."""
-    whole, extra = divmod(n_rows * n_high, n_cols)
-    return [n_rows * low + whole + (i < extra) for i in range(n_cols)]
-
-
 # --------------------------------------------------------------------------
 # Grouped construction plans
 # --------------------------------------------------------------------------
@@ -203,16 +181,32 @@ def grouped_factor(c: int, k: int, r: int, split: tuple, case: str):
     c | m and case in ('a', 'b').  Builds nothing and raises nothing, so
     scans can filter splits by arithmetic alone.
 
-    A row of T needs the surplus (r - m*floor(r/m))/c to be an integer, and
-    it always is: c | m | n = ck + r puts c | r mod m, so no rule checks it.
+    The caps carry the counting argument, so construct_grouped checks none
+    of it again.  T has p rows over m/c columns; block i of every class
+    takes column i.  N = binom(m-1, c-1) and B = binom(h, c+1).
+
+    - Row sums.  c | m | n = ck + r puts c | r mod m, so every row sums to
+      r/c with floor(r/m) per column and one more in (r mod m)/c of them.
+    - Column sums.  They are within 1 of their mean pr/m, so a column sum s
+      lies in [floor(pr/m), ceil(pr/m)], and s = pr/m in case (b), where
+      m | pr.  A column leaves ph - (c+1)s transversals per class block,
+      and mh - (c+1)r = c(k-r).
+    - Case (b).  p <= p1' gives pc(k-r)/m <= h^c transversals per class
+      block; p <= p2' gives (pr/m)*N <= B (c+1)-blocks per group.
+    - Case (a).  The -c-1 in p1 absorbs the floor: ph - (c+1)floor(pr/m)
+      <= h^c - c - 1 + (c+1)(m-1)/m < h^c.  p <= m*floor(B/N)/r gives
+      ceil(pr/m) <= floor(B/N).
+    - Parts and degrees.  With (c+1)*max(T) <= h, the last rule below,
+      each partition gets r (c+1)-blocks and k - r transversals, and
+      `partition_ground` gives every unit each point of a group once or
+      raises AllocationError.
     """
     m, h, classes, blocks, hc = split[:5]
     if case == "a":
         cap1, cap2 = m * (hc - c - 1) // (c * (k - r)), m * (blocks // classes) // r
     else:
         cap1, cap2 = m * hc // (c * (k - r)), m * blocks // (r * classes)
-    # min(caps) floored at 0, with no min() or max() call in the scan's inner loop
-    p = 0 if cap1 < 0 else cap1 if cap1 < cap2 else cap2   # cap2 >= 0
+    p = 0 if cap1 < 0 else cap1 if cap1 < cap2 else cap2   # min(caps) floored at 0; cap2 >= 0
     if case == "b" and p * r % m:
         return "case (b) needs p*r divisible by m"
     # a row of T spreads r/c over m/c columns: some group holds ceil(r/m) blocks
@@ -263,33 +257,6 @@ def plan_grouped(n: int, k: int, m: int, h: int, case: str) -> GroupedPlan:
 # Realization
 # --------------------------------------------------------------------------
 
-def _t_matrix(plan: GroupedPlan) -> tuple:
-    """T, whose p rows spread r/c over the m/c columns, and its column sums."""
-    c, r = plan.params.c, plan.params.r
-    cols, x = plan.m // c, r // plan.m
-    a = (r - plan.m * x) // c
-    sums = balanced_column_sums(plan.p, cols, x, a)
-    # row sums r/c exactly, column sums within the floor/ceil of p*r/m
-    assert (cols * x + a) * c == r
-    lo, hi = (plan.p * r) // plan.m, -(-(plan.p * r) // plan.m)
-    assert lo <= min(sums) and max(sums) <= hi
-    return balanced_matrix(plan.p, cols, x, a), sums
-
-
-def _check_usage(plan: GroupedPlan, sums) -> None:
-    """The counting argument's supply checks on T's column sums, asserted
-    exactly.  Block i of every class takes column i of T."""
-    c, h, p = plan.params.c, plan.h, plan.p
-    for i, s in enumerate(sums):
-        if p * h - (c + 1) * s > h ** c:
-            raise ConstructionError(f"transversal family over capacity at column {i}")
-    # per (group, class index): block usage within the equal share of binom(h,c+1)
-    for i, s in enumerate(sums):
-        if s * plan.n_classes > binom(h, c + 1):
-            raise ConstructionError(
-                f"(c+1)-block family over capacity at column {i} of every class")
-
-
 def _detach_all(plan: GroupedPlan, res: Resolution, T, seed: int) -> PartitionSystem:
     """Realize a plan in one pass over the groups, one allocation per group.
 
@@ -329,7 +296,7 @@ def _stage_flow(plan: GroupedPlan, T, keys, group, transversals, rng):
     points its blocks leave start them.  Otherwise its open transversals
     go in as stubs and fill the rest of the group.  Units of one class
     share a parent, so in either case the transversals with equal content
-    in a class take each point floor or ceil times; _check_usage keeps
+    in a class take each point floor or ceil times; cap p1 or p1' keeps
     their number within h^c, which leaves at most h of them per content in
     the last group of the block, and so they end distinct.
     """
@@ -354,24 +321,10 @@ def construct_grouped(plan: GroupedPlan, seed: int = 0) -> PartitionSystem:
         return PartitionSystem(plan.params.n, plan.params.k, [],
                                [list(range(w * plan.h, (w + 1) * plan.h))
                                 for w in range(plan.m)], [])
-    res = resolve(plan.m, plan.params.c)
-    T, sums = _t_matrix(plan)
-    _check_usage(plan, sums)
-    system = _detach_all(plan, res, T, seed)
-    _check_classes(plan, system)
-    return system
-
-
-def _check_classes(plan: GroupedPlan, system: PartitionSystem):
-    """Colour-class conditions: k parts, per-group degree sums exactly h."""
-    k, h = plan.params.k, plan.h
-    for parts in system.partitions:
-        if len(parts) != k:
-            raise ConstructionError(f"class with {len(parts)} parts, want {k}")
-        used = Counter(e // h for part in parts for e in part)
-        for w in range(plan.m):
-            if used[w] != h:
-                raise ConstructionError(f"group {w + 1} degree sum {used[w]}, want {h}")
+    c, r = plan.params.c, plan.params.r
+    x = r // plan.m
+    T = balanced_matrix(plan.p, plan.m // c, x, (r - plan.m * x) // c)
+    return _detach_all(plan, resolve(plan.m, c), T, seed)
 
 
 def construct_uniform(n: int, k: int) -> PartitionSystem:

@@ -233,16 +233,15 @@ def _parse_da_row(line: str, n: int, k: int, p: int) -> tuple:
 
 def to_detecting_array(system: PartitionSystem) -> DetectingArray:
     """Column j gets symbol l on row i iff element i is in part l of partition j."""
-    sys_c = system.canonical()
-    rows = [[0] * len(sys_c.partitions) for _ in range(system.n)]
-    for j, parts in enumerate(sys_c.partitions):
+    columns = system.canonical()
+    rows = [[0] * len(columns) for _ in range(system.n)]
+    for j, parts in enumerate(columns):
         for ell, part in enumerate(parts, start=1):
             for e in part:
                 rows[e][j] = ell
     if any(0 in row for row in rows):
         raise ValueError("system does not cover the ground set")
-    return DetectingArray(system.n, system.k, len(sys_c.partitions),
-                          [tuple(row) for row in rows])
+    return DetectingArray(system.n, system.k, len(columns), [tuple(row) for row in rows])
 
 
 def _columns(arr: DetectingArray) -> list:

@@ -290,6 +290,16 @@ class TestIp:
         assert "--out writes the built system, so it needs --build" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("n,k,variant,solver", [(26, 3, "secB", "greedy"),
+                                                    (22, 3, "secA", "closed"),
+                                                    (24, 5, "secB", "greedy")])
+    def test_solver_of_the_other_variant_exit_2(self, n, k, variant, solver, capsys):
+        # rejected before the instance is built, a trivial one included
+        code, out, err = run(["ip", "--n", str(n), "--k", str(k), "--variant", variant,
+                              "--solver", solver], capsys)
+        assert code == 2 and out == ""
+        assert f"--solver {solver} does not apply to variant {variant}" in err
+
     def test_infeasible_closed_form_dumps_the_instance_alone(self, tmp_path, capsys):
         path = tmp_path / "c26.dump"
         code, out, _ = run(["ip", "--n", "26", "--k", "3", "--variant", "secB",

@@ -7,9 +7,9 @@ import pytest
 from sperner import baranyai
 from sperner.cli import main
 from sperner.combinat import binom, decompose
-from sperner.construction import (PartitionSystem, balanced_column_sums,
-                                  balanced_matrix, construct_grouped,
-                                  construct_uniform, extend_system, plan_grouped)
+from sperner.construction import (PartitionSystem, balanced_matrix,
+                                  construct_grouped, construct_uniform,
+                                  extend_system, plan_grouped)
 from sperner.ip import build_instance, exact_solve, realize_system
 from sperner.verify import (check_almost_uniform, check_certificate,
                             check_partition_system, check_sperner)
@@ -50,7 +50,7 @@ class TestBalancedMatrix:
 
     def test_invariants_exhaustive(self):
         # the closed form against the greedy oracle, with its row counts and
-        # its column sums, which balanced_column_sums gives in closed form
+        # its column sums
         for s1 in (*range(1, 9), 40):
             for s2 in range(1, 25):
                 for x in range(3):
@@ -62,7 +62,6 @@ class TestBalancedMatrix:
                             assert row.count(x + 1) == a
                             assert row.count(x) + row.count(x + 1) == s2
                         sums = [sum(col) for col in zip(*mat)]
-                        assert sums == balanced_column_sums(*shape), shape
                         assert max(sums) - min(sums) <= 1
 
     def test_rejects_bad_shape(self):
@@ -104,6 +103,46 @@ class TestPlans:
             plan_grouped(36, 15, 5, 7, "b")
         with pytest.raises(ValueError):
             plan_grouped(36, 15, 3, 12, "b")
+
+
+def test_caps_prove_the_supply_bounds():
+    # grouped_factor's docstring proves that its caps keep T's row and
+    # column sums within what one class block and one group can supply;
+    # checked here on every plan with 8 <= n <= 300, both cases and p > 0
+    count = 0
+    for n in range(8, 301):
+        for k in range(3, n):
+            params = decompose(n, k)
+            c, r = params.c, params.r
+            if c < 2 or r == 0:
+                continue
+            for m in range(c, n + 1, c):
+                if n % m:
+                    continue
+                h = n // m
+                for case in "ab":
+                    try:
+                        plan = plan_grouped(n, k, m, h, case)
+                    except ValueError:
+                        continue
+                    p, cols, x = plan.p, m // c, r // m
+                    if p == 0:
+                        continue
+                    count += 1
+                    # T as construct_grouped builds it; row z depends on z
+                    # mod cols alone, so one period of rows gives every sum
+                    rows = balanced_matrix(cols + 1, cols, x, (r - m * x) // c)
+                    assert rows[cols] == rows[0]
+                    assert all(sum(row) * c == r for row in rows)
+                    whole, extra = divmod(p, cols)
+                    sums = [whole * sum(col) + sum(col[:extra])
+                            for col in zip(*rows[:cols])]
+                    key = (n, k, m, case)
+                    assert all(p * r // m <= s <= -(-p * r // m) for s in sums), key
+                    assert all(p * h - (c + 1) * s <= h ** c for s in sums), key
+                    assert all(s * plan.n_classes <= binom(h, c + 1) for s in sums), key
+                    assert h >= (c + 1) * max(rows[0]), key
+    assert count == 27033
 
 
 def profile(parts):
@@ -183,7 +222,7 @@ class TestConstructGrouped:
         plan = plan_grouped(16, 6, 2, 8, "b")
         a = construct_grouped(plan, seed=3)
         b = construct_grouped(plan, seed=3)
-        assert a.canonical().partitions == b.canonical().partitions
+        assert a.canonical() == b.canonical()
 
 
 class TestConstructUniform:
@@ -252,7 +291,7 @@ class TestPartForm:
     def test_text_round_trip_gives_equal_tuples(self):
         for system in self.systems():
             back = PartitionSystem.from_text(system.to_text())
-            assert back.partitions == system.canonical().partitions
+            assert back.partitions == system.canonical()
             assert all(type(p) is tuple for parts in back.partitions for p in parts)
 
     def test_parts_take_under_100_bytes_each(self):
@@ -283,13 +322,15 @@ class TestSpsFormat:
         text = system.to_text()
         back = PartitionSystem.from_text(text)
         assert back.n == 6 and back.k == 3
-        assert back.canonical().partitions == system.canonical().partitions
+        assert back.canonical() == system.canonical()
 
     def test_text_follows_canonical_order(self):
         def via_canonical(system):
+            # parts by least element, then partitions lexicographically
+            rows = sorted(sorted(map(sorted, parts), key=min) for parts in system.partitions)
+            assert system.canonical() == [list(map(tuple, parts)) for parts in rows]
             lines = [f"SPS {system.n} {system.k} {system.size}"]
-            lines += [" | ".join(" ".join(str(e) for e in sorted(p)) for p in parts)
-                      for parts in system.canonical().partitions]
+            lines += [" | ".join(" ".join(map(str, p)) for p in parts) for parts in rows]
             return "\n".join(lines) + "\n"
 
         grouped = construct_grouped(plan_grouped(36, 15, 4, 9, "b"), seed=0)

@@ -256,7 +256,7 @@ class TestDetectingArrays:
         arr = to_detecting_array(system)
         assert (arr.n, arr.k, arr.p) == (6, 3, 5)
         back = from_detecting_array(arr)
-        assert back.canonical().partitions == system.canonical().partitions
+        assert back.canonical() == system.canonical()
 
     def test_single_partition_vacuous(self):
         system = construct_uniform(4, 1)
