@@ -12,12 +12,13 @@ counting term, the shadow comparison is the closed integer inequality
     prod_{j=1}^{c-1} (c*x + j*y) <= (c-1)! * y^c,    x = floor(r(c+1)/n * s),
 
 (combinat.shadow_cmp), so every scan decision is exact.  The Table-1 scan
-builds one split table per n and c (construction.split_table: the k-free
-binomials, powers and case-(b) cap numerators of every (m, h)), visits
-only the k with 2 <= n // k <= c_max, and per k takes the best case-(b)
-size from one loop over the table (construction.best_split_b), which
-rejects by arithmetic instead of by exception.  The Table-2 scan walks k
-down from ceil(9r^2/2) and stops at the first k the bound fails.
+runs serially and builds one split table per n and c
+(construction.split_table: the k-free binomials, powers and case-(b) cap
+numerators of every (m, h)), visits only the k with 2 <= n // k <= c_max,
+in (n, k) order, and per k takes the best case-(b) size from one loop
+over the table (construction.best_split_b), which rejects by arithmetic
+instead of by exception.  The Table-2 scan walks k down from ceil(9r^2/2)
+and stops at the first k the bound fails, with one predicate test per k.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class ExactRow:
     sp: int
 
 
-def best_grouped_lower(n: int, k: int, cases=("a", "b")):
+def best_grouped_lower(n: int, k: int):
     """Best grouped-construction size over all (m, h) splits; with witness."""
     params = decompose(n, k)
     c, r = params.c, params.r
@@ -119,7 +120,7 @@ def best_grouped_lower(n: int, k: int, cases=("a", "b")):
     if r == 0 or c < 2 or k < 3:
         return best
     for split in split_table(n, c):
-        for case in cases:
+        for case in ("a", "b"):
             factors = grouped_factor(c, k, r, split, case)
             if type(factors) is tuple and factors[2] * split[2] > best[0]:
                 best = (factors[2] * split[2], (*split[:2], case))
@@ -132,7 +133,8 @@ def _exact_rows_for_n(n: int, c_max: int) -> list[ExactRow]:
     best case-(b) size, which it admits for almost every k; a size above
     the bound itself is an inconsistency and raises."""
     rows = []
-    for c in range(2, c_max + 1):
+    # every k with n // k = c + 1 lies below every k with n // k = c
+    for c in range(c_max, 1, -1):
         splits = split_table(n, c)
         if not splits:
             continue
@@ -152,27 +154,15 @@ def _exact_rows_for_n(n: int, c_max: int) -> list[ExactRow]:
     return rows
 
 
-def scan_exact(n_max: int, c_max: int = 2, workers: int = 1) -> list[ExactRow]:
+def scan_exact(n_max: int, c_max: int = 2) -> list[ExactRow]:
     """All (n, k) with n <= n_max and 2 <= n // k <= c_max where the
-    case-(b) grouped construction meets the refined upper bound; one
-    witnessing (m, h) each."""
+    case-(b) grouped construction meets the refined upper bound, in (n, k)
+    order; one witnessing (m, h) each."""
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
     if c_max < 2:
         raise ValueError(f"need c_max >= 2, got {c_max}")
-    ns = range(4, n_max + 1)
-    rows: list[ExactRow] = []
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_exact_rows_for_n, ns, [c_max] * len(ns),
-                                  chunksize=64):
-                rows.extend(chunk)
-    else:
-        for n in ns:
-            rows.extend(_exact_rows_for_n(n, c_max))
-    rows.sort(key=lambda row: (row.n, row.k))
-    return rows
+    return [row for n in range(4, n_max + 1) for row in _exact_rows_for_n(n, c_max)]
 
 
 @dataclass(frozen=True)
@@ -182,22 +172,24 @@ class SmallRRow:
     bound: str
 
 
-def scan_small_r(r_lo: int = 3, r_hi: int = 10) -> list[SmallRRow]:
-    """Minimal k from which the refined bound certifies 2k + 4r - t - 1.
+def scan_small_r() -> list[SmallRRow]:
+    """Minimal k from which the refined bound certifies 2k + 4r - t - 1,
+    for r = 3..10.
 
     Certification is required for every k between the threshold and the
     point ceil(9 r^2 / 2) where the closed-form hypothesis takes over, so
-    the walk down from that point stops at the first k that fails.
+    the walk down from that point stops at the first k that fails.  The
+    predicate is monotone in s, so refined_upper is at most 2k + 4r - t - 1
+    exactly when the predicate fails one above it: one test per k.
     """
     rows = []
-    for r in range(r_lo, r_hi + 1):
-        t = small_r_ceiling(r)
-        add = 4 * r - t - 1
-        k_cap = _ceil_div(9 * r * r, 2)
+    for r in range(3, 11):
+        add = 4 * r - small_r_ceiling(r) - 1
         threshold = None
-        for k in range(k_cap, 3, -1):
-            upper = refined_upper(decompose(2 * k + r, k))
-            if upper is None or upper > 2 * k + add:
+        for k in range(_ceil_div(9 * r * r, 2), 3, -1):
+            params = decompose(2 * k + r, k)
+            if (not _in_domain(params)
+                    or _bound_satisfied(params.n, params.c, params.r, 2 * k + add + 1)):
                 break
             threshold = k
         if threshold is None:

@@ -148,7 +148,7 @@ def cmd_scan(args) -> int:
     writer = csv.writer(buf)
     if args.table == 1:
         writer.writerow(["n", "k", "m", "h", "sp"])
-        for row in bnd.scan_exact(args.n_max, c_max=args.c_max, workers=args.workers):
+        for row in bnd.scan_exact(args.n_max, c_max=args.c_max):
             writer.writerow([row.n, row.k, row.m, row.h, row.sp])
     else:
         writer.writerow(["r", "k_threshold", "bound"])
@@ -161,7 +161,7 @@ def cmd_scan(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.path) as fh:
         text = fh.read()
-    head = text.split(None, 1)[0] if text.split() else ""
+    head = (text.split(None, 1) or [""])[0]
     try:
         if head == "SPS":
             reports = check_system(PartitionSystem.from_text(text))
@@ -196,7 +196,7 @@ def cmd_asym(args) -> int:
         obj = ""
         lp = ""
         sol = None
-        if args.variant == "secA" and not inst.trivial:
+        if args.variant == "secA":
             sol = ipm.greedy_solve(inst)
             obj = sol.objective
         if not inst.trivial:
@@ -252,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, choices=(1, 2), required=True)
     p.add_argument("--n-max", type=int, default=1000)
     p.add_argument("--c-max", type=int, default=2)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="the scan is serial; accepted, as 1 only, so that existing "
+                        "command lines still parse")
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan)
 

@@ -65,7 +65,8 @@ class IpInstance:
 
     @property
     def trivial(self) -> bool:
-        """Whether Phi is empty: u < d holds, so only u = -1 leaves no index."""
+        """Whether Phi is empty: u < d holds, so only u = -1 leaves no index.
+        The secA u-search starts at 0, so only a secB instance is trivial."""
         return self.u < 0
 
     @functools.cached_property
@@ -247,8 +248,6 @@ def greedy_solve(inst: IpInstance) -> IpSolution:
     if inst.variant != "secA":
         raise ValueError("greedy_solve applies to variant secA")
     u, d, k = inst.u, inst.d, inst.k
-    if inst.trivial:
-        return zero_solution(inst)
     x: dict = defaultdict(int)
     beta, alpha = zero_solution(inst).slack_lists()
     while True:

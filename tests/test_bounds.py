@@ -126,8 +126,20 @@ class TestScans:
                         (6, 97, "2k+16"), (7, 71, "2k+20"), (8, 189, "2k+23"),
                         (9, 253, "2k+27"), (10, 311, "2k+30")]
 
-    def test_workers_agree(self):
-        assert scan_exact(120, workers=2) == scan_exact(120)
+    def test_scan_small_r_one_predicate_test_per_k(self, monkeypatch):
+        # 715 certified k and one stop per r, with no bisection
+        evals = []
+        satisfied = bounds._bound_satisfied
+        monkeypatch.setattr(bounds, "_bound_satisfied",
+                            lambda *args: evals.append(args) or satisfied(*args))
+
+        def no_bisection(params):
+            raise AssertionError("refined_upper called")
+        monkeypatch.setattr(bounds, "refined_upper", no_bisection)
+        rows = [(r.r, r.k_threshold) for r in scan_small_r()]
+        assert rows == [(3, 17), (4, 35), (5, 32), (6, 97), (7, 71), (8, 189),
+                        (9, 253), (10, 311)]
+        assert len(evals) == 723
 
     def test_no_higher_c_rows_up_to_200(self):
         rows = scan_exact(200, c_max=64)
@@ -260,9 +272,9 @@ class TestScanAgainstOracle:
     def test_best_size_is_best_grouped_lower(self, oracle):
         rows, best_sizes = oracle
         for (n, k), best in best_sizes.items():
-            assert best_grouped_lower(n, k, cases=("b",))[0] == best, (n, k)
+            assert best_grouped_lower(n, k)[0] >= best, (n, k)
         for row in rows:
-            assert best_grouped_lower(row.n, row.k, cases=("b",)) == (
+            assert best_grouped_lower(row.n, row.k) == (
                 row.sp, (row.m, row.h, "b"))
 
 

@@ -148,8 +148,10 @@ class TestConstructAndVerify:
         ("bad.da", "DA 3 2 2\n1 2\n2 x\n1 1\n",
          "line 3: invalid literal for int() with base 10: 'x'"),
         ("head.sps", "SPS 4 2 -1\n", "line 1: bad header 'SPS 4 2 -1'"),
-        ("head.da", "DA 2 x 2\n1 2\n2 1\n", "line 1: bad header 'DA 2 x 2'")),
-        ids=["sps", "da", "sps-header", "da-header"])
+        ("head.da", "DA 2 x 2\n1 2\n2 1\n", "line 1: bad header 'DA 2 x 2'"),
+        ("empty.sps", "", "unrecognized header '' (expected SPS or DA)"),
+        ("blank.sps", " \n\t\n", "unrecognized header '' (expected SPS or DA)")),
+        ids=["sps", "da", "sps-header", "da-header", "empty", "whitespace"])
     def test_verify_parse_error_names_its_line(self, tmp_path, capsys, name, text, error):
         path = tmp_path / name
         path.write_text(text)
@@ -322,15 +324,23 @@ class TestScan:
         assert path.read_bytes() == (GOLDEN / "table2.csv").read_bytes()
 
     def test_table1_small_matches_golden_prefix(self, tmp_path, capsys):
+        golden = (GOLDEN / "table1.csv").read_bytes().splitlines(keepends=True)
         path = tmp_path / "t1.csv"
-        code, _, _ = run(["scan", "--table", "1", "--n-max", "200",
-                          "--out", str(path)], capsys)
-        assert code == 0
-        golden = (GOLDEN / "table1.csv").read_text().splitlines()
-        got = path.read_text().splitlines()
-        assert got[0] == golden[0]
-        expect = [line for line in golden[1:] if int(line.split(",")[0]) <= 200]
-        assert got[1:] == expect
+        for flags in (["--n-max", "200"], ["--n-max", "1000"],
+                      ["--n-max", "1000", "--c-max", "6", "--workers", "1"]):
+            code, _, _ = run(["scan", "--table", "1", *flags, "--out", str(path)], capsys)
+            assert code == 0
+            n_max = int(flags[1])
+            expect = golden[0] + b"".join(line for line in golden[1:]
+                                          if int(line.split(b",")[0]) <= n_max)
+            assert path.read_bytes() == expect, flags
+
+    def test_workers_other_than_1_is_a_usage_error(self, capsys):
+        # the scan is serial; --workers parses only so old command lines run
+        with pytest.raises(SystemExit) as err:
+            main(["scan", "--table", "1", "--workers", "2"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_empty_below_first_row(self, capsys):
         code, out, _ = run(["scan", "--table", "1", "--n-max", "35"], capsys)

@@ -131,6 +131,8 @@ class TestInstances:
                 for n in range(2 * k + rem, 2001, 2 * k):
                     inst = build_instance(n, k, variant)
                     assert inst.trivial == (not inst.phi), (n, k, variant)
+                    # the secA u-search starts at 0, so only secB can be trivial
+                    assert not (variant == "secA" and inst.trivial), (n, k)
                     count += 1
         assert count == 1747
 
