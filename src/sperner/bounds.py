@@ -133,8 +133,9 @@ def _exact_rows_for_n(n: int, c_max: int) -> list[ExactRow]:
     best case-(b) size, which it admits for almost every k; a size above
     the bound itself is an inconsistency and raises."""
     rows = []
-    # every k with n // k = c + 1 lies below every k with n // k = c
-    for c in range(c_max, 1, -1):
+    # every k with n // k = c + 1 lies below every k with n // k = c, and
+    # a k >= 4 with n // k = c needs c <= n // 5
+    for c in range(min(c_max, n // 5), 1, -1):
         splits = split_table(n, c)
         if not splits:
             continue

@@ -2,9 +2,10 @@
 
 Two congruence classes of (n, k) with k odd get an integer program over
 variables x_{i,j} on a banded index set Phi.  Variant "secA" covers
-n = (2d+1)k + 1 and variant "secB" covers n = (2d+1)k - 1; both live on a
-ground set split into two halves, with part families E_t (c-sets with t
-points in the first half) and E*_t ((c+1)-sets likewise).  The caps are a
+n = (2d+1)k + 1 and variant "secB" covers n = (2d+1)k - 1, so c = n // k
+is 2d + 1 or 2d; both live on a ground set split into two halves, with
+part families E_l (c-sets l levels off the balanced split of the halves)
+and E*_l ((c+1)-sets likewise), by one rule for both.  The caps are a
 diagonal budget D, off-diagonal band budgets O_l and row budgets R_l; the
 objective is 2 * sum x and its optimum is bounded by the even integer Q.
 
@@ -18,7 +19,8 @@ the root LP solved, by the one-phase integer simplex of `simplex.py`: its
 constraints are built in one pass over Phi with integer coefficients and
 nonnegative caps, so x = 0 is its first vertex.  No solver has a size
 limit.  Family sizes come from one row of binomials binom(n/2, j),
-j <= 2d+2, and u from running sums of them, in O(d).
+j <= c + 1, and u from running sums of them, in O(d); the variants differ
+only in that u-search and in their caps.
 """
 
 from __future__ import annotations
@@ -111,14 +113,19 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
     if n <= 2 * k:
         raise ValueError(f"need n > 2k, got n={n}, k={k}")
     params = decompose(n, k)
-    half = n // 2
+    if n % (2 * k) != (k + 1 if variant == "secA" else k - 1):
+        sign = "+" if variant == "secA" else "-"
+        raise ValueError(f"variant {variant} needs n = k{sign}1 (mod 2k), got n={n}, k={k}")
+    # c = 2d + 1 (secA) or 2d (secB); E_l and E*_l are the c-sets and
+    # (c+1)-sets l levels off the balanced split of the two halves
+    c = params.c
+    d = c // 2
+    row = _binom_row(n // 2, c + 1)
+
+    def levels(s):
+        return tuple(row[s // 2 - ell] * row[s - s // 2 + ell] for ell in range(s // 2 + 1))
+    e, estar = levels(c), levels(c + 1)
     if variant == "secA":
-        if n % (2 * k) != (k + 1) % (2 * k):
-            raise ValueError(f"variant secA needs n = k+1 (mod 2k), got n={n}, k={k}")
-        d = (n - k - 1) // (2 * k)
-        row = _binom_row(half, 2 * d + 2)
-        e = tuple(row[d - ell] * row[d + 1 + ell] for ell in range(d + 1))
-        estar = tuple(row[d + 1 - ell] * row[d + 1 + ell] for ell in range(d + 2))
         # a(x) = 2 (e_{x+1} + ... + e_d) falls and b(x) = estar_0 + ... +
         # estar_x grows; u is the first x with a(x) <= (k-1) b(x).
         a = 2 * sum(e[1:])
@@ -143,34 +150,23 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
         if rest:
             raise ArithmeticError(f"the caps cannot reach q/2 = {q // 2} (short by {rest})")
         cap_row = {ell: e[ell] for ell in range(u + 1, d + 1)}
-        inst = IpInstance("secA", params, d, u, q, e, estar, cap_diag, cap_off, cap_row)
-        assert q <= inst.mms_value
-        return inst
-
-    if n % (2 * k) != (k - 1) % (2 * k):
-        raise ValueError(f"variant secB needs n = k-1 (mod 2k), got n={n}, k={k}")
-    d = (n + 1 - k) // (2 * k)
-    row = _binom_row(half, 2 * d + 1)
-    e = tuple(row[d - ell] * row[d + ell] for ell in range(d + 1))
-    estar = tuple(row[d - ell] * row[d + 1 + ell] for ell in range(d + 1))
-    # a(x) = e_0 + 2 (e_1 + ... + e_x) grows and b(x) = 2 (estar_{x+1} + ...
-    # + estar_d) falls; u is the last x < d with (k-1) a(x) <= b(x), or -1,
-    # where a(-1) = 0.
-    u, au = -1, 0
-    a, b = e[0], 2 * sum(estar[1:])
-    while u + 1 < d and (k - 1) * a <= b:
-        u, au = u + 1, a
-        a += 2 * e[u + 1]
-        b -= 2 * estar[u + 1]
-    q = au - (au & 1)
-    cap_diag = e[0] // 2
-    cap_off = {ell: e[ell] for ell in range(1, u + 1)}
-    cap_row = {ell: estar[ell] for ell in range(u + 1, d + 1)}
-    inst = IpInstance("secB", params, d, u, q, e, estar, cap_diag, cap_off, cap_row)
-    top = binom(n, 2 * d)
-    assert (k - 1) * top == binom(n, 2 * d + 1)
-    assert 2 * au <= top
-    assert inst.mms_value == Fraction(top, 2)
+    else:
+        # a(x) = e_0 + 2 (e_1 + ... + e_x) grows and b(x) = 2 (estar_{x+1} +
+        # ... + estar_d) falls; u is the last x < d with (k-1) a(x) <= b(x),
+        # or -1, where a(-1) = 0.  With C(n, j) the binomial, n - c =
+        # (c+1)(k-1) makes (k-1) C(n, c) = C(n, c+1) and mms = C(n, c) / 2
+        # identities, so neither is checked here.
+        u, au = -1, 0
+        a, b = e[0], 2 * sum(estar[1:])
+        while u + 1 < d and (k - 1) * a <= b:
+            u, au = u + 1, a
+            a += 2 * e[u + 1]
+            b -= 2 * estar[u + 1]
+        q = au - (au & 1)
+        cap_diag = e[0] // 2
+        cap_off = {ell: e[ell] for ell in range(1, u + 1)}
+        cap_row = {ell: estar[ell] for ell in range(u + 1, d + 1)}
+    inst = IpInstance(variant, params, d, u, q, e, estar, cap_diag, cap_off, cap_row)
     assert q <= inst.mms_value
     return inst
 
@@ -249,36 +245,36 @@ def greedy_solve(inst: IpInstance) -> IpSolution:
         raise ValueError("greedy_solve applies to variant secA")
     u, d, k = inst.u, inst.d, inst.k
     x: dict = defaultdict(int)
-    beta, alpha = zero_solution(inst).slack_lists()
+    band, row = zero_solution(inst).slack_lists()
     while True:
-        y = next((ell for ell in range(u, 0, -1) if beta[ell] >= ell), None)
+        y = next((ell for ell in range(u, 0, -1) if band[ell] >= ell), None)
         if y is None:
-            if beta[0] * (k - 1) >= d - u + 1:
+            if band[0] * (k - 1) >= d - u + 1:
                 y = 0
             else:
                 break
         delta_req = 1 if y >= 1 else 2
-        z = next((ell for ell in range(d, u, -1) if alpha[ell] >= delta_req), None)
+        z = next((ell for ell in range(d, u, -1) if row[ell] >= delta_req), None)
         if z is None:
             raise AssertionError("no row with enough slack; greedy invariant broken")
         if z < u + 2 * y:
             raise AssertionError(f"z = {z} < u + 2y = {u + 2 * y}; greedy invariant broken")
         if y >= 1:
             window = range(z - 2 * y + 1, z + 1)
-            if any(alpha[ell] < 1 for ell in window):
+            if any(row[ell] < 1 for ell in window):
                 raise AssertionError("slack run below 1; greedy invariant broken")
-            step = min(beta[y] // y, min(alpha[ell] for ell in window))
+            step = min(band[y] // y, min(row[ell] for ell in window))
             for i in range(y):
                 x[(z - y - i, z - i)] += step
-            beta[y] -= step * y
+            band[y] -= step * y
             for ell in window:
-                alpha[ell] -= step
+                row[ell] -= step
         else:
-            by_beta = beta[0] - (-(-(d - u + 1) // (k - 1))) + 1
-            step = min(by_beta, alpha[z] // 2)
+            by_band = band[0] - (-(-(d - u + 1) // (k - 1))) + 1
+            step = min(by_band, row[z] // 2)
             x[(z, z)] += step
-            beta[0] -= step
-            alpha[z] -= 2 * step
+            band[0] -= step
+            row[z] -= 2 * step
     # The termination threshold above is what makes the existence of z
     # provable, not what exhausts the budgets; the band-desc fill then
     # grows every index while it stays feasible.
@@ -309,7 +305,8 @@ def closed_form_solve(inst: IpInstance) -> ClosedFormResult:
     3u // 2 + 1.
 
     Feasible (with objective exactly q) whenever all row slacks stay
-    nonnegative; otherwise the violated row slacks are reported.
+    nonnegative; otherwise the broken caps are reported by name: R_l, O_l
+    or D.
     """
     if inst.variant != "secB":
         raise ValueError("closed_form_solve applies to variant secB")
@@ -328,8 +325,8 @@ def closed_form_solve(inst: IpInstance) -> ClosedFormResult:
         return ClosedFormResult(None, bad_index)
     sol = IpSolution(inst, dict(assigns))   # one index per band, so no key repeats
     band, row = sol.slack_lists()
-    violations = [f"beta_{ell}" for ell, s in enumerate(row) if s < 0]
-    violations += [f"alpha_{ell}" for ell, s in enumerate(band) if s < 0]
+    violations = [f"R_{ell}" for ell, s in enumerate(row) if s < 0]
+    violations += [f"O_{ell}" if ell else "D" for ell, s in enumerate(band) if s < 0]
     if violations:
         return ClosedFormResult(None, violations)
     assert sol.objective == inst.q
@@ -363,9 +360,8 @@ def _build_lp(inst: IpInstance) -> LinearProgram:
 
 
 def lp_relax(inst: IpInstance):
-    """Exact rational optimum of the LP relaxation; (value, solution dict)."""
-    if inst.trivial:
-        return Fraction(0), {}
+    """Exact rational optimum of the LP relaxation; (value, solution dict).
+    Over an empty Phi the LP is the one row {} <= D, solved at x = 0."""
     value, xs = _build_lp(inst).solve()
     assert value <= inst.q
     return value, {v: x for v, x in zip(inst.phi, xs) if x}
@@ -509,35 +505,35 @@ class _ClassStream(NamedTuple):
     """A solution's classes in stream order, as runs of one base profile:
     a forward and a mirror run of x_{i,j} classes per index, in index
     order, each class padded with the next `width` levels of the round
-    robin over `supply`."""
+    robin over `supply`.  A part is ((tag, t), size, (t, size - t)), t
+    points on the first side, as the certificate checker keys it."""
     runs: list          # (base profile, number of classes)
     supply: dict        # padding level -> untouched row slack
     width: int          # padding levels per class, (k - 3) / 2
-    tag: str            # the family of the padding pairs
-    d: int
-    half: int           # points on the first side, n / 2
-    size_of: dict       # family tag -> part size: EA c, EB c + 1
+    pads: dict          # padding level -> its two parts
 
     def padded(self, base: tuple, levels) -> tuple:
-        tag, d = self.tag, self.d
-        return base + tuple(pad for ell in levels
-                            for pad in ((tag, d - ell), (tag, d + 1 + ell)))
+        return base + tuple(part for ell in levels for part in self.pads[ell])
 
 
 def _class_stream(inst: IpInstance, sol: IpSolution) -> _ClassStream:
-    """Profiles are ((tag, x1_count), ...); the padding comes from the
-    untouched family pairs, (k-3)/2 pairs per class, round-robin over the
-    levels by decreasing slack."""
-    d, u = inst.d, inst.u
-    pair, single, shift = ("EA", "EB", 1) if inst.variant == "secA" else ("EB", "EA", 0)
+    """Each class is its index's pair of (2d+1)-sets and one set of the
+    other size, padded by the untouched (2d+1)-set pairs, (k-3)/2 pairs
+    per class, round-robin over the levels by decreasing slack."""
+    c, d, u = inst.params.c, inst.d, inst.u
     width = (inst.k - 3) // 2
+    pair = 2 * d + 1                        # c (secA) or c + 1 (secB)
+    single = c + 1 if pair == c else c      # the other of c and c + 1
+
+    def part(size, t):
+        return ("EA" if size == c else "EB", t), size, (t, size - t)
     row = sol.slack_lists()[1]
     supply = {ell: row[ell] for ell in range(u + 1, d + 1)}
     assert sum(supply.values()) >= sol.objective * width
-    runs = [(((pair, d - a), (pair, d + 1 + b), (single, d + shift + a - b)), x)
+    runs = [((part(pair, d - a), part(pair, d + 1 + b), part(single, single // 2 + a - b)), x)
             for (i, j), x in sorted(sol.x.items()) for a, b in ((i, j), (j, i))]
-    c = 2 * d + (1 if inst.variant == "secA" else 0)
-    return _ClassStream(runs, supply, width, pair, d, inst.n // 2, {"EA": c, "EB": c + 1})
+    pads = {ell: (part(pair, d - ell), part(pair, d + 1 + ell)) for ell in supply}
+    return _ClassStream(runs, supply, width, pads)
 
 
 def _class_profiles(stream: _ClassStream):
@@ -571,16 +567,13 @@ def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0) -> Partitio
     `certificate()` checks the same family accounting from the runs of
     that stream, without building a class.
     """
-    n, k = inst.n, inst.k
-    stream = _class_stream(inst, sol)
-    half, size_of = stream.half, stream.size_of
-    tag_of = {size: tag for tag, size in size_of.items()}
+    n, k, c, half = inst.n, inst.k, inst.params.c, inst.n // 2
     sides = (range(half), range(half, n))
-    units = [[(t, size_of[tag] - t) for tag, t in prof]
-             for prof in _class_profiles(stream)]
+    units = [[shape for _, _, shape in prof]
+             for prof in _class_profiles(_class_stream(inst, sol))]
     partitions = partition_ground(range(n), units, sides=sides,
                                   rng=random.Random(f"{seed}:ip-realize"))
-    tags = [[(tag_of[len(b)], sum(e < half for e in b)) for b in parts]
+    tags = [[("EA" if len(b) == c else "EB", sum(e < half for e in b)) for b in parts]
             for parts in partitions]
     return PartitionSystem(n, k, partitions, [list(side) for side in sides], tags)
 
@@ -596,15 +589,12 @@ def certificate(inst: IpInstance, sol: IpSolution) -> SystemCertificate:
     certifies in 578 profiles.
     """
     stream = _class_stream(inst, sol)
-    size_of = stream.size_of
     windows = window_counts(stream.supply, stream.width, [m for _, m in stream.runs])
     counts = Counter()
     for (base, _), run in zip(stream.runs, windows):
         for levels, cnt in run.items():
-            # profile tags carry the first-side count, matching the checker's key
-            counts[tuple(sorted(((tag, t), size_of[tag], (t, size_of[tag] - t))
-                                for tag, t in stream.padded(base, levels)))] += cnt
-    return SystemCertificate(inst.n, inst.k, sol.objective, (stream.half, stream.half),
+            counts[tuple(sorted(stream.padded(base, levels)))] += cnt
+    return SystemCertificate(inst.n, inst.k, sol.objective, (inst.n // 2, inst.n // 2),
                              sorted(counts.items()))
 
 

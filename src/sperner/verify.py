@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 from .combinat import Params, binom
 from .construction import PartitionSystem, read_records
@@ -53,7 +53,7 @@ def check_partition_system(system: PartitionSystem) -> VerificationReport:
     Occurrences are counted, so an element repeated inside one part fails
     as one held by two parts does."""
     rep = VerificationReport("partition structure")
-    ground = set(range(system.n))
+    n, ground = system.n, None
     for idx, parts in enumerate(system.partitions):
         if len(parts) != system.k:
             rep.fail(f"partition {idx}: {len(parts)} parts, want {system.k}")
@@ -63,11 +63,26 @@ def check_partition_system(system: PartitionSystem) -> VerificationReport:
         seen = set().union(*parts)
         if sum(map(len, parts)) != len(seen):
             _repeats(rep, idx, parts)
-        if seen != ground:
-            missing = sorted(ground - seen)
-            extra = sorted(seen - ground)
-            rep.fail(f"partition {idx}: bad cover (missing {missing}, extra {extra})")
+        # built once a partition holds n elements, so the file bounds its size
+        if ground is None and len(seen) == n:
+            ground = set(range(n))
+        if len(seen) != n or seen != ground:
+            extra = sorted(e for e in seen if not 0 <= e < n)
+            rep.fail(f"partition {idx}: bad cover "
+                     f"(missing {_absent(seen, 0, n) or []}, extra {extra})")
     return rep
+
+
+def _absent(held, first: int, stop: int) -> str:
+    """The numbers of range(first, stop) missing from `held`, listed up to
+    ten, then counted: "[2, 5]" or "[0, ..., 9] and 7 more"; "" if none.
+    The scan up from `first` passes at most len(held) + 10 numbers, so a
+    declared n or k never sets the cost."""
+    lacking = stop - first - sum(first <= x < stop for x in held)
+    if not lacking:
+        return ""
+    listed = list(islice((x for x in range(first, stop) if x not in held), 10))
+    return f"{listed} and {lacking - 10} more" if lacking > 10 else str(listed)
 
 
 def _repeats(rep: VerificationReport, idx: int, parts) -> None:
@@ -246,13 +261,12 @@ def to_detecting_array(system: PartitionSystem) -> DetectingArray:
 
 def _columns(arr: DetectingArray) -> list:
     """Per column, in one pass over the rows: its row sets in symbol order,
-    and the symbols of 1..k it never holds."""
+    and the symbols of 1..k it never holds, as `_absent` lists them."""
     groups = [defaultdict(list) for _ in range(arr.p)]
     for i, row in enumerate(arr.rows):
         for column, s in zip(groups, row):
             column[s].append(i)
-    return [([tuple(g[s]) for s in sorted(g)],
-             [s for s in range(1, arr.k + 1) if s not in g]) for g in groups]
+    return [([tuple(g[s]) for s in sorted(g)], _absent(g, 1, arr.k + 1)) for g in groups]
 
 
 def from_detecting_array(arr: DetectingArray) -> PartitionSystem:

@@ -145,6 +145,15 @@ class TestScans:
         rows = scan_exact(200, c_max=64)
         assert rows and all(row.n // row.k == 2 for row in rows)
 
+    def test_c_max_stops_at_n_over_5(self, monkeypatch):
+        # no k >= 4 has n // k = c > n // 5, so a huge c_max visits no more c
+        calls = []
+        table = bounds.split_table
+        monkeypatch.setattr(bounds, "split_table",
+                            lambda n, c: calls.append((n, c)) or table(n, c))
+        assert scan_exact(40, c_max=10 ** 4) == scan_exact(40)
+        assert len(calls) <= 200
+
     def test_rejects_c_max_below_2(self):
         for c_max in (1, 0, -1):
             with pytest.raises(ValueError, match="c_max"):

@@ -184,6 +184,23 @@ class TestConstructAndVerify:
             "    part 0 of partition 0 is contained in part 0 of partition 1\n"
             "    part 1 of partition 0 is contained in part 1 of partition 1\n")
 
+    @pytest.mark.parametrize("name,text,line", (
+        ("n.sps", "SPS 2000000 1 1\n0\n",
+         "  partition 0: bad cover (missing [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 1999989 more,"
+         " extra [])"),
+        ("k.da", "DA 1 2000000 1\n1\n",
+         "  column 0: symbol(s) [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 1999989 more never appear")),
+        ids=["sps-n", "da-k"])
+    def test_verify_cost_follows_the_file_not_the_header(self, tmp_path, capsys, name, text,
+                                                         line):
+        # a header declaring 2 million elements or symbols lists ten missing
+        # ones and counts the rest
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert code == 1 and len(out) < 1000
+        assert line in out.splitlines()
+
     def test_verify_da_roundtrip(self, tmp_path, capsys):
         from sperner.construction import construct_uniform
         from sperner.verify import to_detecting_array
@@ -307,7 +324,7 @@ class TestIp:
         code, out, _ = run(["ip", "--n", "26", "--k", "3", "--variant", "secB",
                             "--solver", "closed", "--dump", str(path)], capsys)
         assert code == 1
-        assert out.endswith("closed form infeasible: violated beta_1\n")
+        assert out.endswith("closed form infeasible: violated R_1\n")
         assert path.read_text() == ipm.build_instance(26, 3, "secB").to_text()
 
     def test_wrong_congruence_exit_2(self, capsys):

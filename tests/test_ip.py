@@ -201,6 +201,43 @@ class TestInstances:
         with pytest.raises(ValueError):
             build_instance(6, 3, "secA")
 
+    def test_one_family_rule_matches_the_index_formulas(self):
+        # levels(s)_l = binom(h, s//2 - l) binom(h, s - s//2 + l) for s = c,
+        # c + 1 against each variant's own index formulas, on every instance
+        # with k <= 13 and n <= 1000
+        count = 0
+        for k in range(3, 14, 2):
+            for variant, rem in (("secA", k + 1), ("secB", k - 1)):
+                for n in range(2 * k + rem, 1001, 2 * k):
+                    inst = build_instance(n, k, variant)
+                    d = inst.d
+                    b = [math.comb(n // 2, j) for j in range(2 * d + 3)]
+                    if variant == "secA":
+                        e = [b[d - ell] * b[d + 1 + ell] for ell in range(d + 1)]
+                        estar = [b[d + 1 - ell] * b[d + 1 + ell] for ell in range(d + 2)]
+                    else:
+                        e = [b[d - ell] * b[d + ell] for ell in range(d + 1)]
+                        estar = [b[d - ell] * b[d + 1 + ell] for ell in range(d + 1)]
+                    assert (inst.e, inst.estar) == (tuple(e), tuple(estar)), (n, k, variant)
+                    count += 1
+        assert count == 945
+
+    def test_secB_identities_sweep(self):
+        # n - c = (c+1)(k-1) makes (k-1) binom(n, c) = binom(n, c+1) and
+        # mms = binom(n, c) / 2, so `build_instance` checks neither; the band
+        # dual is q on every nontrivial instance
+        count = 0
+        for k in range(3, 12, 2):
+            for n in range(3 * k - 1, 3001, 2 * k):
+                inst = build_instance(n, k, "secB")
+                c = inst.params.c
+                assert (k - 1) * binom(n, c) == binom(n, c + 1), (n, k)
+                assert inst.mms_value == Fraction(binom(n, c), 2), (n, k)
+                assert inst.q <= inst.mms_value, (n, k)
+                assert inst.trivial or band_dual(inst) == inst.q, (n, k)
+                count += 1
+        assert count == 1312
+
     def test_eta_identity_sweep(self):
         for n in range(10, 301):
             if n % 6 == 4:
@@ -443,7 +480,7 @@ class TestClosedForm:
     def test_26_3_infeasible(self):
         res = closed_form_solve(build_instance(26, 3, "secB"))
         assert not res.feasible
-        assert res.violations == ["beta_1"]
+        assert res.violations == ["R_1"]
 
     def test_u_zero_single_diagonal(self):
         inst = build_instance(26, 3, "secB")
@@ -684,6 +721,15 @@ class TestExactAndLp:
     def test_trivial(self):
         sol, optimal = exact_solve(build_instance(24, 5, "secB"))
         assert optimal and sol.objective == 0
+
+    def test_lp_relax_trivial(self):
+        # over an empty Phi the LP is one row {} <= D and no column: the
+        # simplex stops at x = 0 without a pivot
+        inst = build_instance(24, 5, "secB")
+        lp = _build_lp(inst)
+        assert lp.rows == [{}] and lp.b == [inst.cap_diag] and lp.c == []
+        assert lp.solve() == (0, []) and lp.pivots == []
+        assert lp_relax(inst) == (0, {})
 
     def test_exact_agrees_with_search_oracle(self):
         for inst in sandwich_cases():
@@ -1075,7 +1121,10 @@ class TestRealization:
         profiles = list(ip._class_profiles(stream))
         assert stream.supply == supply
         assert list(ip._class_profiles(stream)) == profiles
-        levels = [inst.d - t for prof in profiles for _, t in prof[3::2]]
+        # each part is ((tag, t), size, (t, size - t)); a padding level l
+        # gives the pair of t = d - l and t = d + 1 + l
+        assert all(shape == (t, size - t) for prof in profiles for (_, t), size, shape in prof)
+        levels = [inst.d - t for prof in profiles for (_, t), _, _ in prof[3::2]]
         assert len(levels) == len(profiles) * stream.width > 0
         assert levels == list(itertools.islice(round_robin(dict(supply)), len(levels)))
 
@@ -1117,12 +1166,9 @@ class TestRealization:
 def streamed_certificate(inst, sol):
     """Oracle: the certificate's profiles counted one streamed class at a
     time, as `_class_profiles` hands them to the realization."""
-    c = 2 * inst.d + (1 if inst.variant == "secA" else 0)
-    size_of = {"EA": c, "EB": c + 1}
     counts = Counter()
     for prof, cnt in Counter(ip._class_profiles(ip._class_stream(inst, sol))).items():
-        counts[tuple(sorted(((tag, t), size_of[tag], (t, size_of[tag] - t))
-                            for tag, t in prof))] += cnt
+        counts[tuple(sorted(prof))] += cnt
     return sorted(counts.items())
 
 

@@ -52,6 +52,17 @@ class TestPartitionStructure:
         rep = check_partition_system(bad)
         assert any("bad cover" in v for v in rep.violations)
 
+    def test_missing_elements_listed_up_to_ten(self):
+        rep = check_partition_system(PartitionSystem(12, 2, [[(0, 1, 2), (3, 15)]]))
+        assert rep.violations == [
+            "partition 0: bad cover (missing [4, 5, 6, 7, 8, 9, 10, 11], extra [15])"]
+        rep = check_partition_system(PartitionSystem(14, 2, [[(0, 2), (4, 20)]]))
+        assert rep.violations == [
+            "partition 0: bad cover (missing [1, 3, 5, 6, 7, 8, 9, 10, 11, 12] and 1 more, "
+            "extra [20])"]
+        rep = check_partition_system(PartitionSystem(2, 2, [[(0,), (1, 2)]]))
+        assert rep.violations == ["partition 0: bad cover (missing [], extra [2])"]
+
     def test_wrong_part_count(self):
         bad = PartitionSystem(4, 3, [[(0, 1), (2, 3)]])
         assert not check_partition_system(bad).ok
@@ -280,6 +291,14 @@ class TestDetectingArrays:
         assert not rep.ok
         with pytest.raises(ValueError):
             from_detecting_array(broken)
+
+    def test_missing_symbols_listed_up_to_ten(self):
+        arr = DetectingArray(4, 14, 2, [(1, 1), (2, 2), (3, 3), (1, 14)])
+        assert check_detecting(arr).violations == [
+            "column 0: symbol(s) [4, 5, 6, 7, 8, 9, 10, 11, 12, 13] and 1 more never appear",
+            "column 1: symbol(s) [4, 5, 6, 7, 8, 9, 10, 11, 12, 13] never appear"]
+        with pytest.raises(ValueError, match=r"^column 0: symbol\(s\) \[4, .*, 13\] and 1 more "):
+            from_detecting_array(arr)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="line 1"):
