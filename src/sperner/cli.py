@@ -273,11 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()   # exact values print in full; verify parses under it
+    sys.set_int_max_str_digits(limit if args.func is cmd_verify else 0)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -47,7 +47,6 @@ class PartitionSystem:
     k: int
     partitions: list
     groups: list | None = None
-    part_tags: list | None = None
 
     @property
     def size(self) -> int:
@@ -243,8 +242,8 @@ def plan_grouped(n: int, k: int, m: int, h: int, case: str) -> GroupedPlan:
         raise ValueError(f"need c >= 2 and k >= 3, got c={c}, k={k}")
     if r == 0:
         raise ValueError("r = 0: use the uniform construction instead")
-    if m * h != n:
-        raise ValueError(f"need m*h = n, got {m}*{h} != {n}")
+    if m < 1 or h < 1 or m * h != n:
+        raise ValueError(f"need m*h = n with m, h >= 1, got m={m}, h={h}, n={n}")
     if m % c != 0:
         raise ValueError(f"need c | m, got m={m}, c={c}")
     factors = grouped_factor(c, k, r, grouped_split(c, m, h), case)
@@ -273,19 +272,15 @@ def _detach_all(plan: GroupedPlan, res: Resolution, T, seed: int) -> PartitionSy
     units = [(z, ell) for ell in range(N) for z in range(p)]
     transversals = {}   # (z, ell, i) -> open transversals of block i
     parts = {u: [] for u in units}
-    tags = {u: [] for u in units}
     for w in range(1, m + 1):
         keys = [(z, ell, pos[(ell, w)]) for z, ell in units]
         alloc = _stage_flow(plan, T, keys, groups[w - 1], transversals, rng)
         for key, (blocks, grown) in zip(keys, alloc):
             parts[key[:2]] += blocks
-            tags[key[:2]] += [("B", w)] * len(blocks)
             transversals[key] = grown
-    for (z, ell, i), done in transversals.items():
-        parts[(z, ell)] += done
-        tags[(z, ell)] += [("A", ell, i)] * len(done)
-    return PartitionSystem(plan.params.n, plan.params.k, [parts[u] for u in units],
-                           groups, [tags[u] for u in units])
+    for key, done in transversals.items():
+        parts[key[:2]] += done
+    return PartitionSystem(plan.params.n, plan.params.k, [parts[u] for u in units], groups)
 
 
 def _stage_flow(plan: GroupedPlan, T, keys, group, transversals, rng):
@@ -320,7 +315,7 @@ def construct_grouped(plan: GroupedPlan, seed: int = 0) -> PartitionSystem:
     if plan.p == 0:
         return PartitionSystem(plan.params.n, plan.params.k, [],
                                [list(range(w * plan.h, (w + 1) * plan.h))
-                                for w in range(plan.m)], [])
+                                for w in range(plan.m)])
     c, r = plan.params.c, plan.params.r
     x = r // plan.m
     T = balanced_matrix(plan.p, plan.m // c, x, (r - plan.m * x) // c)

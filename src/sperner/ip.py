@@ -505,8 +505,9 @@ class _ClassStream(NamedTuple):
     """A solution's classes in stream order, as runs of one base profile:
     a forward and a mirror run of x_{i,j} classes per index, in index
     order, each class padded with the next `width` levels of the round
-    robin over `supply`.  A part is ((tag, t), size, (t, size - t)), t
-    points on the first side, as the certificate checker keys it."""
+    robin over `supply`.  A part is (name, size, (t, size - t)), t points
+    on the first side; the certificate checker reads its name, ("EA" or
+    "EB", t), only in messages."""
     runs: list          # (base profile, number of classes)
     supply: dict        # padding level -> untouched row slack
     width: int          # padding levels per class, (k - 3) / 2
@@ -551,13 +552,13 @@ def _class_profiles(stream: _ClassStream):
 def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0) -> PartitionSystem:
     """Materialize a solution as an explicit partition system.
 
-    Each class partitions the ground set, split into its two halves; a
-    part with first-side count t of size c or c+1 is a block of type
-    (t, size - t).  One staged flow over the whole ground
-    (`baranyai.partition_ground` with two sides) hands every class its
-    blocks, and blocks of one type are distinct, so all parts are.  The
-    solution's capacities keep each type within its pool.  The seed only
-    orders the placement of points.
+    Each class partitions the ground set, split into its two halves, the
+    groups of the system; a part of size c or c+1 with t points on the
+    first side is a block of type (t, size - t), its group signature.  One
+    staged flow over the whole ground (`baranyai.partition_ground` with two
+    sides) hands every class its blocks, and blocks of one type are
+    distinct, so all parts are.  The solution's capacities keep each type
+    within its pool.  The seed only orders the placement of points.
 
     The flow needs one unit per class, so this is the one consumer of the
     class-at-a-time stream `_class_profiles`, and its cost and memory grow
@@ -567,15 +568,13 @@ def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0) -> Partitio
     `certificate()` checks the same family accounting from the runs of
     that stream, without building a class.
     """
-    n, k, c, half = inst.n, inst.k, inst.params.c, inst.n // 2
+    n, half = inst.n, inst.n // 2
     sides = (range(half), range(half, n))
     units = [[shape for _, _, shape in prof]
              for prof in _class_profiles(_class_stream(inst, sol))]
     partitions = partition_ground(range(n), units, sides=sides,
                                   rng=random.Random(f"{seed}:ip-realize"))
-    tags = [[("EA" if len(b) == c else "EB", sum(e < half for e in b)) for b in parts]
-            for parts in partitions]
-    return PartitionSystem(n, k, partitions, [list(side) for side in sides], tags)
+    return PartitionSystem(n, inst.k, partitions, [list(side) for side in sides])
 
 
 def certificate(inst: IpInstance, sol: IpSolution) -> SystemCertificate:

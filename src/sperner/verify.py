@@ -6,7 +6,8 @@ linear in the number of parts for almost-uniform systems.  The
 detecting-array check reads the columns as partitions and runs the same
 exact check, so the Sperner and detecting properties agree by
 construction.  Certificate checking validates the construction's
-family accounting and never does subset tests; its proof obligations are
+family accounting, a family being the parts of one size and group
+signature, and never does subset tests; its proof obligations are
 coded once, over (class profile, count) pairs, which `check_certificate`
 streams one materialized class at a time and an IP certificate aggregates.
 Both checks of a materialized system read one `PartIndex` of its parts:
@@ -18,6 +19,7 @@ returns one report under the name that every command prints, and
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -200,13 +202,13 @@ def check_almost_uniform(system: PartitionSystem, params: Params) -> Verificatio
 def check_system(system: PartitionSystem, params: Params | None = None) -> list:
     """The report of every check that applies to a materialized system, in
     the order they print: the size profile only against given params, the
-    certificate only when the system carries family tags.  One `PartIndex`
+    certificate only when the system carries its groups.  One `PartIndex`
     serves both the certificate's reuse test and the subset test."""
     reports = [check_partition_system(system)]
     if params is not None:
         reports.append(check_almost_uniform(system, params))
     index = PartIndex(system.partitions)
-    if system.part_tags is not None:
+    if system.groups is not None:
         reports.append(check_certificate(system, index))
     reports.append(check_sperner(system, index))
     return reports
@@ -303,25 +305,12 @@ def check_detecting(arr: DetectingArray) -> VerificationReport:
 # Certificates
 # --------------------------------------------------------------------------
 
-_LARGE_LAYER = ("B", "EB")   # the (c+1)-set layer; "A" and "EA" make the c-set layer
-
-
-def _family_capacity(tag, size: int, sig: tuple, group_sizes: tuple):
-    """How many parts of this size family `tag` holds, or why a part with
-    this size and group signature is not in it, as a string."""
+def _family_capacity(size: int, sig: tuple, group_sizes: tuple):
+    """How many parts there are of this size and group signature, the
+    product of binom(|G_w|, sig_w), or as a string why there are none."""
     if len(sig) != len(group_sizes) or sum(sig) != size:
         return f"signature does not split size {size} over the groups"
-    if tag[0] == "B":
-        if not 1 <= tag[1] <= len(sig) or sig[tag[1] - 1] != size:
-            return f"block not inside group {tag[1]}"
-        return binom(group_sizes[tag[1] - 1], size)
-    if tag[0] == "A":
-        return group_sizes[0] ** size if max(sig) <= 1 else "transversal meets a group twice"
-    if tag[0] in ("EA", "EB"):
-        if sig[0] != tag[1]:
-            return f"first-side size {sig[0]}, declared {tag[1]}"
-        return binom(group_sizes[0], tag[1]) * binom(group_sizes[1], size - tag[1])
-    return "unknown family tag"
+    return math.prod(map(binom, group_sizes, sig))
 
 
 def _layer_separation(rep: VerificationReport, small_sigs, large_sigs):
@@ -341,62 +330,57 @@ def _layer_separation(rep: VerificationReport, small_sigs, large_sigs):
 def _check_profiles(rep: VerificationReport, k: int, p: int, group_sizes: tuple,
                     profiles, what: str) -> None:
     """The family-accounting proof obligations over (class profile, count)
-    pairs, a profile listing a class's parts as (tag, size, signature).
+    pairs, a profile listing a class's parts as (name, size, signature),
+    the name read only in messages.
 
-    Each part fits its family; each class has k parts and the group sizes
-    as degree sums; there are p classes; the layers have one size each, c
-    and c+1, and are separated; no family is used beyond its capacity.
-    Each distinct part shape's capacity is derived once.
+    Each signature splits its part's size over the groups; each class has
+    k parts and the group sizes as degree sums; there are p classes; the
+    parts have sizes c and c+1 and the layers are separated; no family, a
+    size and signature, is used beyond its capacity, derived once.
     """
     total = 0
-    usage, caps = defaultdict(int), {}
-    fits = {}       # (tag, size, sig) -> capacity or why the part does not fit
-    sizes, sigs = (set(), set()), (set(), set())
+    usage, caps = defaultdict(int), {}   # (size, sig) -> parts used; capacity or misfit
     for idx, (profile, count) in enumerate(profiles):
         total += count
         if len(profile) != k:
             rep.fail(f"{what} {idx}: {len(profile)} parts, want {k}")
-        for tag, size, sig in profile:
-            cap = fits.get((tag, size, sig))
+        for name, size, sig in profile:
+            cap = caps.get((size, sig))
             if cap is None:
-                cap = fits[tag, size, sig] = _family_capacity(tag, size, sig,
-                                                              group_sizes)
+                cap = caps[size, sig] = _family_capacity(size, sig, group_sizes)
             if isinstance(cap, str):
-                rep.fail(f"{what} {idx}: part {tag!r} of signature {sig}: {cap}")
-                continue
-            usage[tag, size] += count
-            caps[tag, size] = cap
-            large = tag[0] in _LARGE_LAYER
-            sizes[large].add(size)
-            sigs[large].add(sig)
+                rep.fail(f"{what} {idx}: part {name!r} of signature {sig}: {cap}")
+            else:
+                usage[size, sig] += count
         degrees = tuple(map(sum, zip(*(sig for _, _, sig in profile))))
         if degrees != group_sizes:
             rep.fail(f"{what} {idx}: group degree sums {degrees}, want {group_sizes}")
     if total != p:
         rep.fail(f"profiles cover {total} classes, want {p}")
-    small, large = sizes
-    if len(small) > 1 or len(large) > 1 or (small and large and min(small) + 1 != min(large)):
-        rep.fail(f"layer sizes {sorted(small)} / {sorted(large)} are not c and c+1")
-    _layer_separation(rep, *sigs)
-    for (tag, size), used in usage.items():
-        if used > caps[tag, size]:
-            rep.fail(f"family {tag}: {used} parts of size {size} used, "
-                     f"capacity {caps[tag, size]}")
+    sizes = sorted({size for size, _ in usage})
+    if sizes and sizes[-1] - sizes[0] > 1:
+        rep.fail(f"part sizes {sizes} are not c and c+1")
+    elif len(sizes) == 2:
+        _layer_separation(rep, *([sig for size, sig in usage if size == s] for s in sizes))
+    for (size, sig), used in usage.items():
+        if used > caps[size, sig]:
+            rep.fail(f"family of size {size} and signature {sig}: {used} parts used, "
+                     f"capacity {caps[size, sig]}")
 
 
 def check_certificate(system: PartitionSystem, index: PartIndex | None = None
                       ) -> VerificationReport:
     """Family-level validation without pairwise subset tests.
 
-    Needs the construction metadata (groups and per-part family tags).
-    Only the reuse of a part is checked on the parts themselves, as the
-    repeated parts of the system's `PartIndex` (built here unless given);
-    each class then goes to the shared family-accounting checks as a
-    profile of count 1, with signatures read from one point-to-group table.
+    Needs the construction metadata: the groups.  Only the reuse of a part
+    is checked on the parts themselves, as the repeated parts of the
+    system's `PartIndex` (built here unless given); each class then goes to
+    the shared family-accounting checks as a profile of count 1, each part
+    named by itself, with signatures read from one point-to-group table.
     """
     rep = VerificationReport("certificate")
-    if system.groups is None or system.part_tags is None:
-        rep.fail("system carries no family metadata")
+    if system.groups is None:
+        rep.fail("system carries no groups")
         return rep
     group_sizes = tuple(len(g) for g in system.groups)
     group_of = {e: w for w, g in enumerate(system.groups) for e in g}
@@ -409,19 +393,16 @@ def check_certificate(system: PartitionSystem, index: PartIndex | None = None
         for a, b in zip(hs, hs[1:]):
             rep.fail(f"part {sorted(part)} reused by classes {a} and {b}")
 
-    def profiles():
-        for parts, tags in zip(system.partitions, system.part_tags):
-            profile = []
-            for part, tag in zip(parts, tags):
-                sig = [0] * len(group_sizes)
-                for e in part:
-                    if (w := group_of.get(e)) is not None:
-                        sig[w] += 1
-                profile.append((tag, len(part), tuple(sig)))
-            yield profile, 1
+    def signature(part):
+        sig = [0] * len(group_sizes)
+        for e in part:
+            if (w := group_of.get(e)) is not None:
+                sig[w] += 1
+        return tuple(sig)
 
-    _check_profiles(rep, system.k, len(system.partitions), group_sizes,
-                    profiles(), "class")
+    profiles = (([(part, len(part), signature(part)) for part in parts], 1)
+                for parts in system.partitions)
+    _check_profiles(rep, system.k, len(system.partitions), group_sizes, profiles, "class")
     return rep
 
 
@@ -429,17 +410,17 @@ def check_certificate(system: PartitionSystem, index: PartIndex | None = None
 class SystemCertificate:
     """Aggregated accounting for systems too large to materialize.
 
-    Classes are grouped by their profile: the multiset of (tag, size,
-    signature) triples of their parts.  The checks are those of
-    `check_certificate`, with each family's capacity derived from its tag,
-    the part size and the group sizes, not declared.
+    Classes are grouped by their profile: the multiset of (name, size,
+    signature) triples of their parts, the name read only in messages.
+    The checks are those of `check_certificate`, with each family's
+    capacity derived from its size, signature and group sizes, not declared.
     """
 
     n: int
     k: int
     p: int
     group_sizes: tuple
-    profiles: list          # (profile, count); profile = tuple of (tag, size, sig)
+    profiles: list          # (profile, count); profile = tuple of (name, size, sig)
 
 
 def check_certificate_summary(cert: SystemCertificate) -> VerificationReport:

@@ -7,7 +7,7 @@ import pytest
 
 from sperner import ip as ipm
 from sperner.cli import build_parser, main
-from sperner.combinat import decompose, mms
+from sperner.combinat import binom, decompose, mms
 from sperner.simplex import LinearProgram
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -57,6 +57,26 @@ class TestBounds:
     def test_invalid_values_exit_2(self, capsys):
         code, _, err = run(["bounds", "--n", "3", "--k", "5"], capsys)
         assert code == 2 and "error" in err
+
+    def test_values_over_4300_digits_print_in_full(self, tmp_path, capsys):
+        # binom(20000, 6666) has about 5,500 digits, over Python's default
+        # limit on int to str conversion, which main lifts and restores
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(["bounds", "--n", "20001", "--k", "3"], capsys)
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        lower = next(line for line in out.splitlines() if line.startswith("lower = "))
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(binom(20000, 6666))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(want) > 4300 and lower.split()[2] == want
+        # verify still parses under the limit
+        path = tmp_path / "digits.sps"
+        path.write_text(f"SPS {'9' * 5000} 1 1\n0\n")
+        code, out, err = run(["verify", str(path)], capsys)
+        assert code == 2 and out == "" and "parse error" in err
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestConstructAndVerify:
@@ -214,6 +234,12 @@ class TestConstructAndVerify:
         code, out, err = run(["construct", "--n", "36", "--k", "15"], capsys)
         assert code == 2 and out == ""
         assert "--m and --h are required" in err
+
+    def test_nonpositive_group_counts_exit_2(self, capsys):
+        code, out, err = run(["construct", "--n", "36", "--k", "15", "--m", "-4",
+                              "--h", "-9"], capsys)
+        assert code == 2 and out == ""
+        assert "m=-4, h=-9" in err
 
     def test_verify_missing_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "missing.sps"

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from sperner import verify
 from sperner.cli import main
-from sperner.combinat import binom, decompose
+from sperner.combinat import decompose
 from sperner.construction import (PartitionSystem, construct_grouped,
                                   construct_uniform, extend_system, plan_grouped)
 from sperner.ip import (IpSolution, build_instance, certificate, exact_solve,
@@ -91,6 +92,19 @@ class TestReports:
         assert [rep.name for rep in verify.check_system(plain)] == [
             "partition structure", "exact subset test"]
         assert all(rep.ok for rep in verify.check_system(grouped, decompose(8, 3)))
+
+    def test_certificate_runs_exactly_when_groups_are_set(self):
+        grouped = construct_grouped(plan_grouped(8, 3, 2, 4, "b"), seed=0)
+        empty = construct_grouped(plan_grouped(18, 8, 6, 3, "b"), seed=0)
+        inst = build_instance(16, 5, "secA")
+        realized = realize_system(inst, exact_solve(inst)[0], seed=0)
+        read_back = PartitionSystem.from_text(grouped.to_text())
+        for system, grouped_build in ((grouped, True), (empty, True), (realized, True),
+                                      (construct_uniform(6, 3), False), (read_back, False)):
+            assert (system.groups is not None) == grouped_build
+            reports = verify.check_system(system)
+            assert ("certificate" in [rep.name for rep in reports]) == grouped_build
+            assert all(rep.ok for rep in reports)
 
 
 class TestSperner:
@@ -376,55 +390,34 @@ def certified_fleet():
 
 
 def oracle_check_certificate(system) -> bool:
-    """The former materialized-system certificate check, kept as the oracle:
-    set intersections per part and group, capacities per layer size."""
-    if system.groups is None or system.part_tags is None:
+    """The materialized-system certificate check by frozenset intersections
+    per part and group, kept as the oracle: families keyed by (size,
+    signature), each of capacity the product of comb(|G_w|, sig_w)."""
+    if system.groups is None:
         return False
     ok = True
     groups = [frozenset(g) for g in system.groups]
     seen = set()
-    small_sizes, large_sizes, small_sigs, large_sigs = set(), set(), set(), set()
     usage = Counter()
-    for parts, tags in zip(system.partitions, system.part_tags):
+    for parts in system.partitions:
         ok &= len(parts) == system.k
-        for part, tag in zip(parts, tags):
+        for part in parts:
             ok &= frozenset(part) not in seen
             seen.add(frozenset(part))
-            usage[tag] += 1
             sig = tuple(len(g.intersection(part)) for g in groups)
             ok &= sum(sig) == len(part)
-            if tag[0] == "B":
-                ok &= groups[tag[1] - 1].issuperset(part)
-            elif tag[0] == "A":
-                ok &= all(x <= 1 for x in sig)
-            elif tag[0] in ("EA", "EB"):
-                ok &= sig[0] == tag[1]
-            else:
-                ok = False
-            if tag[0] in ("A", "EA"):
-                small_sizes.add(len(part))
-                small_sigs.add(sig)
-            else:
-                large_sizes.add(len(part))
-                large_sigs.add(sig)
+            usage[len(part), sig] += 1
         for g in groups:
             ok &= sum(len(g.intersection(part)) for part in parts) == len(g)
-    if small_sizes and large_sizes:
-        ok &= len(small_sizes) == 1 and len(large_sizes) == 1
-        ok &= max(small_sizes) + 1 == min(large_sizes)
-    ok &= not any(all(x <= y for x, y in zip(sa, sb))
-                  for sa in small_sigs for sb in large_sigs)
-    if not ok:
-        return False
-    for tag, cnt in usage.items():
-        if tag[0] == "B":
-            cap = binom(len(groups[tag[1] - 1]), next(iter(large_sizes)))
-        elif tag[0] == "A":
-            cap = len(groups[0]) ** next(iter(small_sizes))
-        else:
-            sz = next(iter(small_sizes if tag[0] == "EA" else large_sizes))
-            cap = binom(len(groups[0]), tag[1]) * binom(len(groups[1]), sz - tag[1])
-        ok &= cnt <= cap
+    sizes = sorted({size for size, _ in usage})
+    ok &= not sizes or sizes[-1] - sizes[0] <= 1
+    if len(sizes) == 2:
+        small = [sig for size, sig in usage if size == sizes[0]]
+        large = [sig for size, sig in usage if size == sizes[1]]
+        ok &= not any(all(x <= y for x, y in zip(sa, sb))
+                      for sa in small for sb in large)
+    for (_, sig), cnt in usage.items():
+        ok &= cnt <= math.prod(math.comb(len(g), x) for g, x in zip(groups, sig))
     return ok
 
 
@@ -434,16 +427,18 @@ def _swap(parts, a, b, x, y):
     parts[b] = tuple(sorted(set(parts[b]) - {y} | {x}))
 
 
-def _block_out_of_group(parts, tags, groups):
-    a = next(j for j, t in enumerate(tags) if t[0] == "B")
-    home = set(groups[tags[a][1] - 1])
+def _block_out_of_group(parts, groups):
+    """Move a point of another group into a part that lies in one group."""
+    a, home = next((j, set(g)) for j, q in enumerate(parts) for g in groups
+                   if set(g).issuperset(q))
     b, y = next((j, y) for j, q in enumerate(parts) for y in q if y not in home)
     _swap(parts, a, b, min(parts[a]), y)
 
 
-def _transversal_twice(parts, tags, groups):
+def _transversal_twice(parts, groups):
+    """Give a part that meets several groups a second point of one of them."""
     group_of = {e: w for w, g in enumerate(groups) for e in g}
-    cross = [j for j, t in enumerate(tags) if t[0] == "A"]
+    cross = [j for j, q in enumerate(parts) if len({group_of[e] for e in q}) > 1]
     for a in cross:
         for b in cross[cross.index(a) + 1:]:
             for x in parts[a]:
@@ -454,23 +449,15 @@ def _transversal_twice(parts, tags, groups):
     raise LookupError("no two transversals to exchange points between")
 
 
-def _retag(new):
-    def mutate(parts, tags, groups):
-        tags[0] = new(tags[0])
-    return mutate
+def _drop_part(parts, groups):
+    del parts[-1]
 
 
-def _drop_part(parts, tags, groups):
-    del parts[-1], tags[-1]
-
-
-# name -> (mutation of class 0's parts and tags, violation text, tag kinds)
+# name -> (mutation of class 0's parts, violation text, systems it applies to)
 MUTATIONS = {
-    "first-side-tag": (_retag(lambda t: (t[0], t[1] + 1)), "first-side size", "E"),
-    "block-out-of-group": (_block_out_of_group, "not inside group", "AB"),
-    "transversal-meets-twice": (_transversal_twice, "meets a group twice", "AB"),
-    "unknown-tag": (_retag(lambda t: ("Z", 0)), "unknown family tag", "ABE"),
-    "class-of-k-1-parts": (_drop_part, "parts, want", "ABE"),
+    "block-out-of-group": (_block_out_of_group, "dominated", ("grouped",)),
+    "transversal-meets-twice": (_transversal_twice, "dominated", ("grouped",)),
+    "class-of-k-1-parts": (_drop_part, "parts, want", ("grouped", "ip")),
 }
 
 
@@ -482,21 +469,18 @@ def mutants():
     inst = build_instance(16, 5, "secA")
     realized = realize_system(inst, exact_solve(inst)[0], seed=0)
     for sname, system in (("grouped", grouped), ("ip", realized)):
-        kind = system.part_tags[0][0][0][0]
-        for name, (mutate, text, kinds) in MUTATIONS.items():
-            if kind not in kinds:
+        for name, (mutate, text, systems) in MUTATIONS.items():
+            if sname not in systems:
                 continue
             parts = [list(q) for q in system.partitions]
-            tags = [list(t) for t in system.part_tags]
-            mutate(parts[0], tags[0], system.groups)
+            mutate(parts[0], system.groups)
             out.append(pytest.param(PartitionSystem(
-                system.n, system.k, parts, system.groups, tags), text,
+                system.n, system.k, parts, system.groups), text,
                 id=f"{sname}-{name}"))
         parts = [list(q) for q in system.partitions]
-        tags = [list(t) for t in system.part_tags]
-        parts[1], tags[1] = list(parts[0]), list(tags[0])
+        parts[1] = list(parts[0])
         out.append(pytest.param(PartitionSystem(
-            system.n, system.k, parts, system.groups, tags), "reused",
+            system.n, system.k, parts, system.groups), "reused",
             id=f"{sname}-reused-part"))
     return out
 
@@ -522,11 +506,9 @@ class TestCertificates:
     def test_reused_part_detected(self):
         system = construct_grouped(plan_grouped(8, 3, 2, 4, "b"), seed=0)
         parts = [list(p) for p in system.partitions]
-        tags = [list(t) for t in system.part_tags]
         # plant a reuse: copy a class wholesale
         parts[1] = list(parts[0])
-        tags[1] = list(tags[0])
-        bad = PartitionSystem(system.n, system.k, parts, system.groups, tags)
+        bad = PartitionSystem(system.n, system.k, parts, system.groups)
         rep = check_certificate(bad)
         assert not rep.ok
         assert any("reused" in v for v in rep.violations)
@@ -539,7 +521,7 @@ class TestCertificates:
         assert not oracle_check_certificate(system)
 
     def test_mutation_list(self):
-        assert len(MUTANTS) == 9
+        assert len(MUTANTS) == 6
 
     def test_reuse_above_6000_parts_fails_through_shared_index(self, monkeypatch):
         # (88,33,4,22): 8,712 parts, the size range where certified systems
@@ -547,9 +529,8 @@ class TestCertificates:
         system = construct_grouped(plan_grouped(88, 33, 4, 22, "b"), seed=0)
         assert sum(len(parts) for parts in system.partitions) > 6000
         parts = [list(q) for q in system.partitions]
-        tags = [list(t) for t in system.part_tags]
-        parts[5], tags[5] = list(parts[2]), list(tags[2])
-        bad = PartitionSystem(system.n, system.k, parts, system.groups, tags)
+        parts[5] = list(parts[2])
+        bad = PartitionSystem(system.n, system.k, parts, system.groups)
         built = []
         real = verify.PartIndex
 
@@ -591,15 +572,17 @@ class TestCertificateSummary:
             sol = exact_solve(inst)[0]
             system = realize_system(inst, sol, seed=0)
             half = set(system.groups[0])
-            counts = Counter(
-                tuple(sorted((tag, len(part), (len(half.intersection(part)),
-                                               len(set(part) - half)))
-                             for part, tag in zip(parts, tags)))
-                for parts, tags in zip(system.partitions, system.part_tags))
+
+            def entry(part):
+                t = len(half.intersection(part))
+                name = ("EA" if len(part) == inst.params.c else "EB", t)
+                return name, len(part), (t, len(part) - t)
+            counts = Counter(tuple(sorted(map(entry, parts)))
+                             for parts in system.partitions)
             assert certificate(inst, sol).profiles == sorted(counts.items())
 
     def test_over_capacity(self):
-        # ("EA", 3) with groups of 6 holds binom(6, 3) = 20 parts
+        # size 3 and signature (3, 0) with groups of 6: binom(6, 3) = 20 parts
         profile = ((("EA", 3), 3, (3, 0)), (("EA", 3), 3, (3, 0)),
                    (("EA", 0), 3, (0, 3)), (("EA", 0), 3, (0, 3)))
         assert check_certificate_summary(_summary(4, (6, 6), [(profile, 10)])).ok
@@ -612,7 +595,7 @@ class TestCertificateSummary:
                    (("B", 1), 4, (4, 0)), (("B", 2), 3, (0, 3)),
                    (("B", 2), 4, (0, 4)))
         rep = check_certificate_summary(_summary(5, (8, 8), [(profile, 1)]))
-        assert rep.violations == ["layer sizes [2] / [3, 4] are not c and c+1"]
+        assert rep.violations == ["part sizes [2, 3, 4] are not c and c+1"]
 
     def test_dominated_signature(self):
         profile = ((("EA", 2), 3, (2, 1)), (("EA", 1), 3, (1, 2)),
@@ -620,13 +603,6 @@ class TestCertificateSummary:
         rep = check_certificate_summary(_summary(3, (5, 5), [(profile, 1)]))
         assert len(rep.violations) == 1
         assert "dominated" in rep.violations[0]
-
-    def test_first_side_tag(self):
-        profile = ((("EA", 2), 3, (3, 0)), (("EA", 3), 3, (3, 0)),
-                   (("EA", 0), 3, (0, 3)), (("EA", 0), 3, (0, 3)))
-        rep = check_certificate_summary(_summary(4, (6, 6), [(profile, 1)]))
-        assert len(rep.violations) == 1
-        assert "first-side size 3, declared 2" in rep.violations[0]
 
     def test_count_differs_from_p(self):
         inst = build_instance(10, 3, "secA")
