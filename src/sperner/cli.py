@@ -48,6 +48,8 @@ def _fmt_approx(v: Fraction) -> str:
 
 
 def cmd_bounds(args) -> int:
+    if args.k < 2:      # SP(n, 1) = 1, and the counting bound divides by 0 there
+        raise ValueError(f"bounds: --k must be at least 2, got {args.k}")
     rep = bnd.bounds_report(args.n, args.k)
     params = rep.params
     lines = [f"n={params.n} k={params.k} c={params.c} r={params.r}"]
@@ -80,6 +82,8 @@ def _report_built(system: PartitionSystem, params, headline: str, out: str | Non
 def cmd_construct(args) -> int:
     params = decompose(args.n, args.k)
     if params.r == 0:
+        if args.m is not None or args.h is not None:
+            raise ValueError("construct: --m and --h apply only when k does not divide n")
         system = construct_uniform(args.n, args.k)
     else:
         if args.m is None or args.h is None:

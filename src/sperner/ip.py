@@ -127,7 +127,9 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
     e, estar = levels(c), levels(c + 1)
     if variant == "secA":
         # a(x) = 2 (e_{x+1} + ... + e_d) falls and b(x) = estar_0 + ... +
-        # estar_x grows; u is the first x with a(x) <= (k-1) b(x).
+        # estar_x grows; u is the first x with a(x) <= (k-1) b(x), at most
+        # d - 1: h = n/2 >= 3d + 2 gives 3 e_d <= binom(2d+1, d+1) e_d =
+        # binom(h, d+1) binom(h-d-1, d) <= estar_0, so a(d-1) = 2 e_d < b(d-1).
         a = 2 * sum(e[1:])
         b = estar[0]
         u = 0
@@ -135,11 +137,10 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
             u += 1
             a -= 2 * e[u]
             b += estar[u]
-        if u > d - 1:
-            raise ArithmeticError(f"instance ({n},{k}): u = {u} exceeds d-1")
         q = 2 * (a // (2 * (k - 1)))
         # spend q/2 on the diagonal, then band by band, each up to its
-        # (c+1)-family size
+        # (c+1)-family size: all of it, as the stop test makes
+        # q/2 <= b(u) // 2 <= estar_0 // 2 + estar_1 + ... + estar_u
         rest = q // 2
         cap_diag = min(rest, estar[0] // 2)
         rest -= cap_diag
@@ -147,18 +148,16 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
         for ell in range(1, u + 1):
             cap_off[ell] = min(rest, estar[ell])
             rest -= cap_off[ell]
-        if rest:
-            raise ArithmeticError(f"the caps cannot reach q/2 = {q // 2} (short by {rest})")
         cap_row = {ell: e[ell] for ell in range(u + 1, d + 1)}
     else:
         # a(x) = e_0 + 2 (e_1 + ... + e_x) grows and b(x) = 2 (estar_{x+1} +
         # ... + estar_d) falls; u is the last x < d with (k-1) a(x) <= b(x),
-        # or -1, where a(-1) = 0.  With C(n, j) the binomial, n - c =
-        # (c+1)(k-1) makes (k-1) C(n, c) = C(n, c+1) and mms = C(n, c) / 2
-        # identities, so neither is checked here.
+        # or -1, where a(-1) = 0; x < d needs no test, as b(d) = 0 < a(d).  With
+        # C(n, j) the binomial, n - c = (c+1)(k-1) makes (k-1) C(n, c) =
+        # C(n, c+1) and mms = C(n, c) / 2 identities, so neither is checked.
         u, au = -1, 0
         a, b = e[0], 2 * sum(estar[1:])
-        while u + 1 < d and (k - 1) * a <= b:
+        while (k - 1) * a <= b:
             u, au = u + 1, a
             a += 2 * e[u + 1]
             b -= 2 * estar[u + 1]
@@ -302,11 +301,13 @@ def closed_form_solve(inst: IpInstance) -> ClosedFormResult:
     """The sparse candidate that saturates every cap on one index each:
     O_l on (i, i + l) with i = u + 1 + (u - l) // 2, the bands l = u, u - 2,
     ... first and then l = u - 1, u - 3, ..., and D on the loop at
-    3u // 2 + 1.
-
-    Feasible (with objective exactly q) whenever all row slacks stay
-    nonnegative; otherwise the broken caps are reported by name: R_l, O_l
-    or D.
+    3u // 2 + 1.  Each lies in Phi, as j <= 2u + 1 <= d: with h = n/2,
+    2(h - d) = (2d+1)(k-1) gives estar_l / e_l = (h-d-l)/(d+1+l) < k - 1,
+    so the stop test (k-1) a(u) <= b(u) puts a(u), the 2u + 1 largest of
+    the 2d + 1 terms e_|l| (binomials are log-concave), below half their
+    sum.  Each band gets its cap, so only rows can break: the candidate
+    has objective q, and is feasible unless it breaks rows, whose names
+    R_l it reports.
     """
     if inst.variant != "secB":
         raise ValueError("closed_form_solve applies to variant secB")
@@ -319,14 +320,8 @@ def closed_form_solve(inst: IpInstance) -> ClosedFormResult:
         assigns.append(((i, i + ell), inst.cap_off[ell]))
     loop = 3 * u // 2 + 1
     assigns.append(((loop, loop), inst.cap_diag))
-    bad_index = [f"x_{i}_{j} outside the index set" for (i, j), _ in assigns
-                 if (i, j) not in inst]
-    if bad_index:
-        return ClosedFormResult(None, bad_index)
     sol = IpSolution(inst, dict(assigns))   # one index per band, so no key repeats
-    band, row = sol.slack_lists()
-    violations = [f"R_{ell}" for ell, s in enumerate(row) if s < 0]
-    violations += [f"O_{ell}" if ell else "D" for ell, s in enumerate(band) if s < 0]
+    violations = [f"R_{ell}" for ell, s in enumerate(sol.slack_lists()[1]) if s < 0]
     if violations:
         return ClosedFormResult(None, violations)
     assert sol.objective == inst.q
@@ -367,13 +362,13 @@ def lp_relax(inst: IpInstance):
     return value, {v: x for v, x in zip(inst.phi, xs) if x}
 
 
-def _floor_improve(inst: IpInstance, base: dict, runs=None) -> IpSolution:
+def _floor_improve(inst: IpInstance, base: dict, runs) -> IpSolution:
     """Floor a fractional solution, then greedily grow the indices (i, i + l)
-    of each run (l, starts), i in starts (Phi in order by default).  A run
-    ends once band l's budget is spent: none of its indices can grow then."""
+    of each run (l, starts), i in starts.  A run ends once band l's budget
+    is spent: none of its indices can grow then."""
     x = {v: int(val) for v, val in base.items() if int(val)}
     band, row = IpSolution(inst, x).slack_lists()
-    for ell, starts in ((j - i, (i,)) for i, j in inst.phi) if runs is None else runs:
+    for ell, starts in runs:
         for i in starts:
             if not band[ell]:
                 break
@@ -464,14 +459,15 @@ def exact_solve(inst: IpInstance):
     """An integer optimum proved by `upper_bound`; (solution, proof).
 
     The first of `_integral_primals` that meets the bound, or else the
-    root LP floored and grown by `_floor_improve`.  The proof is the name
-    `upper_bound` gives its bound when the result meets it, else None.
-    Over k in {3, 5, 7}, both variants and n <= 1500 only (1310, 3, secB)
-    needs the LP, and it is proved there.
+    root LP floored and grown by the fill "band desc, i asc".  The proof
+    is the name `upper_bound` gives its bound when the result meets it,
+    else None.  Over k <= 11, both variants and n <= 3000 only (1310, 1802,
+    1808; 3; secB) need the LP, whose vertex there is integral at Q.
     """
     bound, proof = upper_bound(inst)
     sol = (_first_proved(_integral_primals(inst), bound)[1]
-           or _floor_improve(inst, lp_relax(inst)[1]))
+           or _floor_improve(inst, lp_relax(inst)[1],
+                             _FILL_ORDERS["band desc, i asc"](inst.u, inst.d)))
     return sol, proof if sol.objective == bound else None
 
 

@@ -8,24 +8,26 @@ rules out cycling.
 The arithmetic is integer throughout (integer-preserving pivoting,
 Edmonds 1967; Bareiss 1968).  Row k of the basis inverse is a sparse
 integer vector R_k, a dict of its nonzero entries, over a positive
-denominator D_k, and the basic value x_k is X_k / D_k.  With D = |det B|,
-D * B^-1 is the adjugate of B up to sign, an integer matrix, so bringing a
-row to D (R_k * D / D_k) is an exact division.  A pivot on w_l = P / D
-brings row l and every row k with W_k != 0 to D and, with f = W_k sign(P),
+denominator D_k, and the basic value x_k is X_k / D_k.  With D = det B,
+D * B^-1 is the adjugate of B, an integer matrix, so bringing a row to D
+(R_k * D / D_k) is an exact division.  D stays positive: the slack basis
+has det 1, and a pivot on w_l = P / D multiplies det B by w_l, which the
+ratio test takes only where W_l = P > 0.  The pivot brings row l and
+every row k with W_k != 0 to D and, with f = W_k,
 
-    R_k <- (R_k * |P| - f * R_l) / D,    X_k <- (X_k * |P| - f * X_l) / D.
+    R_k <- (R_k * P - f * R_l) / D,    X_k <- (X_k * P - f * X_l) / D.
 
 The new R_k is an integer vector, so each entry divides exactly.  When a
-pivot keeps D (|P| = D), R_k[i] -= f * R_l[i] / D, an integer, at R_l's
-support only.  Otherwise the other entries become R_k[i] * |P| / D.
-Row l keeps R_l and X_l, negated if P < 0, and the rows written are over
-the new D = |P|.  A row with W_k = 0 keeps its part of B^-1 over its old
-D_k until a later pivot reads it.  The duals y = c_B B^-1 are kept as
-Y / D, and each pivot sets Y <- (Y * |P| + r * R_l) / D the same way,
-where R_l is the new row l and r is D times the entering reduced cost.
-A column index holds, for each i, the rows with R_k[i] != 0: W = D B^-1
-A_enter sums over only those at A_enter's support, and the ratio test and
-the updates visit only the rows with W_k != 0.  No gcd is taken.
+pivot keeps D (P = D), R_k[i] -= f * R_l[i] / D, an integer, at R_l's
+support only.  Otherwise the other entries become R_k[i] * P / D.  Row l
+keeps R_l and X_l, and the rows written are over the new D = P.  A row
+with W_k = 0 keeps its part of B^-1 over its old D_k until a later pivot
+reads it.  The duals y = c_B B^-1 are kept as Y / D, and each pivot sets
+Y <- (Y * P + r * R_l) / D the same way, where R_l is row l and r is D
+times the entering reduced cost.  A column index holds, for each i, the
+rows with R_k[i] != 0: W = D B^-1 A_enter sums over only those at
+A_enter's support, and the ratio test and the updates visit only the rows
+with W_k != 0.  No gcd is taken.
 
 Every pivot decision is the one the rational method makes.  D > 0, so the
 reduced cost c_j - y.A_j has the sign of c_j * D - Y.A_j, and the ratios
@@ -148,17 +150,15 @@ def _simplex(cols, cost, basis, x_num, pivots):
                 best_num, best_den, leave = num, wk, krow
         if leave < 0:
             raise Unbounded("objective is unbounded above")
-        piv = w.pop(leave)
-        new_den, sign = abs(piv), (1 if piv > 0 else -1)
+        new_den = w.pop(leave)     # P = W_l > 0, by the ratio test
         keep = new_den == den
         _current(r_num, x_num, r_den, leave, den)
         row_l = r_num[leave]
         x_l = x_num[leave]
-        for krow, wk in w.items():
-            f = wk * sign
+        for krow, f in w.items():
             _current(r_num, x_num, r_den, krow, den)
             row = r_num[krow]
-            if not keep:    # entries outside R_l's support scale by |P| / D
+            if not keep:    # entries outside R_l's support scale by P / D
                 row = r_num[krow] = {i: a if i in row_l else a * new_den // den
                                      for i, a in row.items()}
             for i, b in row_l.items():
@@ -171,9 +171,6 @@ def _simplex(cols, cost, basis, x_num, pivots):
                     held[i].discard(krow)
             x_num[krow] = (x_num[krow] * new_den - f * x_l) // den
             r_den[krow] = new_den
-        if sign < 0:
-            row_l = r_num[leave] = {i: -a for i, a in row_l.items()}
-            x_num[leave] = -x_l
         r_den[leave] = new_den
         if not keep:
             y = [a if i in row_l else a * new_den // den for i, a in enumerate(y)]

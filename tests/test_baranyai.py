@@ -74,6 +74,10 @@ class TestVerifyResolution:
         bad = Resolution(4, 2, classes)
         violations = verify_resolution(bad)
         assert violations
+        # a class of the wrong size, and a block of the wrong size
+        violations = verify_resolution(Resolution(4, 2, [[(1, 2, 3)]]))
+        assert "class 0: 1 blocks, want 2" in violations
+        assert "class 0: block [1, 2, 3] has size 3" in violations
 
 
 class TestPartitionGround:
@@ -83,6 +87,8 @@ class TestPartitionGround:
         assert len(set(blocks)) == 56
         for unit in out:
             assert not set(unit[0]) & set(unit[1])
+        with pytest.raises(ValueError, match="unit sizes sum to 5, need 6"):
+            allocate_blocks(range(4), 2, [2, 3])
 
     def test_uniform_wrapper_takes_an_iterator(self):
         # the points are read once, so a one-shot iterable gives the same

@@ -69,6 +69,9 @@ class TestSmallR:
     def test_hypothesis_guard(self):
         with pytest.raises(ValueError):
             small_r_upper(10, 3)   # 9 r^2 > 2k
+        for k, r in ((3, 1), (100, 0)):
+            with pytest.raises(ValueError, match=f"need k >= 4 and r >= 1, got k={k}, r={r}"):
+                small_r_upper(k, r)
 
     def test_consistency_with_refined(self):
         # the closed form is implied by the refined bound at and beyond

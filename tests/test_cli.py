@@ -57,6 +57,9 @@ class TestBounds:
     def test_invalid_values_exit_2(self, capsys):
         code, _, err = run(["bounds", "--n", "3", "--k", "5"], capsys)
         assert code == 2 and "error" in err
+        # SP(n, 1) = 1, and the counting bound's denominator is 0 at k = 1
+        code, out, err = run(["bounds", "--n", "5", "--k", "1"], capsys)
+        assert (code, out) == (2, "") and "--k must be at least 2, got 1" in err
 
     def test_values_over_4300_digits_print_in_full(self, tmp_path, capsys):
         # binom(20000, 6666) has about 5,500 digits, over Python's default
@@ -170,8 +173,11 @@ class TestConstructAndVerify:
         ("head.sps", "SPS 4 2 -1\n", "line 1: bad header 'SPS 4 2 -1'"),
         ("head.da", "DA 2 x 2\n1 2\n2 1\n", "line 1: bad header 'DA 2 x 2'"),
         ("empty.sps", "", "unrecognized header '' (expected SPS or DA)"),
-        ("blank.sps", " \n\t\n", "unrecognized header '' (expected SPS or DA)")),
-        ids=["sps", "da", "sps-header", "da-header", "empty", "whitespace"])
+        ("blank.sps", " \n\t\n", "unrecognized header '' (expected SPS or DA)"),
+        ("short.sps", "SPS 4 2 3\n0 1 | 2 3\n", "expected 3 partition lines, found 1"),
+        ("row.da", "DA 3 2 2\n1 2\n2\n1 1\n", "line 3: 1 entries, want 2")),
+        ids=["sps", "da", "sps-header", "da-header", "empty", "whitespace", "short",
+             "da-row"])
     def test_verify_parse_error_names_its_line(self, tmp_path, capsys, name, text, error):
         path = tmp_path / name
         path.write_text(text)
@@ -234,6 +240,13 @@ class TestConstructAndVerify:
         code, out, err = run(["construct", "--n", "36", "--k", "15"], capsys)
         assert code == 2 and out == ""
         assert "--m and --h are required" in err
+
+    def test_m_h_with_k_dividing_n_exit_2(self, capsys):
+        # k | n builds the uniform system, which takes no groups
+        code, out, err = run(["construct", "--n", "36", "--k", "12", "--m", "4",
+                              "--h", "9"], capsys)
+        assert code == 2 and out == ""
+        assert "--m and --h apply only when k does not divide n" in err
 
     def test_nonpositive_group_counts_exit_2(self, capsys):
         code, out, err = run(["construct", "--n", "36", "--k", "15", "--m", "-4",

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sperner.combinat import (ERF_INV_HALF, binom, binom_frac, decompose, mms,
-                              shadow_bound, shadow_cmp, shadow_root)
+from sperner.combinat import (ERF_INV_HALF, Params, binom, binom_frac, decompose,
+                              mms, shadow_bound, shadow_cmp, shadow_root)
 
 
 class TestDecompose:
@@ -24,6 +24,10 @@ class TestDecompose:
             decompose(3, 4)
         with pytest.raises(ValueError):
             decompose(5, 0)
+        with pytest.raises(ValueError, match="inconsistent decomposition"):
+            Params(36, 15, 2, 5)
+        with pytest.raises(ValueError, match="need n >= k >= 1, got n=3, k=4"):
+            Params(3, 4, 0, 3)
 
     @given(st.integers(1, 500), st.integers(1, 500))
     def test_unique_decomposition(self, a, b):

@@ -103,6 +103,12 @@ class TestPlans:
             plan_grouped(36, 15, 5, 7, "b")
         with pytest.raises(ValueError):
             plan_grouped(36, 15, 3, 12, "b")
+        # and a bad case, c < 2 (5 = 1*3 + 2) or k < 3 (5 = 2*2 + 1)
+        with pytest.raises(ValueError, match="case must be 'a' or 'b', got 'c'"):
+            plan_grouped(36, 15, 4, 9, "c")
+        for n, k in ((5, 3), (5, 2)):
+            with pytest.raises(ValueError, match=f"need c >= 2 and k >= 3, got c=., k={k}"):
+                plan_grouped(n, k, 1, n, "b")
 
 
 def test_caps_prove_the_supply_bounds():
@@ -355,6 +361,8 @@ class TestSpsFormat:
             PartitionSystem.from_text("SPS 4 2 1\n0 1 | 2 x\n")
         with pytest.raises(ValueError, match="line 2"):
             PartitionSystem.from_text("SPS 4 3 1\n0 1 | 2 3\n")
+        with pytest.raises(ValueError, match="^empty input$"):
+            PartitionSystem.from_text("")
 
     def test_lines_past_the_declared_count_rejected(self, tmp_path, capsys):
         # the second line would show {0,1} inside {0,1,2}; a parser that

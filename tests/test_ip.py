@@ -200,11 +200,14 @@ class TestInstances:
             build_instance(22, 4, "secA")
         with pytest.raises(ValueError):
             build_instance(6, 3, "secA")
+        with pytest.raises(ValueError, match="variant must be one of"):
+            build_instance(22, 3, "secC")
 
     def test_one_family_rule_matches_the_index_formulas(self):
         # levels(s)_l = binom(h, s//2 - l) binom(h, s - s//2 + l) for s = c,
         # c + 1 against each variant's own index formulas, on every instance
-        # with k <= 13 and n <= 1000
+        # with k <= 13 and n <= 1000; on secA, the two facts `build_instance`
+        # proves instead of checking: u <= d - 1, and the caps spend q/2
         count = 0
         for k in range(3, 14, 2):
             for variant, rem in (("secA", k + 1), ("secB", k - 1)):
@@ -215,6 +218,8 @@ class TestInstances:
                     if variant == "secA":
                         e = [b[d - ell] * b[d + 1 + ell] for ell in range(d + 1)]
                         estar = [b[d + 1 - ell] * b[d + 1 + ell] for ell in range(d + 2)]
+                        assert inst.u <= d - 1, (n, k)
+                        assert inst.cap_diag + sum(inst.cap_off.values()) == inst.q // 2, (n, k)
                     else:
                         e = [b[d - ell] * b[d + ell] for ell in range(d + 1)]
                         estar = [b[d - ell] * b[d + 1 + ell] for ell in range(d + 1)]
@@ -225,7 +230,8 @@ class TestInstances:
     def test_secB_identities_sweep(self):
         # n - c = (c+1)(k-1) makes (k-1) binom(n, c) = binom(n, c+1) and
         # mms = binom(n, c) / 2, so `build_instance` checks neither; the band
-        # dual is q on every nontrivial instance
+        # dual is q on every nontrivial instance, and 2u + 1 <= d puts every
+        # index of the closed form in Phi, so it can break only rows
         count = 0
         for k in range(3, 12, 2):
             for n in range(3 * k - 1, 3001, 2 * k):
@@ -235,6 +241,10 @@ class TestInstances:
                 assert inst.mms_value == Fraction(binom(n, c), 2), (n, k)
                 assert inst.q <= inst.mms_value, (n, k)
                 assert inst.trivial or band_dual(inst) == inst.q, (n, k)
+                assert 2 * inst.u + 1 <= inst.d, (n, k)
+                res = closed_form_solve(inst)
+                assert all(name.startswith("R_") for name in res.violations), (n, k)
+                assert res.feasible == (not res.violations), (n, k)
                 count += 1
         assert count == 1312
 
@@ -300,11 +310,11 @@ def oracle_feasible(sol):
     return all(s >= 0 for s in oracle_slacks(sol).values())
 
 
-def oracle_floor_improve(inst, base, order=None):
+def oracle_floor_improve(inst, base, order):
     x = {v: int(val) for v, val in base.items() if int(val)}
     sol = IpSolution(inst, x)
     slack = oracle_slacks(sol)
-    for (i, j) in inst.phi if order is None else order:
+    for (i, j) in order:
         gains = [slack[("O", j - i)] if i != j else slack[("D",)]]
         if i == j:
             gains.append(slack[("R", i)] // 2)
@@ -529,6 +539,11 @@ def oracle_lp_rows(inst, lb, ub):
     return out
 
 
+def phi_runs(inst):
+    """Fill runs of one index each, in Phi's order."""
+    return ((j - i, (i,)) for i, j in inst.phi)
+
+
 def search_oracle(inst, node_budget):
     """Branch and bound with exact LP bounds, best bound first from the
     floored root LP: the search `exact_solve` replaced.  (solution,
@@ -560,7 +575,7 @@ def search_oracle(inst, node_budget):
 
     push({}, {})
     if heap:    # the incumbent starts from the root relaxation, floored
-        best = _floor_improve(inst, heap[0][4])
+        best = _floor_improve(inst, heap[0][4], phi_runs(inst))
     expanded = 0
     optimal = True
     while heap:
@@ -579,7 +594,7 @@ def search_oracle(inst, node_budget):
             if cand.objective > best.objective:
                 best = cand
             continue
-        cand = _floor_improve(inst, xfull)
+        cand = _floor_improve(inst, xfull, phi_runs(inst))
         if cand.objective > best.objective:
             best = cand
         v = min(frac, key=lambda vv: (abs(frac[vv] - int(frac[vv]) - Fraction(1, 2)), vv))
@@ -977,16 +992,20 @@ class TestFlatSlackChecks:
 
     @pytest.mark.parametrize("n", (1310, 1802))
     def test_floored_lp_matches_the_oracle(self, n):
-        # the LP vertex is integral here, so halve it too, which leaves
-        # fractions to floor and slack to grow into
+        # in the order of `exact_solve`'s LP fallback; the LP vertex is
+        # integral here, so halve it too, which leaves fractions to floor and
+        # slack to grow into
         inst = build_instance(n, 3, "secB")
         vertex = lp_relax(inst)[1]
         halved = {v: Fraction(2 * val + 1, 4) for v, val in vertex.items()}
+        name = "band desc, i asc"
         for base in (vertex, halved):
-            got = _floor_improve(inst, base)
-            assert got.x == oracle_floor_improve(inst, base).x
+            got = _floor_improve(inst, base, ip._FILL_ORDERS[name](inst.u, inst.d))
+            assert got.x == oracle_floor_improve(inst, base,
+                                                 ORACLE_FILL_ORDERS[name](inst.phi)).x
             assert got.feasible() and oracle_feasible(got)
-        assert _floor_improve(inst, vertex).objective == upper_bound(inst)[0]
+        floored = _floor_improve(inst, vertex, ip._FILL_ORDERS[name](inst.u, inst.d))
+        assert floored.x == vertex and floored.objective == upper_bound(inst)[0]
         assert got.x != {v: int(val) for v, val in halved.items() if int(val)}
 
     @pytest.mark.parametrize("case", ((302, 3, "secB"), (674, 9, "secB"), (304, 3, "secA")))

@@ -92,6 +92,10 @@ class TestSimplexKnown:
         lp.add_constraint({1: 1}, 1)
         with pytest.raises(Unbounded):
             lp.solve()
+        lp = LinearProgram(1)
+        lp.set_objective([1])
+        with pytest.raises(Unbounded, match="no constraints"):
+            lp.solve()
 
     def test_input_must_be_integer_with_x0_feasible(self):
         lp = LinearProgram(1)
@@ -103,6 +107,8 @@ class TestSimplexKnown:
             lp.add_constraint({0: 1}, Fraction(1, 2))
         with pytest.raises(TypeError):
             lp.set_objective([Fraction(1, 2)])
+        with pytest.raises(ValueError, match="objective length mismatch"):
+            lp.set_objective([1, 1])
         assert lp.rows == [] and lp.b == []
 
     @pytest.mark.parametrize("col", (-1, 2))

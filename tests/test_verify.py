@@ -67,6 +67,9 @@ class TestPartitionStructure:
     def test_wrong_part_count(self):
         bad = PartitionSystem(4, 3, [[(0, 1), (2, 3)]])
         assert not check_partition_system(bad).ok
+        # k parts read from a file, one of them empty
+        bad = PartitionSystem.from_text("SPS 4 2 1\n0 1 2 3 | \n")
+        assert check_partition_system(bad).violations == ["partition 0: part 1 is empty"]
 
     def test_element_repeated_inside_a_part(self):
         bad = PartitionSystem(4, 2, [[(0, 0, 1), (2, 3)]])
@@ -305,6 +308,9 @@ class TestDetectingArrays:
         assert not rep.ok
         with pytest.raises(ValueError):
             from_detecting_array(broken)
+        # and the other way, a system that misses a point has no array
+        with pytest.raises(ValueError, match="does not cover the ground set"):
+            to_detecting_array(PartitionSystem(4, 2, [[(0,), (1, 2)]]))
 
     def test_missing_symbols_listed_up_to_ten(self):
         arr = DetectingArray(4, 14, 2, [(1, 1), (2, 2), (3, 3), (1, 14)])
@@ -502,6 +508,15 @@ class TestCertificates:
     def test_requires_metadata(self):
         rep = check_certificate(construct_uniform(6, 3))
         assert not rep.ok
+        # groups that miss a point or overlap are not metadata of the system
+        system = construct_grouped(plan_grouped(8, 3, 2, 4, "b"), seed=0)
+        g0, g1 = system.groups
+        for groups, text in (([g0, g1[1:]], "signature does not split size"),
+                             ([g0, g1 + g0[:1]], "groups overlap")):
+            bad = PartitionSystem(system.n, system.k, system.partitions, groups)
+            rep = check_certificate(bad)
+            assert any(text in v for v in rep.violations), rep.violations
+            assert not oracle_check_certificate(bad)
 
     def test_reused_part_detected(self):
         system = construct_grouped(plan_grouped(8, 3, 2, 4, "b"), seed=0)
