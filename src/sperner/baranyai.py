@@ -307,8 +307,6 @@ class Resolution:
 
 def _resolve_pairs(m: int) -> list:
     """Round-robin (circle method) 1-factorization of K_m, m even."""
-    if m == 2:
-        return [[(1, 2)]]
     classes = []
     for rnd in range(m - 1):
         cls = [(rnd + 1, m)]

@@ -6,7 +6,8 @@ SP(n, k) is at most the largest s for which
     ceil((1 - r(c+1)/n) * s) + shadow_bound(c, floor(r(c+1)/n * s))
 
 stays within binom(n-1, c-1).  The left side is nondecreasing in s, so a
-binary search finds the threshold.  With y the room left after the
+bisection finds the threshold, on the bracket [0, floor(mms) + 2) that
+refined_upper's docstring proves.  With y the room left after the
 counting term, the shadow comparison is the closed integer inequality
 
     prod_{j=1}^{c-1} (c*x + j*y) <= (c-1)! * y^c,    x = floor(r(c+1)/n * s),
@@ -54,14 +55,31 @@ def refined_upper(params: Params) -> int | None:
     Not applicable when k | n: the shadow term is then evaluated at zero
     where no root with q >= c exists, and the resolution construction
     already settles those cases exactly.
+
+    The bisection runs on [0, floor(mms) + 2), a bracket proved here.  In
+    the notation of _bound_satisfied, B = binom(n-1, c-1), num = r(c+1),
+    x = floor(num*s/n) and y = B - ceil((n-num)*s/n).  P(s) holds exactly
+    when y > 0 and L(x) <= y, where L(x) = binom(q, c-1) with
+    binom(q, c) = x (L(0) = 1).  Put D' = (k-r)(n-c) + r(c+1), so that
+    mms = binom(n, c)(n-c)/D'.
+
+    - If x > binom(n-1, c), then q > n-1 and L(x) > B >= y: P(s) fails.
+    - Otherwise q <= n-1, and for x >= 1, L(x) = x*c/(q-c+1) >= x*c/(n-c).
+      So P(s) implies x*c/(n-c) <= y, also at x = 0.
+    - Substitute x >= (num*s - n + 1)/n and y <= B - (n-num)*s/n, and
+      multiply by n(n-c): s*(c*num + (n-num)(n-c)) <= B*n(n-c) + c(n-1).
+    - n - num = c(k-r), so the bracket is c*D'; and B*n = c*binom(n, c).
+      So s <= mms + (n-1)/D'.
+    - In the domain n >= ck >= 4c, so n - c > c + 1 and
+      D' >= k(c+1) > ck + r = n.  Hence s < mms + 1.
+
+    So P fails at floor(mms) + 2 and above, and P(0) holds, as x = 0 and
+    y = B >= 1.  The bisection keeps P(lo) true and P(hi) false.
     """
     if not _in_domain(params):
         return None
     n, c, r = params.n, params.c, params.r
-    lo = 0
-    hi = max(int(mms(params)) + 2, 4)
-    while _bound_satisfied(n, c, r, hi):
-        hi *= 2
+    lo, hi = 0, int(mms(params)) + 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _bound_satisfied(n, c, r, mid):
@@ -72,12 +90,15 @@ def refined_upper(params: Params) -> int | None:
 
 
 def small_r_ceiling(r: int) -> int:
-    """ceil of the shadow root for 3r pairs: t = ceil(q), q(q-1)/2 = 3r."""
-    disc = 1 + 24 * r
-    s = math.isqrt(disc)
-    if s * s == disc and (1 + s) % 2 == 0:
-        return (1 + s) // 2
-    return (1 + s) // 2 + 1
+    """ceil of the shadow root for 3r pairs: t = ceil(q), q(q-1)/2 = 3r.
+
+    That is t = ceil((1 + sqrt(1 + 24r))/2); put s = isqrt(24r).  If
+    1 + 24r is a square, its root is odd and equals s + 1, so t = (s+2)/2
+    with s even.  Otherwise isqrt(1 + 24r) = s and s < sqrt(1 + 24r) < s+1,
+    so (1+s)/2 < (1 + sqrt(1 + 24r))/2 < (s+2)/2 and t = (1+s)//2 + 1
+    whatever the parity of s.  Both cases read (1+s)//2 + 1.
+    """
+    return (1 + math.isqrt(24 * r)) // 2 + 1
 
 
 def small_r_upper(k: int, r: int) -> int:

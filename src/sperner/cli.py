@@ -3,7 +3,8 @@
 Subcommands: bounds, construct, ip, scan, verify, asym.  All randomized
 realization derives from --seed (default 0), and CSV output is byte-stable
 for fixed flags and seed.  Exit codes: 0 success, 1 verification failure,
-2 usage or input error.
+2 usage or input error, 141 stdout closed by its reader (the status a shell
+reports for a tool killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import decimal
 import functools
 import io
+import os
 import sys
 from fractions import Fraction
 
@@ -30,6 +32,13 @@ def _write(text: str, out: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(rows, out: str | None):
+    """Write `rows`, header first, as CSV to `out`, or to stdout."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _write(buf.getvalue(), out)
 
 
 def _fmt_fraction(v: Fraction) -> str:
@@ -148,17 +157,14 @@ def cmd_ip(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     if args.table == 1:
-        writer.writerow(["n", "k", "m", "h", "sp"])
-        for row in bnd.scan_exact(args.n_max, c_max=args.c_max):
-            writer.writerow([row.n, row.k, row.m, row.h, row.sp])
+        rows = [["n", "k", "m", "h", "sp"]]
+        rows += ([row.n, row.k, row.m, row.h, row.sp]
+                 for row in bnd.scan_exact(args.n_max, c_max=args.c_max))
     else:
-        writer.writerow(["r", "k_threshold", "bound"])
-        for row in bnd.scan_small_r():
-            writer.writerow([row.r, row.k_threshold, row.bound])
-    _write(buf.getvalue(), args.out)
+        rows = [["r", "k_threshold", "bound"]]
+        rows += ([row.r, row.k_threshold, row.bound] for row in bnd.scan_small_r())
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -188,10 +194,8 @@ def cmd_verify(args) -> int:
 def cmd_asym(args) -> int:
     if args.k % 2 == 0 or args.k < 3:
         raise ValueError("asym: --k must be odd and at least 3")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "k", "variant", "d", "u", "q", "mms", "objective",
-                     "lp", "estar0_ratio", "u_ratio", "q_over_mms"])
+    rows = [["n", "k", "variant", "d", "u", "q", "mms", "objective",
+             "lp", "estar0_ratio", "u_ratio", "q_over_mms"]]
     # the first n > 2k of the class: n = k + 1 or k - 1 (mod 2k)
     first = 3 * args.k + 1 if args.variant == "secA" else 3 * args.k - 1
     for n in range(first, args.n_max + 1, 2 * args.k):
@@ -205,12 +209,12 @@ def cmd_asym(args) -> int:
             obj = sol.objective
         if not inst.trivial:
             lp = _fmt_fraction(ipm.lp_value(inst, sol)[0])
-        writer.writerow([n, args.k, args.variant, inst.d, inst.u, inst.q,
-                         _fmt_fraction(inst.mms_value), obj, lp,
-                         f"{rep.estar0_ratio:.9f}",
-                         f"{rep.u_ratio:.9f}",
-                         f"{rep.q_over_mms:.9f}"])
-    _write(buf.getvalue(), args.out)
+        rows.append([n, args.k, args.variant, inst.d, inst.u, inst.q,
+                     _fmt_fraction(inst.mms_value), obj, lp,
+                     f"{rep.estar0_ratio:.9f}",
+                     f"{rep.u_ratio:.9f}",
+                     f"{rep.q_over_mms:.9f}"])
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -275,12 +279,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout():
+    """Point stdout's file descriptor, where it has one, at the null device,
+    so that the interpreter's last flush of what the closed pipe refused
+    stays silent."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     limit = sys.get_int_max_str_digits()   # exact values print in full; verify parses under it
     sys.set_int_max_str_digits(limit if args.func is cmd_verify else 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # so that a reader's early close raises here
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        return 141
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

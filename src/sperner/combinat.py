@@ -41,7 +41,7 @@ def binom(x: int, y: int) -> int:
     """Exact binomial coefficient, 0 outside the range 0 <= y <= x."""
     if x < 0:
         raise ValueError(f"negative upper index {x}")
-    if y < 0 or y > x:
+    if y < 0:
         return 0
     return math.comb(x, y)
 

@@ -10,6 +10,32 @@ from sperner.combinat import binom, decompose, mms
 from sperner.construction import best_split_b, grouped_factor, grouped_split, split_table
 
 
+def _in_domain_params(n_end):
+    """Every (n, k) with n < n_end in the refined bound's domain."""
+    for n in range(10, n_end):
+        for k in range(4, n // 2):
+            params = decompose(n, k)
+            if bounds._in_domain(params):
+                yield params
+
+
+def _refined_upper_oracle(params):
+    """The refined bound by a search that assumes no bracket: double the
+    upper end from max(floor(mms) + 2, 4) while the predicate holds, then
+    bisect."""
+    n, c, r = params.n, params.c, params.r
+    lo, hi = 0, max(int(mms(params)) + 2, 4)
+    while bounds._bound_satisfied(n, c, r, hi):
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bounds._bound_satisfied(n, c, r, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 class TestRefinedUpper:
     @pytest.mark.parametrize("n,k,expect", [(36, 15, 54), (44, 18, 72),
                                             (56, 22, 117), (128, 54, 210),
@@ -27,6 +53,32 @@ class TestRefinedUpper:
             upper = refined_upper(params)
             assert upper is not None
             assert upper <= mms(params)
+        # the bracket that refined_upper's docstring proves: the predicate
+        # fails at floor(mms) + 2 on every in-domain (n, k) with n < 400
+        pairs = 0
+        for params in _in_domain_params(400):
+            s = int(mms(params)) + 2
+            assert not bounds._bound_satisfied(params.n, params.c, params.r, s), params
+            pairs += 1
+        assert pairs == 37090
+
+    def test_bisection_matches_the_doubling_search(self, monkeypatch):
+        # the same answer as the search that doubled its upper end while the
+        # predicate held, with the one test of the proved end saved
+        calls = []
+        satisfied = bounds._bound_satisfied
+        monkeypatch.setattr(bounds, "_bound_satisfied",
+                            lambda *args: calls.append(args) or satisfied(*args))
+        pairs = 0
+        for params in [*_in_domain_params(200), decompose(301, 4), decompose(401, 7)]:
+            calls.clear()
+            want = _refined_upper_oracle(params)
+            oracle_calls = len(calls)
+            calls.clear()
+            assert refined_upper(params) == want, params
+            assert len(calls) == oracle_calls - 1, params
+            pairs += 1
+        assert pairs == 8692
 
     def test_higher_c_path(self):
         # exercises the rational-interval comparison (c = 3)
@@ -37,19 +89,17 @@ class TestRefinedUpper:
 
     def test_predicate_holds_exactly_up_to_the_bound(self):
         # the bisection reads the predicate at about log2(mms) points; this
-        # reads it at every s of its first bracket [0, floor(mms) + 2]
+        # reads it at every s of its bracket [0, floor(mms) + 2]
         instances = tests = 0
-        for n in range(10, 61):
-            for k in range(4, n // 2):
-                params = decompose(n, k)
-                if params.c > 3 or not bounds._in_domain(params):
-                    continue
-                upper = refined_upper(params)
-                for s in range(int(mms(params)) + 3):
-                    ok = bounds._bound_satisfied(n, params.c, params.r, s)
-                    assert ok == (s <= upper), (n, k, s, upper)
-                instances += 1
-                tests += int(mms(params)) + 3
+        for params in _in_domain_params(61):
+            if params.c > 3:
+                continue
+            upper = refined_upper(params)
+            for s in range(int(mms(params)) + 3):
+                ok = bounds._bound_satisfied(params.n, params.c, params.r, s)
+                assert ok == (s <= upper), (params, s, upper)
+            instances += 1
+            tests += int(mms(params)) + 3
         assert (instances, tests) == (383, 350585)
 
 
@@ -60,6 +110,12 @@ class TestSmallR:
         assert small_r_ceiling(5) == 6   # exact root: 15 pairs, root 6
         assert small_r_ceiling(7) == 7   # exact root: 21 pairs, root 7
         assert small_r_ceiling(9) == 8
+        # the least t with t(t-1)/2 >= 3r
+        t = 1
+        for r in range(1, 3001):
+            while t * (t - 1) // 2 < 3 * r:
+                t += 1
+            assert small_r_ceiling(r) == t, r
 
     def test_bounds(self):
         assert small_r_upper(100, 3) == 2 * 100 + 6

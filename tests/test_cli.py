@@ -1,10 +1,13 @@
 import io
+import os
 import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import sperner
 from sperner import ip as ipm
 from sperner.cli import build_parser, main
 from sperner.combinat import binom, decompose, mms
@@ -36,6 +39,17 @@ class TestBounds:
         code, out, _ = run(["bounds", "--n", "10", "--k", "4"], capsys)
         assert code == 0
         assert "range (n=3k-2) = {10, 11}" in out
+
+    @pytest.mark.parametrize("n,k,expect", [
+        # c = 1 and k = 2: best_grouped_lower returns at once, and the lower
+        # bound is the single partition and the lift
+        (7, 4, "n=7 k=4 c=1 r=3\nmms = 7/2 (~3.500000)\nupper (refined) = n/a\n"
+               "upper (small-r) = n/a\nlower = 1 via single partition\n"),
+        (5, 2, "n=5 k=2 c=2 r=1\nmms = 5 (~5.000000)\nupper (refined) = n/a\n"
+               "upper (small-r) = n/a\nlower = 3 via lift of the uniform system at n=4\n"),
+    ])
+    def test_full_stdout(self, n, k, expect, capsys):
+        assert run(["bounds", "--n", str(n), "--k", str(k)], capsys) == (0, expect, "")
 
     def test_mms_beyond_float_range(self, capsys):
         # mms(1500, 3) has 413 digits: the approximation comes from the
@@ -253,6 +267,20 @@ class TestConstructAndVerify:
                               "--h", "-9"], capsys)
         assert code == 2 and out == ""
         assert "m=-4, h=-9" in err
+
+    @pytest.mark.parametrize("argv", [["scan", "--table", "2"],
+                                      ["bounds", "--n", "36", "--k", "15"],
+                                      ["construct", "--n", "16", "--k", "4"]])
+    def test_stdout_closed_by_its_reader_exits_141_in_silence(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(sperner.__file__).parents[1]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "sperner.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_verify_missing_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "missing.sps"
