@@ -32,12 +32,10 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .baranyai import partition_ground
 from .combinat import ERF_INV_HALF, Params, binom, decompose, mms
 from .construction import PartitionSystem
-from .roundrobin import phases, window_counts
 from .simplex import LinearProgram
 from .verify import SystemCertificate
 
@@ -497,26 +495,68 @@ def lp_value(inst: IpInstance, greedy: IpSolution | None = None) -> tuple:
 # Realization into partition systems
 # --------------------------------------------------------------------------
 
-class _ClassStream(NamedTuple):
-    """A solution's classes in stream order, as runs of one base profile:
-    a forward and a mirror run of x_{i,j} classes per index, in index
-    order, each class padded with the next `width` levels of the round
-    robin over `supply`.  A part is (name, size, (t, size - t)), t points
-    on the first side; the certificate checker reads its name, ("EA" or
-    "EB", t), only in messages."""
-    runs: list          # (base profile, number of classes)
-    supply: dict        # padding level -> untouched row slack
-    width: int          # padding levels per class, (k - 3) / 2
-    pads: dict          # padding level -> its two parts
+def _pad_windows(slack, width: int, runs) -> list:
+    """Per run of classes, its padding windows as (levels, count) pairs in
+    class order.
 
-    def padded(self, base: tuple, levels) -> tuple:
-        return base + tuple(part for ell in levels for part in self.pads[ell])
+    The padding sequence lists level l as often as its slack s, for each
+    (l, s) of `slack` in turn; each class takes the next `width` levels and
+    run r has runs[r] classes.  A window inside one level's stretch is that
+    level `width` times, so a run's windows in one stretch are one pair;
+    only a window across the end of a stretch, at most one per end, is
+    assembled level by level.
+    """
+    if not width:
+        return [[((), m)] if m else [] for m in runs]
+    ends = itertools.accumulate(s for _, s in slack)
+    stretches = [(ell, end) for (ell, s), end in zip(slack, ends) if s > 0]
+    out, pos, at = [], 0, 0
+    for m in runs:
+        windows, end = [], pos + m * width
+        while pos < end:
+            while stretches[at][1] <= pos:
+                at += 1
+            ell, stop = stretches[at]
+            inside = (min(stop, end) - pos) // width
+            if inside:
+                windows.append(((ell,) * width, inside))
+                pos += inside * width
+                continue
+            window, q = [], at
+            while len(window) < width:
+                ell, stop = stretches[q]
+                window += [ell] * min(stop - pos - len(window), width - len(window))
+                q += 1
+            windows.append((tuple(window), 1))
+            pos += width
+        out.append(windows)
+    return out
 
 
-def _class_stream(inst: IpInstance, sol: IpSolution) -> _ClassStream:
-    """Each class is its index's pair of (2d+1)-sets and one set of the
-    other size, padded by the untouched (2d+1)-set pairs, (k-3)/2 pairs
-    per class, round-robin over the levels by decreasing slack."""
+def _class_profiles(inst: IpInstance, sol: IpSolution) -> list:
+    """The solution's classes as (profile, count) runs in class order, in
+    O(|supp x| + d).
+
+    Each index (i, j) gives a forward and a mirror run of x_{i,j} classes,
+    in index order: a pair of (2d+1)-sets and one set of the other size,
+    padded by (k-3)/2 untouched (2d+1)-set pairs.  The pads are laid out
+    level by level, levels u+1, ..., d in turn, level l as often as row l
+    has slack, and cut into consecutive windows, one per class
+    (`_pad_windows`); a run is split where its window changes.  A part is
+    (name, size, (t, size - t)), t points on the first side; the
+    certificate checker reads its name, ("EA" or "EB", t), only in
+    messages.
+
+    Any pad order is valid.  The pair at level l has signatures
+    (d - l, d + 1 + l) and (d + 1 + l, d - l), which sum to (2d+1, 2d+1)
+    at every l, so a class's degrees do not depend on its pads.  Level l
+    is used at most as often as row l has slack, and the index parts are
+    already charged to that row, so no family exceeds its capacity.  A
+    pad and a part of the other size, with t = size // 2 + a - b, can
+    dominate one another only when |a - b| is l or l + 1, and
+    |a - b| <= u < l.  So `partition_ground`'s proportional-flow argument
+    covers every such list of units.
+    """
     c, d, u = inst.params.c, inst.d, inst.u
     width = (inst.k - 3) // 2
     pair = 2 * d + 1                        # c (secA) or c + 1 (secB)
@@ -525,24 +565,13 @@ def _class_stream(inst: IpInstance, sol: IpSolution) -> _ClassStream:
     def part(size, t):
         return ("EA" if size == c else "EB", t), size, (t, size - t)
     row = sol.slack_lists()[1]
-    supply = {ell: row[ell] for ell in range(u + 1, d + 1)}
-    assert sum(supply.values()) >= sol.objective * width
-    runs = [((part(pair, d - a), part(pair, d + 1 + b), part(single, single // 2 + a - b)), x)
-            for (i, j), x in sorted(sol.x.items()) for a, b in ((i, j), (j, i))]
-    pads = {ell: (part(pair, d - ell), part(pair, d + 1 + ell)) for ell in supply}
-    return _ClassStream(runs, supply, width, pads)
-
-
-def _class_profiles(stream: _ClassStream):
-    """Per-class part profiles, including padding, yielded one class at a
-    time in the order of `stream`.  The padding levels are read round by
-    round off the round robin's phases, so `stream.supply` is left as it
-    is."""
-    levels = (key for start, stop, keys in phases(stream.supply)
-              for _ in range((stop - start) // len(keys)) for key in keys)
-    for base, count in stream.runs:
-        for _ in range(count):
-            yield stream.padded(base, itertools.islice(levels, stream.width))
+    slack = [(ell, row[ell]) for ell in range(u + 1, d + 1)]
+    assert sum(s for _, s in slack) >= sol.objective * width
+    bases = [((part(pair, d - a), part(pair, d + 1 + b), part(single, single // 2 + a - b)), x)
+             for (i, j), x in sorted(sol.x.items()) for a, b in ((i, j), (j, i))]
+    windows = _pad_windows(slack, width, [x for _, x in bases])
+    return [(base + tuple(part(pair, t) for ell in levels for t in (d - ell, d + 1 + ell)),
+             count) for (base, _), run in zip(bases, windows) for levels, count in run]
 
 
 def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0) -> PartitionSystem:
@@ -556,18 +585,17 @@ def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0) -> Partitio
     distinct, so all parts are.  The solution's capacities keep each type
     within its pool.  The seed only orders the placement of points.
 
-    The flow needs one unit per class, so this is the one consumer of the
-    class-at-a-time stream `_class_profiles`, and its cost and memory grow
-    with the number of classes: on (22,3,secA), 92,466 parts, the process
-    peaks at 167 MiB, 1.85 KiB per part (Python 3.11), most of it held by
-    the staged flow, not by the parts.  For systems too large to hold,
-    `certificate()` checks the same family accounting from the runs of
-    that stream, without building a class.
+    The flow needs one unit per class, so the runs of `_class_profiles`
+    are expanded, and the flow's cost and memory grow with the number of
+    classes: on (22,3,secA), 92,466 parts, the process peaks at 167 MiB,
+    1.85 KiB per part (Python 3.11), most of it held by the staged flow,
+    not by the parts.  For systems too large to hold, `certificate()`
+    checks the same runs without building a class.
     """
     n, half = inst.n, inst.n // 2
     sides = (range(half), range(half, n))
-    units = [[shape for _, _, shape in prof]
-             for prof in _class_profiles(_class_stream(inst, sol))]
+    units = [shapes for prof, count in _class_profiles(inst, sol)
+             for shapes in [[shape for _, _, shape in prof]] * count]
     partitions = partition_ground(range(n), units, sides=sides,
                                   rng=random.Random(f"{seed}:ip-realize"))
     return PartitionSystem(n, inst.k, partitions, [list(side) for side in sides])
@@ -576,19 +604,15 @@ def realize_system(inst: IpInstance, sol: IpSolution, seed: int = 0) -> Partitio
 def certificate(inst: IpInstance, sol: IpSolution) -> SystemCertificate:
     """Aggregated accounting certificate, independent of materialization.
 
-    Reads the stream of `_class_profiles` run by run and counts each run's
-    padding windows in closed form (`roundrobin.window_counts`), never
-    producing a class: O(|supp x| + d) steps over runs and padding phases
-    plus one step per distinct profile, independent of the number of
-    classes.  On (8750, 13, secA), Q of 3,414 bits, the greedy optimum
-    certifies in 578 profiles.
+    Sorts and sums the runs of `_class_profiles`, the classes that
+    `realize_system` builds, never producing a class: O(|supp x| + d)
+    steps plus one per run, independent of the number of classes.  On
+    (8750, 13, secA), Q of 3,414 bits, the greedy optimum certifies in
+    336 profiles.
     """
-    stream = _class_stream(inst, sol)
-    windows = window_counts(stream.supply, stream.width, [m for _, m in stream.runs])
     counts = Counter()
-    for (base, _), run in zip(stream.runs, windows):
-        for levels, cnt in run.items():
-            counts[tuple(sorted(stream.padded(base, levels)))] += cnt
+    for prof, count in _class_profiles(inst, sol):
+        counts[tuple(sorted(prof))] += count
     return SystemCertificate(inst.n, inst.k, sol.objective, (inst.n // 2, inst.n // 2),
                              sorted(counts.items()))
 
@@ -607,7 +631,7 @@ class AsymptoticReport:
 def asymptotic_report(inst: IpInstance) -> AsymptoticReport:
     k, d, u = inst.k, inst.d, inst.u
     u_pred = ERF_INV_HALF * math.sqrt(d * (k - 1) / k)
+    # build_instance's k >= 3 and n > 2k (so c >= 2, d >= 1) give u_pred > 0;
     # int / int is correctly rounded, as float(Fraction(...)) is
-    return AsymptoticReport(inst.estar[0] / ((k - 1) * inst.e[0]),
-                            u / u_pred if u_pred else float("nan"),
+    return AsymptoticReport(inst.estar[0] / ((k - 1) * inst.e[0]), u / u_pred,
                             float(Fraction(inst.q) / inst.mms_value))

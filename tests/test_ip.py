@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from sperner import ip, roundrobin
+from sperner import ip
 from sperner.cli import main
 from sperner.combinat import binom, decompose, mms
 from sperner.ip import (IpInstance, IpSolution, _build_lp, _floor_improve,
@@ -1129,23 +1129,33 @@ class TestRealization:
                  if len(p) == 5 and p[3] < 8 <= p[4]]
         assert len(quads) == 560 and len(set(quads)) == 70
 
-    @pytest.mark.parametrize("n,k,variant", ((16, 5, "secA"), (36, 7, "secA")))
-    def test_class_profiles_leave_the_supply(self, n, k, variant):
-        # the padding is read off the round robin's phases: the supply is
-        # untouched, a second pass streams the same classes, and the levels
-        # are the round robin's, in order
+    @pytest.mark.parametrize("n,k,variant,capped", ((16, 5, "secA", False),
+                                                    (22, 7, "secA", False),
+                                                    (26, 5, "secA", False),
+                                                    (34, 5, "secB", True)))
+    def test_runs_expand_to_the_class_sequence(self, n, k, variant, capped, monkeypatch):
+        # the runs of `_class_profiles`, expanded, are the classes cut from
+        # the level sequence written out in full, and the realization hands
+        # partition_ground one unit per class in that order
         inst = build_instance(n, k, variant)
-        stream = ip._class_stream(inst, greedy_solve(inst))
-        supply = dict(stream.supply)
-        profiles = list(ip._class_profiles(stream))
-        assert stream.supply == supply
-        assert list(ip._class_profiles(stream)) == profiles
-        # each part is ((tag, t), size, (t, size - t)); a padding level l
-        # gives the pair of t = d - l and t = d + 1 + l
-        assert all(shape == (t, size - t) for prof in profiles for (_, t), size, shape in prof)
-        levels = [inst.d - t for prof in profiles for (_, t), _, _ in prof[3::2]]
-        assert len(levels) == len(profiles) * stream.width > 0
-        assert levels == list(itertools.islice(round_robin(dict(supply)), len(levels)))
+        sol = greedy_solve(inst) if variant == "secA" else closed_form_solve(inst).solution
+        if capped:
+            sol = IpSolution(inst, {v: min(x, 3) for v, x in sol.x.items()})
+        classes = naive_classes(inst, sol)
+        assert [prof for prof, m in ip._class_profiles(inst, sol) for _ in range(m)] == classes
+        seen = []
+
+        def record(points, units, **kwargs):
+            seen.extend(units)
+            raise StopIteration
+        monkeypatch.setattr(ip, "partition_ground", record)
+        with pytest.raises(StopIteration):
+            realize_system(inst, sol)
+        assert seen == [[shape for _, _, shape in prof] for prof in classes]
+        # every case pads from one level; (26, 5, secA) has slack on rows 1
+        # and 2, 5,291 and 1, and its 5,290 pads all come from row 1
+        assert len({t for prof in classes for (_, t), _, _ in prof[3:]}) == 2
+        assert (n, k) != (26, 5) or sol.slack_lists()[1] == [0, 5291, 1]
 
     @pytest.mark.parametrize("n,k,variant,solver", SMALL_SOLUTIONS,
                              ids=["-".join(map(str, case)) for case in SMALL_SOLUTIONS])
@@ -1182,29 +1192,52 @@ class TestRealization:
         assert check_certificate_summary(cert).ok
 
 
+def naive_classes(inst, sol):
+    """Oracle: every class's profile in class order, its pads cut one class
+    at a time from the level sequence written out in full (level l repeated
+    as often as row l has slack, levels u+1, ..., d in turn)."""
+    c, d, u = inst.params.c, inst.d, inst.u
+    width = (inst.k - 3) // 2
+    pair, single = (c, c + 1) if inst.variant == "secA" else (c + 1, c)
+
+    def part(size, t):
+        return ("EA" if size == c else "EB", t), size, (t, size - t)
+    row = sol.slack_lists()[1]
+    levels = (ell for ell in range(u + 1, d + 1) for _ in range(row[ell]))
+    classes = []
+    for (i, j), x in sorted(sol.x.items()):
+        for a, b in ((i, j), (j, i)):
+            base = (part(pair, d - a), part(pair, d + 1 + b), part(single, single // 2 + a - b))
+            for _ in range(x):
+                pads = [part(pair, t) for ell in itertools.islice(levels, width)
+                        for t in (d - ell, d + 1 + ell)]
+                assert len(pads) == 2 * width
+                classes.append(base + tuple(pads))
+    return classes
+
+
 def streamed_certificate(inst, sol):
-    """Oracle: the certificate's profiles counted one streamed class at a
-    time, as `_class_profiles` hands them to the realization."""
-    counts = Counter()
-    for prof, cnt in Counter(ip._class_profiles(ip._class_stream(inst, sol))).items():
-        counts[tuple(sorted(prof))] += cnt
-    return sorted(counts.items())
+    """Oracle: the certificate's profiles counted one class at a time."""
+    return sorted(Counter(tuple(sorted(prof)) for prof in naive_classes(inst, sol)).items())
 
 
-def round_robin(supply: dict):
-    """Oracle: keys in turn by decreasing supply, each yielded while its
-    supply lasts; consumes `supply`."""
-    for key in itertools.cycle(roundrobin.order(supply)):
-        if supply[key] > 0:
-            supply[key] -= 1
-            yield key
-
-
-def round_robin_windows(supply, width, runs):
-    """Oracle: cut `round_robin` into windows of `width`, run after run."""
-    levels = round_robin(dict(supply))
-    return [Counter(tuple(sorted(itertools.islice(levels, width))) for _ in range(m))
-            for m in runs]
+def level_sequence_windows(slack, width, runs):
+    """Oracle: level l written out s times for each (l, s) of `slack`, cut
+    into windows of `width`, run after run, equal neighbours counted."""
+    levels = [ell for ell, s in slack for _ in range(s)]
+    out, pos = [], 0
+    for m in runs:
+        windows = []
+        for _ in range(m):
+            window = tuple(levels[pos:pos + width])
+            assert len(window) == width
+            pos += width
+            if windows and windows[-1][0] == window:
+                windows[-1][1] += 1
+            else:
+                windows.append([window, 1])
+        out.append([tuple(pair) for pair in windows])
+    return out
 
 
 def random_composition(rng, total, parts):
@@ -1245,33 +1278,25 @@ class TestClosedFormCertificate:
         assert {k for _, k, _, _ in cases} == {3, 5, 7, 9}
         assert {v for _, _, v, _ in cases} == {"secA", "secB"}
 
-    def test_window_counts_match_the_round_robin(self):
-        straddles = longer_than_a_round = used_up = 0
+    def test_pad_windows_match_the_level_sequence(self):
+        across = three_levels = used_up = 0
         for seed in range(1000):
             rng = random.Random(seed)
             width = rng.randint(1, 9)
             windows = rng.randint(0, 30)
             spare = 0 if seed % 3 == 0 else rng.randint(1, 20)
-            keys = rng.sample(range(20), rng.randint(1, 6))
-            supply = dict(zip(keys, random_composition(rng, windows * width + spare,
-                                                       len(keys))))
-            if seed % 5 == 0:       # equal supplies keep the order of the keys
-                supply = dict.fromkeys(supply, max(supply.values()))
-                windows = sum(supply.values()) // width
+            levels = sorted(rng.sample(range(20), rng.randint(1, 6)))
+            slack = list(zip(levels, random_composition(rng, windows * width + spare,
+                                                        len(levels))))
             runs = random_composition(rng, windows, rng.randint(1, 5))
-            assert roundrobin.window_counts(supply, width, runs) == \
-                round_robin_windows(supply, width, runs), seed
-            phases = roundrobin.phases(supply)
-            total = sum(supply.values())
-            assert [key for start, stop, keys in phases
-                    for key in roundrobin.cycle_piece(keys, 0, stop - start)] == \
-                list(itertools.islice(round_robin(dict(supply)), total))
-            used = sum(runs) * width
-            straddles += sum(any(s < stop < s + width for _, stop, _ in phases)
-                             for s in range(0, used, width))
-            longer_than_a_round += any(width > len(keys) for _, _, keys in phases)
-            used_up += used == total
-        assert straddles and longer_than_a_round and used_up
+            got = ip._pad_windows(slack, width, runs)
+            assert got == level_sequence_windows(slack, width, runs), seed
+            spans = [len(set(window)) for run in got for window, _ in run]
+            across += any(s > 1 for s in spans)
+            three_levels += any(s > 2 for s in spans)
+            used_up += sum(runs) * width == sum(s for _, s in slack)
+        assert across and three_levels and used_up
+        assert ip._pad_windows([(1, 5)], 0, [2, 0, 3]) == [[((), 2)], [], [((), 3)]]
 
     def test_8750_13_secA(self):
         # Q has 3,414 bits; the classes could never be streamed
@@ -1280,7 +1305,7 @@ class TestClosedFormCertificate:
         cert = certificate(inst, sol)
         assert cert.p == sol.objective == inst.q
         assert inst.q.bit_length() == 3414
-        assert len(cert.profiles) == 578
+        assert len(cert.profiles) == 336
         rep = check_certificate_summary(cert)
         assert rep.ok, rep.summary()
 
