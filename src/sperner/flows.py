@@ -3,10 +3,10 @@
 Deterministic Dinic on flat arc arrays: arc `a` runs to `to[a]` with
 residual capacity `cap[a]`, its reverse is `a ^ 1`, and `head[u]` lists the
 arcs leaving u.  Each phase labels nodes with their residual distance to
-the sink, by a reverse BFS that stops at the source's layer.  The blocking
-flow is found by an iterative DFS over an explicit arc stack that follows
-arcs one step closer to the sink, drops the dead ends it meets, and after
-each augmentation retreats only to the tail of the first saturated arc.
+the sink t (-1 for no label).  The blocking flow is found by an iterative
+DFS over an explicit arc stack that follows arcs one step closer to the
+sink, drops the dead ends it meets, and after each augmentation retreats
+only to the tail of the first saturated arc.
 
 This finds the same augmenting paths, in the same order, as the textbook
 search that levels nodes from the source and restarts a recursive DFS at
@@ -15,6 +15,40 @@ when it lies on a shortest path, the textbook search abandons every other
 level-graph arc as a dead end, and its restart re-walks the unsaturated
 prefix through the same current-arc pointers.  Identical inputs therefore
 yield identical arc flows.
+
+The search needs labels only where it can walk.  Let D be the length of a
+shortest residual path from the source s to t.  The search tests
+`dist[v] == dist[u] - 1` only at arcs u -> v whose tail it reached from s
+along arcs it accepted, so u lies on a shortest path and dist[u] is its
+distance to t.  With exact labels the test passes only when v lies on a
+shortest path too, since then level_s(v) + d_t(v) <= level_s(u) + 1 +
+d_t(u) - 1 = D.  So any labelling that gives every node on a shortest
+path its distance to t, and every other node either that distance or -1,
+makes the same decisions as a reverse BFS that labels every node within
+D of t, and so clears the same labels at the same dead ends.  Two
+labellings are cheaper than that BFS:
+
+- Every phase but the first grows whole BFS layers from both ends, from s
+  along residual arcs out or from t along residual arcs in, each time on
+  the side whose frontier is smaller (from s on a tie), and stops at the
+  first arc that joins the last layer of one side to a node of the other.
+  Before that no node has both labels, so D is at least the sum of the
+  two depths plus one, and that arc makes it exactly that.  The layers
+  from t carry their exact distances.  One sweep back over the layers
+  from s, from the last one in, labels a node of layer i with D - i when
+  a residual arc joins it to a node labelled D - i - 1, which holds
+  exactly when it lies on a shortest path; the others keep -1.  A layer
+  that comes out empty means that t is cut off.
+- The first phase is labelled from its two ends in O(deg s + deg t).  L1,
+  the tails of residual arcs into t, get 1, every residual head of s gets
+  2, t gets 0 and s gets 3; when s or one of its heads is in L1 or is t,
+  D < 3 and the general labelling runs instead.  A head of s with no
+  residual arc into L1 is over-labelled.  The search enters it, finds no
+  arc on, drops it as a dead end and moves s's current arc one on, as
+  the exact labels would have it skip that arc, and nothing else
+  changes: the phase's augmentations add residual arcs into L1 only from
+  t.  So at D = 3 the phase is the exact one, and at D > 3 every head of s
+  is such a dead end; that phase finds nothing and is not counted.
 
 `Circulation` keeps a network with arc bounds across solves.  Arcs and
 nodes are linked and unlinked one at a time, and their slots are reused;
@@ -52,58 +86,119 @@ class FlowNet:
         return aid
 
     def max_flow(self, s: int, t: int) -> int:
-        head, to, cap, n = self.head, self.to, self.cap, len(self.head)
+        """Push a maximum s-t flow into the residual capacities and return
+        its value.  The first phase is labelled from the two ends, the
+        later ones from both sides; a first phase that finds nothing
+        (its shortest path is longer than 3) is not counted."""
         total = self.phases = self.paths = 0
-        while True:
-            # distances to t in the residual network, as far out as s
-            dist = [-1] * n
-            dist[t] = 0
-            queue = [t]
-            for v in queue:
-                dv = dist[v] + 1
-                if dv > dist[s] >= 0:
-                    break
-                for aid in head[v]:
-                    x = to[aid]
-                    if dist[x] < 0 and cap[aid ^ 1] > 0:
-                        dist[x] = dv
-                        queue.append(x)
-            if dist[s] < 0:
-                return total
+        dist = self._end_levels(s, t)
+        if dist is not None:
+            total = self._blocking_flow(s, t, dist)
+            self.phases = int(total > 0)
+        while (dist := self._levels(s, t)) is not None:
             self.phases += 1
-            it = [0] * n
-            path: list[int] = []    # arcs from s to u
-            u = s
-            while True:
-                if u == t:
-                    f = min(map(cap.__getitem__, path))
-                    cut = -1
-                    for i, a in enumerate(path):
-                        cap[a] -= f
-                        cap[a ^ 1] += f
-                        if cut < 0 and not cap[a]:
-                            cut = i
-                    total += f
-                    self.paths += 1
-                    del path[cut:]
-                    u = to[path[-1]] if path else s
-                    continue
-                arcs = head[u]
-                want = dist[u] - 1
-                for i in range(it[u], len(arcs)):
-                    aid = arcs[i]
-                    if cap[aid] > 0 and dist[to[aid]] == want:
-                        it[u] = i
-                        path.append(aid)
-                        u = to[aid]
+            total += self._blocking_flow(s, t, dist)
+        return total
+
+    def _end_levels(self, s: int, t: int) -> list[int] | None:
+        """The first phase's labels from the two ends, or None when a
+        residual path of length 2 or less joins s to t.  At distance 3 the
+        phase they give is the exact one; at a longer one it finds nothing."""
+        head, to, cap = self.head, self.to, self.cap
+        near = [to[a] for a in head[t] if cap[a ^ 1]]
+        out = [to[a] for a in head[s] if cap[a]]
+        dist = [-1] * len(head)
+        for v in near:
+            dist[v] = 1
+        dist[t] = 0
+        if dist[s] >= 0 or any(dist[v] >= 0 for v in out):
+            return None
+        for v in out:
+            dist[v] = 2
+        dist[s] = 3
+        return dist
+
+    def _levels(self, s: int, t: int) -> list[int] | None:
+        """Exact distances to t on every shortest s-t path and on the
+        layers searched from t, -1 elsewhere; None when t is unreachable."""
+        head, to, cap = self.head, self.to, self.cap
+        n = len(head)
+        fwd = [-1] * n      # distance from s, on the layers searched from s
+        bwd = [-1] * n      # distance to t, on the layers searched from t
+        fwd[s] = bwd[t] = 0
+        ahead, behind = [[s]], [[t]]
+        while True:
+            if len(ahead[-1]) <= len(behind[-1]):
+                layers, mine, theirs, flip = ahead, fwd, bwd, 0
+            else:
+                layers, mine, theirs, flip = behind, bwd, fwd, 1
+            level = len(layers)
+            layer = []
+            for u in layers[-1]:
+                for a in head[u]:
+                    if cap[a ^ flip] and mine[to[a]] < 0:
+                        v = to[a]
+                        if theirs[v] >= 0:
+                            return self._sweep(ahead, bwd, len(behind))
+                        mine[v] = level
+                        layer.append(v)
+            if not layer:
+                return None
+            layers.append(layer)
+
+    def _sweep(self, ahead: list[list[int]], dist: list[int], d: int) -> list[int]:
+        """Label the forward layers back from the last one, which lies at
+        distance d from t: a node of a layer lies on a shortest path, and
+        is labelled, when a residual arc joins it to a labelled node one
+        closer to t."""
+        head, to, cap = self.head, self.to, self.cap
+        for layer in reversed(ahead):
+            for u in layer:
+                for a in head[u]:
+                    if cap[a] and dist[to[a]] == d - 1:
+                        dist[u] = d
                         break
-                else:
-                    # dead end: drop u from this phase and retreat
-                    if u == s:
-                        break
-                    dist[u] = -1
-                    u = to[path.pop() ^ 1]
-                    it[u] += 1
+            d += 1
+        return dist
+
+    def _blocking_flow(self, s: int, t: int, dist: list[int]) -> int:
+        """Push a blocking flow along arcs one step closer to t by `dist`,
+        clearing the label of every dead end; return its value."""
+        head, to, cap, n = self.head, self.to, self.cap, len(self.head)
+        total = 0
+        it = [0] * n
+        path: list[int] = []    # arcs from s to u
+        u = s
+        while True:
+            if u == t:
+                f = min(map(cap.__getitem__, path))
+                cut = -1
+                for i, a in enumerate(path):
+                    cap[a] -= f
+                    cap[a ^ 1] += f
+                    if cut < 0 and not cap[a]:
+                        cut = i
+                total += f
+                self.paths += 1
+                del path[cut:]
+                u = to[path[-1]] if path else s
+                continue
+            arcs = head[u]
+            want = dist[u] - 1
+            for i in range(it[u], len(arcs)):
+                aid = arcs[i]
+                if cap[aid] > 0 and dist[to[aid]] == want:
+                    it[u] = i
+                    path.append(aid)
+                    u = to[aid]
+                    break
+            else:
+                # dead end: drop u from this phase and retreat
+                if u == s:
+                    return total
+                dist[u] = -1
+                u = to[path.pop() ^ 1]
+                it[u] += 1
 
 
 class Circulation(FlowNet):

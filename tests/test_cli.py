@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import pathlib
@@ -530,6 +531,20 @@ class TestSystemGolden:
         assert path.read_bytes() == (GOLDEN / name).read_bytes()
         code, out, _ = run(["verify", str(path)], capsys)
         assert (code, out) == (0, "partition structure: ok\nexact subset test: ok\nPASS\n")
+
+    @pytest.mark.parametrize("n,k,m,h,digest", (
+        (88, 33, 4, 22, "4c4233eed556cce82dd8f69a52f472fecbd012f97355044f40008ecc62b6bc39"),
+        (99, 30, 9, 11, "4bc836ad5521420609cabe6dc0ef10e6d000c98d20106c3086eb18c7aa3924cf")),
+        ids=["88-33-4-22", "99-30-9-11-c3"])
+    def test_deep_phase_builds_match_digests(self, tmp_path, capsys, n, k, m, h, digest):
+        """Builds whose flows run to deep Dinic phases, unlike the 36 small
+        stages of (36,15,4,9), pinned by the SHA-256 of their SPS files."""
+        path = tmp_path / "r.sps"
+        code, _, _ = run(["construct", "--n", str(n), "--k", str(k), "--m", str(m),
+                          "--h", str(h), "--case", "b", "--seed", "0", "--out", str(path)],
+                         capsys)
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_detecting_array_matches_golden(self, capsys):
         from sperner.construction import PartitionSystem, construct_grouped, plan_grouped

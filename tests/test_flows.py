@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -90,6 +91,87 @@ def recursive_circulation(n_nodes, arcs):
     if net.max_flow(ss, tt) != need:
         return None
     return [arcs[i][2] + net.cap[ids[i] ^ 1] for i in range(len(arcs))]
+
+
+class ReverseBfsDinic(FlowNet):
+    """Reference: the engine before its labels were cut down to the
+    shortest paths.  Every phase labels all nodes within the source's
+    distance of the sink by a reverse BFS; the blocking-flow search is the
+    engine's.  The engine must reproduce its arc flows, phases and paths
+    exactly."""
+
+    def max_flow(self, s: int, t: int) -> int:
+        head, to, cap, n = self.head, self.to, self.cap, len(self.head)
+        total = self.phases = self.paths = 0
+        while True:
+            # distances to t in the residual network, as far out as s
+            dist = [-1] * n
+            dist[t] = 0
+            queue = [t]
+            for v in queue:
+                dv = dist[v] + 1
+                if dv > dist[s] >= 0:
+                    break
+                for aid in head[v]:
+                    x = to[aid]
+                    if dist[x] < 0 and cap[aid ^ 1] > 0:
+                        dist[x] = dv
+                        queue.append(x)
+            if dist[s] < 0:
+                return total
+            self.phases += 1
+            it = [0] * n
+            path: list[int] = []    # arcs from s to u
+            u = s
+            while True:
+                if u == t:
+                    f = min(map(cap.__getitem__, path))
+                    cut = -1
+                    for i, a in enumerate(path):
+                        cap[a] -= f
+                        cap[a ^ 1] += f
+                        if cut < 0 and not cap[a]:
+                            cut = i
+                    total += f
+                    self.paths += 1
+                    del path[cut:]
+                    u = to[path[-1]] if path else s
+                    continue
+                arcs = head[u]
+                want = dist[u] - 1
+                for i in range(it[u], len(arcs)):
+                    aid = arcs[i]
+                    if cap[aid] > 0 and dist[to[aid]] == want:
+                        it[u] = i
+                        path.append(aid)
+                        u = to[aid]
+                        break
+                else:
+                    # dead end: drop u from this phase and retreat
+                    if u == s:
+                        break
+                    dist[u] = -1
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+
+
+def same_flow_as_reverse_bfs(net, s, t):
+    """Run max_flow on net and on an oracle copy of it; both must push the
+    same value and leave the same residual capacities, phases and paths."""
+    old = ReverseBfsDinic(0)
+    old.head = [list(arcs) for arcs in net.head]
+    old.to, old.cap = list(net.to), list(net.cap)
+    value = FlowNet.max_flow(net, s, t)
+    assert value == old.max_flow(s, t)
+    assert (net.cap, net.phases, net.paths) == (old.cap, old.phases, old.paths)
+    return value
+
+
+class CheckedCirculation(Circulation):
+    """A Circulation whose every max_flow is checked against the oracle."""
+
+    def max_flow(self, s, t):
+        return same_flow_as_reverse_bfs(self, s, t)
 
 
 def random_network(rng, n_max=9, cap_max=5):
@@ -211,6 +293,134 @@ def test_phases_and_paths_of_last_max_flow():
     net = build(FlowNet, 3, [(0, 1, 3), (1, 2, 5)])
     assert net.max_flow(0, 2) == 3
     assert (net.phases, net.paths) == (1, 1)
+
+
+def residual_distances(net, root, forward):
+    """Residual BFS distances from root (forward) or to it, None where
+    there is no path."""
+    head, to, cap = net.head, net.to, net.cap
+    dist = [None] * len(head)
+    dist[root] = 0
+    queue = [root]
+    for u in queue:
+        for a in head[u]:
+            v = to[a]
+            if dist[v] is None and cap[a if forward else a ^ 1] > 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def labelling_branch(net, s, t, first):
+    """The branch a phase's labelling must take on net, and the length D of
+    its shortest s-t path, read off exact residual distances.  The first
+    phase is "taken" at D = 3, "declined" below and "empty" above (or with
+    no path); a later phase grows whole layers, the side with the smaller
+    frontier first (from s on a tie), until a layer meets the other side
+    or comes out empty."""
+    ds, dt = residual_distances(net, s, True), residual_distances(net, t, False)
+    D = ds[t]
+    if first:
+        return ("declined" if D is not None and D < 3
+                else "taken" if D == 3 else "empty"), D
+    ahead, behind = Counter(ds), Counter(dt)
+    a = b = 0       # the last layer grown from s and from t
+    while True:
+        forward = ahead[a] <= behind[b]
+        side = "forward" if forward else "backward"
+        if D == a + b + 1:
+            return "meet " + side, D
+        if not (ahead[a + 1] if forward else behind[b + 1]):
+            return "empty " + side, D
+        a, b = (a + 1, b) if forward else (a, b + 1)
+
+
+@pytest.fixture
+def branches(monkeypatch):
+    """Count the labelling branches that the phases take, and keep the
+    longest shortest path of a later phase under "deepest"."""
+    seen = Counter()
+    end_levels, levels = FlowNet._end_levels, FlowNet._levels
+
+    def spy_end(net, s, t):
+        branch, _ = labelling_branch(net, s, t, True)
+        seen["first " + branch] += 1
+        dist = end_levels(net, s, t)
+        assert (dist is None) == (branch == "declined")
+        return dist
+
+    def spy_levels(net, s, t):
+        branch, D = labelling_branch(net, s, t, False)
+        seen[branch] += 1
+        seen["deepest"] = max(seen["deepest"], D or 0)
+        return levels(net, s, t)
+
+    monkeypatch.setattr(FlowNet, "_end_levels", spy_end)
+    monkeypatch.setattr(FlowNet, "_levels", spy_levels)
+    return seen
+
+
+def random_stage(rng):
+    """A circulation shaped like one stage of the staged allocator: a loop
+    arc from the sink side back to the source side, 20 to 60 units with
+    forced or windowed intake, each sending into a few shared keys, and
+    keys with windowed arcs to the sink side.  The windows surround a
+    planned routing, one in eight of them pushed above it."""
+    net = CheckedCirculation()
+    source, sink = net.add_node(), net.add_node()
+    net.link(sink, source, 0, 1 << 60)
+    keys = [net.add_node() for _ in range(rng.randint(4, 20))]
+    load = Counter()
+    for _ in range(rng.randint(20, 60)):
+        unit = net.add_node()
+        need = rng.randint(1, 3)
+        net.link(source, unit, need - rng.randint(0, 1), need)
+        chosen = rng.sample(keys, rng.randint(2, min(4, len(keys))))
+        planned = Counter(rng.choices(chosen, k=need))
+        for key in chosen:
+            net.link(unit, key, 0, planned[key] + rng.randint(0, 1))
+            load[key] += planned[key]
+    for key in keys:
+        low = max(0, load[key] - rng.randint(0, 2)) + (rng.random() < 0.125)
+        net.link(key, sink, low, load[key] + rng.randint(0, 2))
+    return net
+
+
+@pytest.mark.parametrize("arcs,want,first", [
+    ([(0, 1, 2)], (2, 1, 1), "declined"),                         # D = 1
+    ([(0, 2, 1), (2, 1, 1), (0, 3, 1), (3, 4, 1), (4, 5, 1), (5, 1, 1)],
+     (2, 2, 2), "declined"),                                      # D = 2
+    ([(0, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1)], (1, 1, 1), "empty"),   # D = 4
+    ([(0, 2, 1), (0, 2, 1), (2, 3, 2), (3, 1, 2)], (2, 1, 2), "taken"),   # two s -> a arcs
+    ([(2, 0, 1), (1, 5, 1), (0, 3, 1), (3, 4, 1), (4, 1, 1), (5, 2, 1)],
+     (1, 1, 1), "taken"),                                         # arcs into s, out of t
+    ([(0, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 1, 1), (0, 6, 1), (6, 1, 0)],
+     (1, 1, 1), "empty"),                                         # a zero arc into t
+], ids=["D1", "D2", "D4", "parallel-out-of-s", "into-s-out-of-t", "D5-zero-arc"])
+def test_hand_cases_match_the_reverse_bfs_engine(branches, arcs, want, first):
+    """(value, phases, paths) from source 0 to sink 1, and the first
+    phase's branch."""
+    net = build(FlowNet, 7, arcs)
+    value = same_flow_as_reverse_bfs(net, 0, 1)
+    assert (value, net.phases, net.paths) == want
+    assert branches["first " + first] == 1
+
+
+def test_labellings_match_the_reverse_bfs_engine(branches):
+    """Every arc flow, phase and path of the engine equals the reverse-BFS
+    engine's, on random networks and on stage-shaped circulations, and
+    every branch of both labellings occurs."""
+    rng = random.Random("flows:labellings")
+    outcomes = Counter(random_stage(rng).solve() for _ in range(40))
+    assert outcomes[True] and outcomes[False]
+    assert branches["deepest"] >= 6
+    for _ in range(400):
+        n, arcs = random_network(rng, n_max=12, cap_max=3)
+        s, t = rng.sample(range(n), 2)
+        same_flow_as_reverse_bfs(build(FlowNet, n, arcs), s, t)
+    for branch in ("first taken", "first declined", "first empty", "meet forward",
+                   "meet backward", "empty forward", "empty backward"):
+        assert branches[branch], branch
 
 
 def random_bounds(rng):
