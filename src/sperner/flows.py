@@ -25,30 +25,18 @@ shortest path too, since then level_s(v) + d_t(v) <= level_s(u) + 1 +
 d_t(u) - 1 = D.  So any labelling that gives every node on a shortest
 path its distance to t, and every other node either that distance or -1,
 makes the same decisions as a reverse BFS that labels every node within
-D of t, and so clears the same labels at the same dead ends.  Two
-labellings are cheaper than that BFS:
-
-- Every phase but the first grows whole BFS layers from both ends, from s
-  along residual arcs out or from t along residual arcs in, each time on
-  the side whose frontier is smaller (from s on a tie), and stops at the
-  first arc that joins the last layer of one side to a node of the other.
-  Before that no node has both labels, so D is at least the sum of the
-  two depths plus one, and that arc makes it exactly that.  The layers
-  from t carry their exact distances.  One sweep back over the layers
-  from s, from the last one in, labels a node of layer i with D - i when
-  a residual arc joins it to a node labelled D - i - 1, which holds
-  exactly when it lies on a shortest path; the others keep -1.  A layer
-  that comes out empty means that t is cut off.
-- The first phase is labelled from its two ends in O(deg s + deg t).  L1,
-  the tails of residual arcs into t, get 1, every residual head of s gets
-  2, t gets 0 and s gets 3; when s or one of its heads is in L1 or is t,
-  D < 3 and the general labelling runs instead.  A head of s with no
-  residual arc into L1 is over-labelled.  The search enters it, finds no
-  arc on, drops it as a dead end and moves s's current arc one on, as
-  the exact labels would have it skip that arc, and nothing else
-  changes: the phase's augmentations add residual arcs into L1 only from
-  t.  So at D = 3 the phase is the exact one, and at D > 3 every head of s
-  is such a dead end; that phase finds nothing and is not counted.
+D of t, and so clears the same labels at the same dead ends.  Each phase
+labels that way at less cost than the BFS.  It grows whole BFS layers
+from both ends, from s along residual arcs out or from t along residual
+arcs in, each time on the side whose frontier is smaller (from s on a
+tie), and stops at the first arc that joins the last layer of one side to
+a node of the other.  Before that no node has both labels, so D is at
+least the sum of the two depths plus one, and that arc makes it exactly
+that.  The layers from t carry their exact distances.  One sweep back
+over the layers from s, from the last one in, labels a node of layer i
+with D - i when a residual arc joins it to a node labelled D - i - 1,
+which holds exactly when it lies on a shortest path; the others keep -1.
+A layer that comes out empty means that t is cut off.
 
 `Circulation` keeps a network with arc bounds across solves.  Arcs and
 nodes are linked and unlinked one at a time, and their slots are reused;
@@ -87,36 +75,12 @@ class FlowNet:
 
     def max_flow(self, s: int, t: int) -> int:
         """Push a maximum s-t flow into the residual capacities and return
-        its value.  The first phase is labelled from the two ends, the
-        later ones from both sides; a first phase that finds nothing
-        (its shortest path is longer than 3) is not counted."""
+        its value, one blocking flow per phase on labels from both sides."""
         total = self.phases = self.paths = 0
-        dist = self._end_levels(s, t)
-        if dist is not None:
-            total = self._blocking_flow(s, t, dist)
-            self.phases = int(total > 0)
         while (dist := self._levels(s, t)) is not None:
             self.phases += 1
             total += self._blocking_flow(s, t, dist)
         return total
-
-    def _end_levels(self, s: int, t: int) -> list[int] | None:
-        """The first phase's labels from the two ends, or None when a
-        residual path of length 2 or less joins s to t.  At distance 3 the
-        phase they give is the exact one; at a longer one it finds nothing."""
-        head, to, cap = self.head, self.to, self.cap
-        near = [to[a] for a in head[t] if cap[a ^ 1]]
-        out = [to[a] for a in head[s] if cap[a]]
-        dist = [-1] * len(head)
-        for v in near:
-            dist[v] = 1
-        dist[t] = 0
-        if dist[s] >= 0 or any(dist[v] >= 0 for v in out):
-            return None
-        for v in out:
-            dist[v] = 2
-        dist[s] = 3
-        return dist
 
     def _levels(self, s: int, t: int) -> list[int] | None:
         """Exact distances to t on every shortest s-t path and on the

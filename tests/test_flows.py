@@ -311,18 +311,13 @@ def residual_distances(net, root, forward):
     return dist
 
 
-def labelling_branch(net, s, t, first):
+def labelling_branch(net, s, t):
     """The branch a phase's labelling must take on net, and the length D of
-    its shortest s-t path, read off exact residual distances.  The first
-    phase is "taken" at D = 3, "declined" below and "empty" above (or with
-    no path); a later phase grows whole layers, the side with the smaller
-    frontier first (from s on a tie), until a layer meets the other side
-    or comes out empty."""
+    its shortest s-t path, read off exact residual distances.  It grows
+    whole layers, the side with the smaller frontier first (from s on a
+    tie), until a layer meets the other side or comes out empty."""
     ds, dt = residual_distances(net, s, True), residual_distances(net, t, False)
     D = ds[t]
-    if first:
-        return ("declined" if D is not None and D < 3
-                else "taken" if D == 3 else "empty"), D
     ahead, behind = Counter(ds), Counter(dt)
     a = b = 0       # the last layer grown from s and from t
     while True:
@@ -338,24 +333,16 @@ def labelling_branch(net, s, t, first):
 @pytest.fixture
 def branches(monkeypatch):
     """Count the labelling branches that the phases take, and keep the
-    longest shortest path of a later phase under "deepest"."""
+    longest shortest path of a phase under "deepest"."""
     seen = Counter()
-    end_levels, levels = FlowNet._end_levels, FlowNet._levels
-
-    def spy_end(net, s, t):
-        branch, _ = labelling_branch(net, s, t, True)
-        seen["first " + branch] += 1
-        dist = end_levels(net, s, t)
-        assert (dist is None) == (branch == "declined")
-        return dist
+    levels = FlowNet._levels
 
     def spy_levels(net, s, t):
-        branch, D = labelling_branch(net, s, t, False)
+        branch, D = labelling_branch(net, s, t)
         seen[branch] += 1
         seen["deepest"] = max(seen["deepest"], D or 0)
         return levels(net, s, t)
 
-    monkeypatch.setattr(FlowNet, "_end_levels", spy_end)
     monkeypatch.setattr(FlowNet, "_levels", spy_levels)
     return seen
 
@@ -386,30 +373,26 @@ def random_stage(rng):
     return net
 
 
-@pytest.mark.parametrize("arcs,want,first", [
-    ([(0, 1, 2)], (2, 1, 1), "declined"),                         # D = 1
-    ([(0, 2, 1), (2, 1, 1), (0, 3, 1), (3, 4, 1), (4, 5, 1), (5, 1, 1)],
-     (2, 2, 2), "declined"),                                      # D = 2
-    ([(0, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1)], (1, 1, 1), "empty"),   # D = 4
-    ([(0, 2, 1), (0, 2, 1), (2, 3, 2), (3, 1, 2)], (2, 1, 2), "taken"),   # two s -> a arcs
-    ([(2, 0, 1), (1, 5, 1), (0, 3, 1), (3, 4, 1), (4, 1, 1), (5, 2, 1)],
-     (1, 1, 1), "taken"),                                         # arcs into s, out of t
+@pytest.mark.parametrize("arcs,want", [
+    ([(0, 1, 2)], (2, 1, 1)),
+    ([(0, 2, 1), (2, 1, 1), (0, 3, 1), (3, 4, 1), (4, 5, 1), (5, 1, 1)], (2, 2, 2)),
+    ([(0, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1)], (1, 1, 1)),
+    ([(0, 2, 1), (0, 2, 1), (2, 3, 2), (3, 1, 2)], (2, 1, 2)),
+    ([(2, 0, 1), (1, 5, 1), (0, 3, 1), (3, 4, 1), (4, 1, 1), (5, 2, 1)], (1, 1, 1)),
     ([(0, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 1, 1), (0, 6, 1), (6, 1, 0)],
-     (1, 1, 1), "empty"),                                         # a zero arc into t
+     (1, 1, 1)),
 ], ids=["D1", "D2", "D4", "parallel-out-of-s", "into-s-out-of-t", "D5-zero-arc"])
-def test_hand_cases_match_the_reverse_bfs_engine(branches, arcs, want, first):
-    """(value, phases, paths) from source 0 to sink 1, and the first
-    phase's branch."""
+def test_hand_cases_match_the_reverse_bfs_engine(arcs, want):
+    """(value, phases, paths) from source 0 to sink 1."""
     net = build(FlowNet, 7, arcs)
     value = same_flow_as_reverse_bfs(net, 0, 1)
     assert (value, net.phases, net.paths) == want
-    assert branches["first " + first] == 1
 
 
 def test_labellings_match_the_reverse_bfs_engine(branches):
     """Every arc flow, phase and path of the engine equals the reverse-BFS
     engine's, on random networks and on stage-shaped circulations, and
-    every branch of both labellings occurs."""
+    every branch of the labelling occurs."""
     rng = random.Random("flows:labellings")
     outcomes = Counter(random_stage(rng).solve() for _ in range(40))
     assert outcomes[True] and outcomes[False]
@@ -418,8 +401,7 @@ def test_labellings_match_the_reverse_bfs_engine(branches):
         n, arcs = random_network(rng, n_max=12, cap_max=3)
         s, t = rng.sample(range(n), 2)
         same_flow_as_reverse_bfs(build(FlowNet, n, arcs), s, t)
-    for branch in ("first taken", "first declined", "first empty", "meet forward",
-                   "meet backward", "empty forward", "empty backward"):
+    for branch in ("meet forward", "meet backward", "empty forward", "empty backward"):
         assert branches[branch], branch
 
 
