@@ -12,15 +12,17 @@ objective is 2 * sum x and its optimum is bounded by the even integer Q.
 Solvers: a batched version of the slack-consuming greedy (variant secA),
 the sparse closed-form candidate (variant secB), the exact LP relaxation
 and two proofs from one loop.  `exact_solve` and `lp_value` take the first
-primal, checked exactly in O(|supp x| + d), that meets a bound read off
-the caps in O(d): `upper_bound` (the band dual or the parity cut) for the
-integer optimum, the band dual for the LP value.  Only where none does is
-the root LP solved, by the one-phase integer simplex of `simplex.py`: its
-constraints are built in one pass over Phi with integer coefficients and
-nonnegative caps, so x = 0 is its first vertex.  No solver has a size
-limit.  Family sizes come from one row of binomials binom(n/2, j),
-j <= c + 1, and u from running sums of them, in O(d); the variants differ
-only in that u-search and in their caps.
+primal, checked exactly in O(|supp x| + u), that meets a bound read off
+the caps: `upper_bound` (the band dual or the parity cut, O(d)) for the
+integer optimum, the band dual (O(u)) for the LP value.  Only where none
+does is the root LP solved, by the one-phase integer simplex of
+`simplex.py`: its constraints are built in one pass over Phi with integer
+coefficients and nonnegative caps, so x = 0 is its first vertex.  No
+solver has a size limit.  An instance's header, u and Q among it, comes
+from the family sizes within u + 2 levels of the middle and two binomials
+of n, by Vandermonde's identity, in O(u) big-integer steps; its row caps
+are read on demand; the variants differ only in the u-search and in their
+caps.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import itertools
 import math
 import random
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,18 +45,80 @@ from .verify import SystemCertificate
 VARIANTS = ("secA", "secB")
 
 
+class _Levels(Mapping):
+    """levels(s)_l = binom(h, s//2 - l) binom(h, s - s//2 + l), the s-sets
+    l levels off the balanced split of the two halves, for l = lo, ...,
+    s // 2, from the first of them.  Level l + 1 is level l times
+    (a - l)(h - b - l) / ((h - a + l + 1)(b + l + 1)), a = s // 2 and
+    b = s - a, by binom(h, m - 1) = binom(h, m) m / (h - m + 1) and
+    binom(h, m + 1) = binom(h, m) (h - m) / (m + 1): one multiply and one
+    exact divide by small integers.  A level is computed when first read,
+    with those before it, and kept; iterating reads every level."""
+
+    def __init__(self, h: int, s: int, lo: int, first: int):
+        self.h, self.s, self.lo, self.ells = h, s, lo, range(lo, s // 2 + 1)
+        self.read = [first]             # read[t] = levels(s)_{lo + t}
+        self.every = None               # {l: levels(s)_l} once all are read
+
+    def __getitem__(self, ell: int) -> int:
+        read, t = self.read, ell - self.lo
+        if not 0 <= t < len(read):
+            if ell not in self.ells:
+                raise KeyError(ell)
+            h, a = self.h, self.s // 2
+            b, out = self.s - a, read[-1]
+            for j in range(self.lo + len(read) - 1, ell):
+                out = out * ((a - j) * (h - b - j)) // ((h - a + j + 1) * (b + j + 1))
+                read.append(out)
+        return read[t]
+
+    def __len__(self) -> int:
+        return len(self.ells)
+
+    def __iter__(self):
+        return iter(self._read_all())
+
+    def items(self):
+        return self._read_all().items()
+
+    def values(self):
+        return self._read_all().values()
+
+    def _read_all(self) -> dict:
+        """Every level, by l in order."""
+        if self.every is None:
+            self[self.ells[-1]]
+            self.every = dict(zip(self.ells, self.read))
+        return self.every
+
+    def __repr__(self) -> str:
+        return f"_Levels(s={self.s}, l={self.ells.start}..{self.ells.stop - 1})"
+
+
 @dataclass(frozen=True)
 class IpInstance:
+    """The program's header and caps.  A built instance reads its row caps
+    R_l on demand (`_Levels`).  Explicit caps, with cap_row a dict, are
+    checked once here: rows u + 1, ..., d in order, as a built instance
+    lists them, and every cap >= 0, so a row no primal meets needs no
+    feasibility test."""
     variant: str
     params: Params
     d: int
     u: int
     q: int
-    e: tuple
-    estar: tuple
+    e0: int
+    estar0: int
     cap_diag: int
     cap_off: dict = field(hash=False)
-    cap_row: dict = field(hash=False)
+    cap_row: Mapping = field(hash=False)
+
+    def __post_init__(self):
+        rows = () if isinstance(self.cap_row, _Levels) else self.cap_row
+        if rows and list(rows) != list(range(self.u + 1, self.d + 1)):
+            raise ValueError(f"cap_row must hold rows {self.u + 1}..{self.d} in order")
+        if min([self.cap_diag, *self.cap_off.values(), *(rows and rows.values())]) < 0:
+            raise ValueError("every cap of an IP instance must be >= 0")
 
     @property
     def n(self) -> int:
@@ -62,6 +127,16 @@ class IpInstance:
     @property
     def k(self) -> int:
         return self.params.k
+
+    @functools.cached_property
+    def e(self) -> tuple:
+        """(E_0, ..., E_{c//2}): the c-sets l levels off the balanced split."""
+        return tuple(_families(self.n // 2, self.params.c)[0].values())
+
+    @functools.cached_property
+    def estar(self) -> tuple:
+        """(E*_0, ..., E*_{(c+1)//2}): the (c+1)-sets likewise."""
+        return tuple(_families(self.n // 2, self.params.c)[1].values())
 
     @property
     def trivial(self) -> bool:
@@ -103,7 +178,38 @@ def _phi(u: int, d: int) -> tuple:
                   for j in range(i, min(i + u, d) + 1)])
 
 
+def _families(h: int, c: int) -> tuple:
+    """(levels(c), levels(c + 1)) from l = 0: with d = c // 2, each
+    levels(s)_0 = binom(h, s//2) binom(h, s - s//2) is a product of
+    binom(h, d) and binom(h, d + 1), for s = 2d, 2d + 1 or 2d + 2."""
+    d = c // 2
+    below = math.comb(h, d)
+    above = below * (h - d) // (d + 1)
+    if c == 2 * d:
+        return _Levels(h, c, 0, below * below), _Levels(h, c + 1, 0, below * above)
+    return _Levels(h, c, 0, below * above), _Levels(h, c + 1, 0, above * above)
+
+
 def build_instance(n: int, k: int, variant: str) -> IpInstance:
+    """The instance's header d, u, Q, e_0, e*_0, D and O_l, from the levels
+    within u + 2 of the middle, in O(u) big-integer steps; the rows R_l
+    are read on demand.
+
+    With h = n/2, c = n // k and C(n, m) the binomial, E_l = levels(c)_l and
+    E*_l = levels(c + 1)_l (`_Levels`).  Vandermonde's convolution
+    C(n, m) = sum_j C(h, j) C(h, m - j) pairs the term of j with that of
+    m - j, and for m = s in {c, c + 1} each pair is one level: j = s//2 - l
+    is E_l or E*_l counted twice, once as j and once as m - j, except the
+    middle term j = m - j of an even m, counted once.  So with d = c // 2:
+
+    - secB, c = 2d:     C(n, c) = e_0 + 2 (e_1 + ... + e_d), and
+                        C(n, c + 1) = 2 (e*_0 + ... + e*_d);
+    - secA, c = 2d + 1: C(n, c) = 2 (e_0 + ... + e_d), and
+                        C(n, c + 1) = e*_0 + 2 (e*_1 + ... + e*_{d+1}).
+
+    The u-search's falling sums are then C(n, c) or C(n, c + 1) less a
+    prefix, so it reads e_l and e*_l only for l <= u + 1.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if k < 3 or k % 2 == 0:
@@ -118,17 +224,13 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
     # (c+1)-sets l levels off the balanced split of the two halves
     c = params.c
     d = c // 2
-    row = _binom_row(n // 2, c + 1)
-
-    def levels(s):
-        return tuple(row[s // 2 - ell] * row[s - s // 2 + ell] for ell in range(s // 2 + 1))
-    e, estar = levels(c), levels(c + 1)
+    e, estar = _families(n // 2, c)
     if variant == "secA":
         # a(x) = 2 (e_{x+1} + ... + e_d) falls and b(x) = estar_0 + ... +
         # estar_x grows; u is the first x with a(x) <= (k-1) b(x), at most
         # d - 1: h = n/2 >= 3d + 2 gives 3 e_d <= binom(2d+1, d+1) e_d =
         # binom(h, d+1) binom(h-d-1, d) <= estar_0, so a(d-1) = 2 e_d < b(d-1).
-        a = 2 * sum(e[1:])
+        a = math.comb(n, c) - 2 * e[0]
         b = estar[0]
         u = 0
         while a > (k - 1) * b:
@@ -146,15 +248,15 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
         for ell in range(1, u + 1):
             cap_off[ell] = min(rest, estar[ell])
             rest -= cap_off[ell]
-        cap_row = {ell: e[ell] for ell in range(u + 1, d + 1)}
+        cap_row = _Levels(n // 2, c, u + 1, e[u + 1])
     else:
         # a(x) = e_0 + 2 (e_1 + ... + e_x) grows and b(x) = 2 (estar_{x+1} +
         # ... + estar_d) falls; u is the last x < d with (k-1) a(x) <= b(x),
-        # or -1, where a(-1) = 0; x < d needs no test, as b(d) = 0 < a(d).  With
-        # C(n, j) the binomial, n - c = (c+1)(k-1) makes (k-1) C(n, c) =
-        # C(n, c+1) and mms = C(n, c) / 2 identities, so neither is checked.
+        # or -1, where a(-1) = 0; x < d needs no test, as b(d) = 0 < a(d).
+        # n - c = (c+1)(k-1) makes (k-1) C(n, c) = C(n, c+1) and mms =
+        # C(n, c) / 2 identities, so neither is checked.
         u, au = -1, 0
-        a, b = e[0], 2 * sum(estar[1:])
+        a, b = e[0], (k - 1) * math.comb(n, c) - 2 * estar[0]
         while (k - 1) * a <= b:
             u, au = u + 1, a
             a += 2 * e[u + 1]
@@ -162,19 +264,10 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
         q = au - (au & 1)
         cap_diag = e[0] // 2
         cap_off = {ell: e[ell] for ell in range(1, u + 1)}
-        cap_row = {ell: estar[ell] for ell in range(u + 1, d + 1)}
-    inst = IpInstance(variant, params, d, u, q, e, estar, cap_diag, cap_off, cap_row)
+        cap_row = _Levels(n // 2, c + 1, u + 1, estar[u + 1])
+    inst = IpInstance(variant, params, d, u, q, e[0], estar[0], cap_diag, cap_off, cap_row)
     assert q <= inst.mms_value
     return inst
-
-
-def _binom_row(h: int, top: int) -> list:
-    """[binom(h, 0), ..., binom(h, top)] by the exact recurrence
-    binom(h, j+1) = binom(h, j) (h - j) / (j + 1)."""
-    row = [1]
-    for j in range(top):
-        row.append(row[-1] * (h - j) // (j + 1))
-    return row
 
 
 # --------------------------------------------------------------------------
@@ -190,28 +283,60 @@ class IpSolution:
     def objective(self) -> int:
         return 2 * sum(self.x.values())
 
-    def slack_lists(self) -> tuple:
-        """The slacks in one pass over x: (band, row), band[0] for D, band[l]
-        for O_l and row[l] for R_l (0 for l <= u).  This is the one model
-        that every primal and `_build_lp` read: index (i, j) meets band
-        j - i and rows i and j, and a key outside Phi only those that exist."""
+    def sparse_slacks(self) -> tuple:
+        """The slacks in one pass over x: (band, row), band[0] for D and
+        band[l] for O_l, and row[l] for R_l, l > u, held for the rows x
+        meets and read from the caps for any other row when first read
+        (`_RowSlacks`).  This is the one model that every primal and
+        `_build_lp` read: index (i, j) meets band j - i and rows i and j,
+        and a key outside Phi only those that exist."""
         inst = self.instance
         u, d = inst.u, inst.d
         band = [inst.cap_diag] + [inst.cap_off[ell] for ell in range(1, u + 1)]
-        row = [0] * (u + 1) + [inst.cap_row[ell] for ell in range(u + 1, d + 1)]
+        row = _RowSlacks(inst.cap_row)
         for (i, j), v in self.x.items():
             if i == j or 0 < j - i <= u:
                 band[j - i] -= v
-            for ell in (i, j):
-                if u < ell <= d:
-                    row[ell] -= v
+            if u < i <= d:
+                row[i] -= v
+            if u < j <= d:
+                row[j] -= v
+        return band, row
+
+    def slack_lists(self) -> tuple:
+        """`sparse_slacks` with every row read: (band, row), row[l] for R_l
+        and 0 for l <= u, for the consumers that walk every row."""
+        band, touched = self.sparse_slacks()
+        row = [0] * (self.instance.u + 1) + list(self.instance.cap_row.values())
+        for ell, slack in touched.items():
+            row[ell] = slack
         return band, row
 
     def feasible(self) -> bool:
-        """Exact, in O(|supp x| + d): keys in Phi, values and slacks >= 0."""
+        """Exact, in O(|supp x| + u) while the rows are not all read: keys
+        in Phi, values >= 0, and the slacks of the u + 1 bands and of the
+        rows x meets >= 0.  A row x does not meet keeps its cap as its
+        slack, and every cap is >= 0: a product of binomials in a built
+        instance, checked once when an instance is given explicit caps.
+        So those rows need no test."""
         if not all(v >= 0 and key in self.instance for key, v in self.x.items()):
             return False
-        return min(map(min, self.slack_lists())) >= 0
+        band, row = self.sparse_slacks()
+        return min(band) >= 0 and min(row.values(), default=0) >= 0
+
+
+class _RowSlacks(dict):
+    """Row slacks by row, from every cap at once when all are at hand (a
+    dict, or levels read in full), else each row at its cap when first
+    read."""
+
+    def __init__(self, caps: Mapping):
+        super().__init__(caps if isinstance(caps, dict) else caps.every or ())
+        self.caps = caps
+
+    def __missing__(self, ell: int) -> int:
+        self[ell] = slack = self.caps[ell]
+        return slack
 
 
 def zero_solution(inst: IpInstance) -> IpSolution:
@@ -319,7 +444,7 @@ def closed_form_solve(inst: IpInstance) -> ClosedFormResult:
     loop = 3 * u // 2 + 1
     assigns.append(((loop, loop), inst.cap_diag))
     sol = IpSolution(inst, dict(assigns))   # one index per band, so no key repeats
-    violations = [f"R_{ell}" for ell, s in enumerate(sol.slack_lists()[1]) if s < 0]
+    violations = [f"R_{ell}" for ell, s in sorted(sol.sparse_slacks()[1].items()) if s < 0]
     if violations:
         return ClosedFormResult(None, violations)
     assert sol.objective == inst.q
@@ -363,9 +488,10 @@ def lp_relax(inst: IpInstance):
 def _floor_improve(inst: IpInstance, base: dict, runs) -> IpSolution:
     """Floor a fractional solution, then greedily grow the indices (i, i + l)
     of each run (l, starts), i in starts.  A run ends once band l's budget
-    is spent: none of its indices can grow then."""
+    is spent: none of its indices can grow then.  Row caps are read as the
+    runs walk, so the rows no run reaches are never read."""
     x = {v: int(val) for v, val in base.items() if int(val)}
-    band, row = IpSolution(inst, x).slack_lists()
+    band, row = IpSolution(inst, x).sparse_slacks()
     for ell, starts in runs:
         for i in starts:
             if not band[ell]:
@@ -377,9 +503,9 @@ def _floor_improve(inst: IpInstance, base: dict, runs) -> IpSolution:
                 band[ell] -= inc
                 row[i] -= inc
                 row[j] -= inc
-    out = IpSolution(inst, x)
-    assert out.feasible()
-    return out
+    # the slacks the walk kept: the floor's and every row it read stay >= 0
+    assert min(band) >= 0 and min(row.values(), default=0) >= 0
+    return IpSolution(inst, x)
 
 
 def band_dual(inst: IpInstance) -> int:
@@ -477,7 +603,11 @@ def lp_value(inst: IpInstance, greedy: IpSolution | None = None) -> tuple:
     the greedy with half loops, the one fractional primal, which closes
     the parity-cut instances.  The proof names the first, or "simplex"
     when none meets the bound; over k in {3, 5, 7}, both variants and
-    n <= 1500 only (1310, 3, secB) needs the simplex.
+    n <= 1500 only (1310, 3, secB) needs the simplex, and over secB with
+    n <= 20,000 only (1310, 1802, 1808; 3) do, none with k = 5 or 7.  A
+    secB value reads O(u) caps and the rows its primals meet and walk: at
+    (32000, 3, secB), d = 5,333 and u = 27, the header and the proof take
+    a few hundredths of a second.
     """
     if inst.trivial:
         return Fraction(0), "empty index set"
@@ -633,5 +763,6 @@ def asymptotic_report(inst: IpInstance) -> AsymptoticReport:
     u_pred = ERF_INV_HALF * math.sqrt(d * (k - 1) / k)
     # build_instance's k >= 3 and n > 2k (so c >= 2, d >= 1) give u_pred > 0;
     # int / int is correctly rounded, as float(Fraction(...)) is
-    return AsymptoticReport(inst.estar[0] / ((k - 1) * inst.e[0]), u / u_pred,
-                            float(Fraction(inst.q) / inst.mms_value))
+    mms_value = inst.mms_value
+    return AsymptoticReport(inst.estar0 / ((k - 1) * inst.e0), u / u_pred,
+                            inst.q * mms_value.denominator / mms_value.numerator)

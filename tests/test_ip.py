@@ -10,7 +10,7 @@ import pytest
 
 from sperner import ip
 from sperner.cli import main
-from sperner.combinat import binom, decompose, mms
+from sperner.combinat import Params, binom, decompose, mms
 from sperner.ip import (IpInstance, IpSolution, _build_lp, _floor_improve,
                         asymptotic_report, band_dual, build_instance,
                         certificate, closed_form_solve, exact_solve,
@@ -63,6 +63,35 @@ def family_sizes_by_enumeration(n, c):
     return e, estar
 
 
+@dataclasses.dataclass
+class Reference:
+    """Every field of an instance, computed up front: the header, both
+    family tuples and every cap."""
+    variant: str
+    params: Params
+    d: int
+    u: int
+    q: int
+    e: tuple
+    estar: tuple
+    cap_diag: int
+    cap_off: dict
+    cap_row: dict
+
+    @classmethod
+    def of(cls, inst):
+        """A built instance's fields, its families and rows read in full;
+        e_0 and e*_0 of its header are the families' first terms."""
+        assert (inst.e0, inst.estar0) == (inst.e[0], inst.estar[0])
+        return cls(inst.variant, inst.params, inst.d, inst.u, inst.q, inst.e, inst.estar,
+                   inst.cap_diag, dict(inst.cap_off), dict(inst.cap_row))
+
+    def instance(self) -> IpInstance:
+        """The same program as an instance with explicit caps."""
+        return IpInstance(self.variant, self.params, self.d, self.u, self.q, self.e[0],
+                          self.estar[0], self.cap_diag, self.cap_off, self.cap_row)
+
+
 def oracle_instance(n, k, variant):
     """The instance from the defining formulas: one math.comb per binomial,
     and u found by summing the families afresh for every candidate x."""
@@ -89,8 +118,8 @@ def oracle_instance(n, k, variant):
         diag = min(q // 2, estar[0] // 2)
         off = {ell: max(0, min(estar[ell], q // 2 - estar[0] // 2 - sum(estar[1:ell])))
                for ell in range(1, u + 1)}
-        return IpInstance("secA", params, d, u, q, e, estar, diag, off,
-                          {ell: e[ell] for ell in range(u + 1, d + 1)})
+        return Reference("secA", params, d, u, q, e, estar, diag, off,
+                         {ell: e[ell] for ell in range(u + 1, d + 1)})
     d = (n + 1 - k) // (2 * k)
     e = tuple(binom(half, d - ell) * binom(half, d + ell) for ell in range(d + 1))
     estar = tuple(binom(half, d - ell) * binom(half, d + 1 + ell)
@@ -104,8 +133,84 @@ def oracle_instance(n, k, variant):
 
     u = max(x for x in range(-1, d) if (k - 1) * a(x) <= b(x))
     q = a(u) - (a(u) & 1)
-    return IpInstance("secB", params, d, u, q, e, estar, e[0] // 2, {ell: e[ell] for ell in range(1, u + 1)},
-                      {ell: estar[ell] for ell in range(u + 1, d + 1)})
+    return Reference("secB", params, d, u, q, e, estar, e[0] // 2,
+                     {ell: e[ell] for ell in range(1, u + 1)},
+                     {ell: estar[ell] for ell in range(u + 1, d + 1)})
+
+
+def reference_instance(n: int, k: int, variant: str) -> Reference:
+    """The O(d) builder that `build_instance` replaced, kept as its
+    reference: the whole binomial row, both family tuples and full sums."""
+    if variant not in ip.VARIANTS:
+        raise ValueError(f"variant must be one of {ip.VARIANTS}, got {variant!r}")
+    if k < 3 or k % 2 == 0:
+        raise ValueError(f"need odd k >= 3, got {k}")
+    if n <= 2 * k:
+        raise ValueError(f"need n > 2k, got n={n}, k={k}")
+    params = decompose(n, k)
+    if n % (2 * k) != (k + 1 if variant == "secA" else k - 1):
+        sign = "+" if variant == "secA" else "-"
+        raise ValueError(f"variant {variant} needs n = k{sign}1 (mod 2k), got n={n}, k={k}")
+    # c = 2d + 1 (secA) or 2d (secB); E_l and E*_l are the c-sets and
+    # (c+1)-sets l levels off the balanced split of the two halves
+    c = params.c
+    d = c // 2
+    row = _binom_row(n // 2, c + 1)
+
+    def levels(s):
+        return tuple(row[s // 2 - ell] * row[s - s // 2 + ell] for ell in range(s // 2 + 1))
+    e, estar = levels(c), levels(c + 1)
+    if variant == "secA":
+        # a(x) = 2 (e_{x+1} + ... + e_d) falls and b(x) = estar_0 + ... +
+        # estar_x grows; u is the first x with a(x) <= (k-1) b(x), at most
+        # d - 1: h = n/2 >= 3d + 2 gives 3 e_d <= binom(2d+1, d+1) e_d =
+        # binom(h, d+1) binom(h-d-1, d) <= estar_0, so a(d-1) = 2 e_d < b(d-1).
+        a = 2 * sum(e[1:])
+        b = estar[0]
+        u = 0
+        while a > (k - 1) * b:
+            u += 1
+            a -= 2 * e[u]
+            b += estar[u]
+        q = 2 * (a // (2 * (k - 1)))
+        # spend q/2 on the diagonal, then band by band, each up to its
+        # (c+1)-family size: all of it, as the stop test makes
+        # q/2 <= b(u) // 2 <= estar_0 // 2 + estar_1 + ... + estar_u
+        rest = q // 2
+        cap_diag = min(rest, estar[0] // 2)
+        rest -= cap_diag
+        cap_off = {}
+        for ell in range(1, u + 1):
+            cap_off[ell] = min(rest, estar[ell])
+            rest -= cap_off[ell]
+        cap_row = {ell: e[ell] for ell in range(u + 1, d + 1)}
+    else:
+        # a(x) = e_0 + 2 (e_1 + ... + e_x) grows and b(x) = 2 (estar_{x+1} +
+        # ... + estar_d) falls; u is the last x < d with (k-1) a(x) <= b(x),
+        # or -1, where a(-1) = 0; x < d needs no test, as b(d) = 0 < a(d).  With
+        # C(n, j) the binomial, n - c = (c+1)(k-1) makes (k-1) C(n, c) =
+        # C(n, c+1) and mms = C(n, c) / 2 identities, so neither is checked.
+        u, au = -1, 0
+        a, b = e[0], 2 * sum(estar[1:])
+        while (k - 1) * a <= b:
+            u, au = u + 1, a
+            a += 2 * e[u + 1]
+            b -= 2 * estar[u + 1]
+        q = au - (au & 1)
+        cap_diag = e[0] // 2
+        cap_off = {ell: e[ell] for ell in range(1, u + 1)}
+        cap_row = {ell: estar[ell] for ell in range(u + 1, d + 1)}
+    assert q <= mms(params)
+    return Reference(variant, params, d, u, q, e, estar, cap_diag, cap_off, cap_row)
+
+
+def _binom_row(h: int, top: int) -> list:
+    """[binom(h, 0), ..., binom(h, top)] by the exact recurrence
+    binom(h, j+1) = binom(h, j) (h - j) / (j + 1)."""
+    row = [1]
+    for j in range(top):
+        row.append(row[-1] * (h - j) // (j + 1))
+    return row
 
 
 class TestInstances:
@@ -117,8 +222,7 @@ class TestInstances:
         assert len(ns) >= 27
         for n in ns:
             inst = build_instance(n, k, variant)
-            expect = oracle_instance(n, k, variant)
-            assert inst == expect, (n, k, variant)
+            assert Reference.of(inst) == oracle_instance(n, k, variant), (n, k, variant)
             d, u = inst.d, inst.u
             assert inst.phi == tuple((i, j) for i in range(d + 1) for j in range(d + 1)
                                      if u < i <= j <= d and j - i <= u)
@@ -143,6 +247,58 @@ class TestInstances:
         for variant, n_max in (("secA", 300), ("secB", 800)):
             assert main(["asym", "--k", "3", "--variant", variant, "--n-max", str(n_max),
                          "--out", str(tmp_path / "asym.csv")]) == 0
+
+    def test_matches_the_reference_to_3000(self):
+        # on every instance with k <= 11 and n <= 3000, against the O(d)
+        # reference: lp_value's (value, proof), on rows not yet read in full
+        # (secA's greedy, which reads them all, computed once for both
+        # sides); exact_solve's optimum, feasible for the reference's caps
+        # and meeting its bound by the same proof, where no simplex runs;
+        # then the header, the families and every cap
+        fallbacks = [(1310, 3, "secB"), (1802, 3, "secB"), (1808, 3, "secB")]
+        count = 0
+        for k in range(3, 12, 2):
+            for variant, rem in (("secA", k + 1), ("secB", k - 1)):
+                for n in range(2 * k + rem, 3001, 2 * k):
+                    inst, ref = build_instance(n, k, variant), reference_instance(n, k, variant)
+                    explicit = ref.instance()
+                    if not inst.trivial:
+                        greedy = greedy_solve(inst) if variant == "secA" else None
+                        assert lp_value(inst, greedy) == lp_value(explicit, greedy), (n, k)
+                    if (n, k, variant) not in fallbacks:
+                        sol, proof = exact_solve(inst)
+                        assert IpSolution(explicit, sol.x).feasible(), (n, k, variant)
+                        assert upper_bound(explicit) == (sol.objective, proof), (n, k, variant)
+                    assert Reference.of(inst) == ref, (n, k, variant)
+                    count += 1
+        assert count == 2624
+
+    def test_secB_rows_read_on_demand(self, monkeypatch, tmp_path):
+        # asym's secB column and lp_value read the rows their primals meet
+        # and walk, never every row: neither the families in full nor the
+        # full slack lists
+        def every_row(*args):
+            raise AssertionError("every row read")
+        monkeypatch.setattr(ip._Levels, "_read_all", every_row)
+        monkeypatch.setattr(IpSolution, "slack_lists", every_row)
+        assert main(["asym", "--k", "3", "--variant", "secB", "--n-max", "800",
+                     "--out", str(tmp_path / "asym.csv")]) == 0
+        proved = 0
+        for k in (3, 5, 7):
+            for n in range(3 * k - 1, 1501, 2 * k):
+                inst = build_instance(n, k, "secB")
+                if not inst.trivial and (n, k) != (1310, 3):    # the simplex's one row
+                    assert lp_value(inst)[1] != "simplex"
+                    proved += 1
+        assert proved == 496
+
+    def test_32000_3_secB(self):
+        # d = 5,333: the O(d) reference takes about a second, the header
+        # and the lp proof a few hundredths of one
+        inst, ref = build_instance(32000, 3, "secB"), reference_instance(32000, 3, "secB")
+        assert (inst.d, inst.u) == (ref.d, ref.u) == (5333, 27)
+        assert (inst.q, inst.cap_diag, inst.cap_off) == (ref.q, ref.cap_diag, ref.cap_off)
+        assert lp_value(inst) == lp_value(ref.instance()) == (ref.q, "fill band desc, i asc")
 
     def test_secA_22_3(self):
         inst = build_instance(22, 3, "secA")
@@ -1055,6 +1211,38 @@ class TestFlatSlackChecks:
                               {e: cap if (kind, e) == ("R", ell) else big for e in base.cap_row})
                 sol = IpSolution(inst, {key: 1})
                 assert sol.feasible() is ok == oracle_feasible(sol), (kind, ell, key, cap)
+
+    @pytest.mark.parametrize("case", ((302, 3, "secB"), (674, 9, "secB"), (304, 3, "secA")))
+    def test_built_rows_read_where_x_meets_them(self, case):
+        # on a built instance feasible() tests the bands and the rows x
+        # meets and reads no other row, yet refuses one unit too many on a
+        # band or on a row x meets
+        inst = build_instance(*case)
+        u, d = inst.u, inst.d
+        assert IpSolution(inst, {(u + 1, u + 1): 1}).feasible()
+        assert inst.cap_row.read == [inst.cap_row[u + 1]]         # R_{u+1} alone
+        for v, ok in ((inst.cap_row[d] // 2, True), (inst.cap_row[d] // 2 + 1, False)):
+            assert IpSolution(inst, {(d, d): v}).feasible() is ok   # the loop loads row d twice
+        full = ip._integral_primals(inst)
+        sol = next(sol for _, sol in full if sol and sol.objective == band_dual(inst))
+        assert sol.feasible()                   # every band at its cap
+        for key in sol.x:
+            over = IpSolution(inst, {**sol.x, key: sol.x[key] + 1})
+            assert not over.feasible() and not oracle_feasible(over), key
+
+    def test_explicit_caps_checked_once(self):
+        # explicit caps must list rows u + 1..d in order and be >= 0, or an
+        # untouched row's slack, its cap, could be negative or misplaced
+        base = build_instance(302, 3, "secB")
+        rows = dict(base.cap_row)
+        assert capped(base, base.cap_diag, base.cap_off, rows) == base
+        for diag, off, row in ((-1, base.cap_off, rows),
+                               (base.cap_diag, {**base.cap_off, 1: -1}, rows),
+                               (base.cap_diag, base.cap_off, {**rows, base.d: -1}),
+                               (base.cap_diag, base.cap_off, dict(reversed(rows.items()))),
+                               (base.cap_diag, base.cap_off, {**rows, base.d + 1: 0})):
+            with pytest.raises(ValueError):
+                capped(base, diag, off, row)
 
     def test_half_loops_with_fractions(self):
         for n in (406, 430, 988):
