@@ -53,12 +53,11 @@ class _Levels(Mapping):
     b = s - a, by binom(h, m - 1) = binom(h, m) m / (h - m + 1) and
     binom(h, m + 1) = binom(h, m) (h - m) / (m + 1): one multiply and one
     exact divide by small integers.  A level is computed when first read,
-    with those before it, and kept; iterating reads every level."""
+    with those before it, and kept; iterating yields l and reads none."""
 
     def __init__(self, h: int, s: int, lo: int, first: int):
         self.h, self.s, self.lo, self.ells = h, s, lo, range(lo, s // 2 + 1)
         self.read = [first]             # read[t] = levels(s)_{lo + t}
-        self.every = None               # {l: levels(s)_l} once all are read
 
     def __getitem__(self, ell: int) -> int:
         read, t = self.read, ell - self.lo
@@ -76,23 +75,7 @@ class _Levels(Mapping):
         return len(self.ells)
 
     def __iter__(self):
-        return iter(self._read_all())
-
-    def items(self):
-        return self._read_all().items()
-
-    def values(self):
-        return self._read_all().values()
-
-    def _read_all(self) -> dict:
-        """Every level, by l in order."""
-        if self.every is None:
-            self[self.ells[-1]]
-            self.every = dict(zip(self.ells, self.read))
-        return self.every
-
-    def __repr__(self) -> str:
-        return f"_Levels(s={self.s}, l={self.ells.start}..{self.ells.stop - 1})"
+        return iter(self.ells)
 
 
 @dataclass(frozen=True)
@@ -127,16 +110,6 @@ class IpInstance:
     @property
     def k(self) -> int:
         return self.params.k
-
-    @functools.cached_property
-    def e(self) -> tuple:
-        """(E_0, ..., E_{c//2}): the c-sets l levels off the balanced split."""
-        return tuple(_families(self.n // 2, self.params.c)[0].values())
-
-    @functools.cached_property
-    def estar(self) -> tuple:
-        """(E*_0, ..., E*_{(c+1)//2}): the (c+1)-sets likewise."""
-        return tuple(_families(self.n // 2, self.params.c)[1].values())
 
     @property
     def trivial(self) -> bool:
@@ -287,9 +260,10 @@ class IpSolution:
         """The slacks in one pass over x: (band, row), band[0] for D and
         band[l] for O_l, and row[l] for R_l, l > u, held for the rows x
         meets and read from the caps for any other row when first read
-        (`_RowSlacks`).  This is the one model that every primal and
-        `_build_lp` read: index (i, j) meets band j - i and rows i and j,
-        and a key outside Phi only those that exist."""
+        (`_RowSlacks`).  This is the one model that every primal, the
+        greedy, `_build_lp` and the realization read, each row by its
+        index over u + 1, ..., d: index (i, j) meets band j - i and rows i
+        and j, and a key outside Phi only those that exist."""
         inst = self.instance
         u, d = inst.u, inst.d
         band = [inst.cap_diag] + [inst.cap_off[ell] for ell in range(1, u + 1)]
@@ -303,22 +277,12 @@ class IpSolution:
                 row[j] -= v
         return band, row
 
-    def slack_lists(self) -> tuple:
-        """`sparse_slacks` with every row read: (band, row), row[l] for R_l
-        and 0 for l <= u, for the consumers that walk every row."""
-        band, touched = self.sparse_slacks()
-        row = [0] * (self.instance.u + 1) + list(self.instance.cap_row.values())
-        for ell, slack in touched.items():
-            row[ell] = slack
-        return band, row
-
     def feasible(self) -> bool:
-        """Exact, in O(|supp x| + u) while the rows are not all read: keys
-        in Phi, values >= 0, and the slacks of the u + 1 bands and of the
-        rows x meets >= 0.  A row x does not meet keeps its cap as its
-        slack, and every cap is >= 0: a product of binomials in a built
-        instance, checked once when an instance is given explicit caps.
-        So those rows need no test."""
+        """Exact, in O(|supp x| + u): keys in Phi, values >= 0, and the
+        slacks of the u + 1 bands and of the rows x meets >= 0.  A row x
+        does not meet keeps its cap as its slack, and every cap is >= 0: a
+        product of binomials in a built instance, checked once when an
+        instance is given explicit caps.  So those rows need no test."""
         if not all(v >= 0 and key in self.instance for key, v in self.x.items()):
             return False
         band, row = self.sparse_slacks()
@@ -326,12 +290,10 @@ class IpSolution:
 
 
 class _RowSlacks(dict):
-    """Row slacks by row, from every cap at once when all are at hand (a
-    dict, or levels read in full), else each row at its cap when first
-    read."""
+    """Row slacks by row, each row at its cap when first read."""
 
     def __init__(self, caps: Mapping):
-        super().__init__(caps if isinstance(caps, dict) else caps.every or ())
+        super().__init__()
         self.caps = caps
 
     def __missing__(self, ell: int) -> int:
@@ -362,41 +324,43 @@ def greedy_solve(inst: IpInstance) -> IpSolution:
     applied in the largest batch that leaves every intermediate unit step
     valid, so the trace matches the unit process exactly.  The band-desc
     fill of `_FILL_ORDERS` spends what the steps leave.
+
+    A step lowers only band y and rows, so no band deeper than y is worth
+    its depth again, and y walks the bands once, from u down to 0.  The
+    slack a step needs of row z, 1 off the diagonal and 2 on it, only
+    rises as y falls, so z, read from d down, only falls too.
     """
     if inst.variant != "secA":
         raise ValueError("greedy_solve applies to variant secA")
     u, d, k = inst.u, inst.d, inst.k
     x: dict = defaultdict(int)
-    band, row = zero_solution(inst).slack_lists()
-    while True:
-        y = next((ell for ell in range(u, 0, -1) if band[ell] >= ell), None)
-        if y is None:
-            if band[0] * (k - 1) >= d - u + 1:
-                y = 0
+    band, row = zero_solution(inst).sparse_slacks()
+    diag_floor = -(-(d - u + 1) // (k - 1))     # D >= diag_floor iff D (k-1) >= d-u+1
+    z = d
+    for y in range(u, -1, -1):
+        need = 1 if y else 2
+        while band[y] >= (y or diag_floor):
+            while z > u and row[z] < need:
+                z -= 1
+            if z == u:
+                raise AssertionError("no row with enough slack; greedy invariant broken")
+            if z < u + 2 * y:
+                raise AssertionError(f"z = {z} < u + 2y = {u + 2 * y}; greedy invariant broken")
+            if y:
+                window = range(z - 2 * y + 1, z + 1)
+                if any(row[ell] < 1 for ell in window):
+                    raise AssertionError("slack run below 1; greedy invariant broken")
+                step = min(band[y] // y, min(row[ell] for ell in window))
+                for i in range(y):
+                    x[(z - y - i, z - i)] += step
+                band[y] -= step * y
+                for ell in window:
+                    row[ell] -= step
             else:
-                break
-        delta_req = 1 if y >= 1 else 2
-        z = next((ell for ell in range(d, u, -1) if row[ell] >= delta_req), None)
-        if z is None:
-            raise AssertionError("no row with enough slack; greedy invariant broken")
-        if z < u + 2 * y:
-            raise AssertionError(f"z = {z} < u + 2y = {u + 2 * y}; greedy invariant broken")
-        if y >= 1:
-            window = range(z - 2 * y + 1, z + 1)
-            if any(row[ell] < 1 for ell in window):
-                raise AssertionError("slack run below 1; greedy invariant broken")
-            step = min(band[y] // y, min(row[ell] for ell in window))
-            for i in range(y):
-                x[(z - y - i, z - i)] += step
-            band[y] -= step * y
-            for ell in window:
-                row[ell] -= step
-        else:
-            by_band = band[0] - (-(-(d - u + 1) // (k - 1))) + 1
-            step = min(by_band, row[z] // 2)
-            x[(z, z)] += step
-            band[0] -= step
-            row[z] -= 2 * step
+                step = min(band[0] - diag_floor + 1, row[z] // 2)
+                x[(z, z)] += step
+                band[0] -= step
+                row[z] -= 2 * step
     # The termination threshold above is what makes the existence of z
     # provable, not what exhausts the budgets; the band-desc fill then
     # grows every index while it stays feasible.
@@ -457,23 +421,25 @@ def closed_form_solve(inst: IpInstance) -> ClosedFormResult:
 
 def _build_lp(inst: IpInstance) -> LinearProgram:
     """The LP relaxation, column c for Phi[c]: integer rows with the
-    nonnegative caps of `slack_lists`, so x = 0 is feasible.  The rows are
-    O_1..O_u, then D, then the nonempty R_l."""
-    band_cap, row_cap = zero_solution(inst).slack_lists()
+    nonnegative caps of `sparse_slacks` at x = 0, so x = 0 is feasible.
+    The rows are O_1..O_u, then D, then R_l for l = u + 1, ..., d, each
+    read by its index; over an empty Phi no R_l has a column, and none
+    is added."""
+    band_cap, row_cap = zero_solution(inst).sparse_slacks()
     lp = LinearProgram(len(inst.phi))
     lp.set_objective([2] * len(inst.phi))
     # one pass over Phi puts each column in its band and its two rows
     bands = [{} for _ in band_cap]
-    rows = [{} for _ in row_cap]
+    rows = {ell: {} for ell in range(inst.u + 1, inst.d + 1)}
     for col, (i, j) in enumerate(inst.phi):
         bands[j - i][col] = 1
         for ell in (i, j):
             rows[ell][col] = rows[ell].get(col, 0) + 1
     for ell in [*range(1, len(bands)), 0]:
         lp.add_constraint(bands[ell], band_cap[ell])
-    for coeffs, cap in zip(rows, row_cap):
+    for ell, coeffs in rows.items():
         if coeffs:
-            lp.add_constraint(coeffs, cap)
+            lp.add_constraint(coeffs, row_cap[ell])
     return lp
 
 
@@ -551,14 +517,16 @@ _FILL_ORDERS = {
 def _half_loops(sol: IpSolution) -> IpSolution | None:
     """One unit of diagonal slack spent as 1/2 on the loops of two rows
     with slack at least 1: a fractional primal 2 above `sol`."""
-    band, row = sol.slack_lists()
-    rows = [ell for ell, s in enumerate(row) if s >= 1][:2]
+    inst = sol.instance
+    band, row = sol.sparse_slacks()
+    rows = list(itertools.islice((ell for ell in range(inst.u + 1, inst.d + 1)
+                                  if row[ell] >= 1), 2))
     if band[0] < 1 or len(rows) < 2:
         return None
     x = dict(sol.x)
     for ell in rows:
         x[(ell, ell)] = x.get((ell, ell), 0) + Fraction(1, 2)
-    return IpSolution(sol.instance, x)
+    return IpSolution(inst, x)
 
 
 def _integral_primals(inst: IpInstance, greedy: IpSolution | None = None):
@@ -694,7 +662,7 @@ def _class_profiles(inst: IpInstance, sol: IpSolution) -> list:
 
     def part(size, t):
         return ("EA" if size == c else "EB", t), size, (t, size - t)
-    row = sol.slack_lists()[1]
+    row = sol.sparse_slacks()[1]
     slack = [(ell, row[ell]) for ell in range(u + 1, d + 1)]
     assert sum(s for _, s in slack) >= sol.objective * width
     bases = [((part(pair, d - a), part(pair, d + 1 + b), part(single, single // 2 + a - b)), x)

@@ -63,6 +63,20 @@ def family_sizes_by_enumeration(n, c):
     return e, estar
 
 
+def families(inst):
+    """((E_0, ..., E_{c//2}), (E*_0, ..., E*_{(c+1)//2})): the c-sets and
+    the (c+1)-sets l levels off the balanced split, every level read."""
+    return tuple(tuple(levels.values()) for levels in ip._families(inst.n // 2, inst.params.c))
+
+
+def read_slacks(sol):
+    """`IpSolution.sparse_slacks` with rows read over u + 1, ..., d: (band,
+    row), row[l] for R_l and 0 for l <= u."""
+    inst = sol.instance
+    band, row = sol.sparse_slacks()
+    return band, [0] * (inst.u + 1) + [row[ell] for ell in range(inst.u + 1, inst.d + 1)]
+
+
 @dataclasses.dataclass
 class Reference:
     """Every field of an instance, computed up front: the header, both
@@ -82,8 +96,9 @@ class Reference:
     def of(cls, inst):
         """A built instance's fields, its families and rows read in full;
         e_0 and e*_0 of its header are the families' first terms."""
-        assert (inst.e0, inst.estar0) == (inst.e[0], inst.estar[0])
-        return cls(inst.variant, inst.params, inst.d, inst.u, inst.q, inst.e, inst.estar,
+        e, estar = families(inst)
+        assert (inst.e0, inst.estar0) == (e[0], estar[0])
+        return cls(inst.variant, inst.params, inst.d, inst.u, inst.q, e, estar,
                    inst.cap_diag, dict(inst.cap_off), dict(inst.cap_row))
 
     def instance(self) -> IpInstance:
@@ -275,12 +290,11 @@ class TestInstances:
 
     def test_secB_rows_read_on_demand(self, monkeypatch, tmp_path):
         # asym's secB column and lp_value read the rows their primals meet
-        # and walk, never every row: neither the families in full nor the
-        # full slack lists
+        # and walk, never every row: the levels are never iterated, which
+        # is the one way to read them all at once
         def every_row(*args):
             raise AssertionError("every row read")
-        monkeypatch.setattr(ip._Levels, "_read_all", every_row)
-        monkeypatch.setattr(IpSolution, "slack_lists", every_row)
+        monkeypatch.setattr(ip._Levels, "__iter__", every_row)
         assert main(["asym", "--k", "3", "--variant", "secB", "--n-max", "800",
                      "--out", str(tmp_path / "asym.csv")]) == 0
         proved = 0
@@ -303,8 +317,7 @@ class TestInstances:
     def test_secA_22_3(self):
         inst = build_instance(22, 3, "secA")
         assert inst.d == 3
-        assert inst.e == (54450, 25410, 5082, 330)
-        assert inst.estar == (108900, 76230, 25410, 3630, 165)
+        assert families(inst) == ((54450, 25410, 5082, 330), (108900, 76230, 25410, 3630, 165))
         assert inst.u == 0
         assert inst.q == 30822
         assert inst.cap_off == {}
@@ -315,29 +328,30 @@ class TestInstances:
     def test_secA_10_3(self):
         inst = build_instance(10, 3, "secA")
         assert inst.d == 1
-        assert inst.e == (50, 10)
-        assert inst.estar == (100, 50, 5)
+        e, estar = families(inst)
+        assert (e, estar) == ((50, 10), (100, 50, 5))
         assert inst.u == 0 and inst.q == 10
         assert inst.phi == ((1, 1),)
         # family sizes against the enumeration oracle
         e_cnt, estar_cnt = family_sizes_by_enumeration(10, 3)
-        assert e_cnt[inst.d - 0] == inst.e[0]
-        assert e_cnt[inst.d - 1] == e_cnt[inst.d + 2] == inst.e[1]
-        assert estar_cnt[inst.d + 1] == inst.estar[0]
-        assert estar_cnt[inst.d] == estar_cnt[inst.d + 2] == inst.estar[1]
+        assert e_cnt[inst.d - 0] == e[0]
+        assert e_cnt[inst.d - 1] == e_cnt[inst.d + 2] == e[1]
+        assert estar_cnt[inst.d + 1] == estar[0]
+        assert estar_cnt[inst.d] == estar_cnt[inst.d + 2] == estar[1]
 
     def test_secA_16_3_shape(self):
         inst = build_instance(16, 3, "secA")
         assert inst.d == 2
         assert inst.u == 0
-        a0 = 2 * sum(inst.e[1:])
-        assert a0 <= 2 * inst.estar[0]
+        e, estar = families(inst)
+        a0 = 2 * sum(e[1:])
+        assert a0 <= 2 * estar[0]
 
     def test_secB_26_3(self):
         inst = build_instance(26, 3, "secB")
         assert inst.d == 4
-        assert inst.e == (511225, 368082, 133848, 22308, 1287)
-        assert inst.estar == (920205, 490776, 133848, 16731, 715)
+        assert families(inst) == ((511225, 368082, 133848, 22308, 1287),
+                                  (920205, 490776, 133848, 16731, 715))
         assert inst.u == 0 and inst.q == 511224
         assert inst.phi == ((1, 1), (2, 2), (3, 3), (4, 4))
 
@@ -379,7 +393,7 @@ class TestInstances:
                     else:
                         e = [b[d - ell] * b[d + ell] for ell in range(d + 1)]
                         estar = [b[d - ell] * b[d + 1 + ell] for ell in range(d + 1)]
-                    assert (inst.e, inst.estar) == (tuple(e), tuple(estar)), (n, k, variant)
+                    assert families(inst) == (tuple(e), tuple(estar)), (n, k, variant)
                     count += 1
         assert count == 945
 
@@ -409,7 +423,7 @@ class TestInstances:
             if n % 6 == 4:
                 inst = build_instance(n, 3, "secA")
                 assert inst.cap_diag + sum(inst.cap_off.values()) == inst.q // 2
-                if inst.cap_diag < inst.estar[0] // 2:
+                if inst.cap_diag < families(inst)[1][0] // 2:
                     assert not any(inst.cap_off.values())
 
     def test_q_le_mms_both_variants(self):
@@ -451,7 +465,7 @@ def oracle_slacks(sol):
 
 
 def oracle_slack_lists(inst, x):
-    """The oracle's slacks laid out as `IpSolution.slack_lists` lays them out."""
+    """The oracle's slacks laid out as `read_slacks` lays them out."""
     slack = oracle_slacks(IpSolution(inst, x))
     return ([slack[("D",)]] + [slack[("O", ell)] for ell in range(1, inst.u + 1)],
             [0] * (inst.u + 1) + [slack[("R", ell)] for ell in range(inst.u + 1, inst.d + 1)])
@@ -514,8 +528,8 @@ class TestSolutionChecks:
                 for ell in range(inst.u + 1, inst.d + 1):
                     row.append(inst.cap_row[ell] - sum(v * ((i == ell) + (j == ell))
                                                        for (i, j), v in x.items()))
-                assert IpSolution(inst, x).slack_lists() == (band, row)
-                assert IpSolution(inst, x).slack_lists() == oracle_slack_lists(inst, x)
+                assert read_slacks(IpSolution(inst, x)) == (band, row)
+                assert read_slacks(IpSolution(inst, x)) == oracle_slack_lists(inst, x)
 
     def test_variable_outside_phi_rejected(self):
         inst = build_instance(302, 3, "secB")
@@ -631,6 +645,14 @@ class TestGreedy:
         for inst in insts:
             want = {v: x for v, x in oracle_greedy_solve(inst).x.items() if x}
             assert greedy_solve(inst).x == want, (inst.n, inst.k)
+
+    @pytest.mark.parametrize("n,k", ((32002, 3), (8006, 5)))
+    def test_matches_the_oracle_at_large_d(self, n, k):
+        # d = 5,333 and 800: thousands of steps, on which one falling z
+        # pointer must give the oracle's rescans from d
+        inst = build_instance(n, k, "secA")
+        want = {v: x for v, x in oracle_greedy_solve(inst).x.items() if x}
+        assert greedy_solve(inst).x == want
 
     def test_gap_bound_sweep(self):
         for k in (3, 5, 7):
@@ -1343,7 +1365,7 @@ class TestRealization:
         # every case pads from one level; (26, 5, secA) has slack on rows 1
         # and 2, 5,291 and 1, and its 5,290 pads all come from row 1
         assert len({t for prof in classes for (_, t), _, _ in prof[3:]}) == 2
-        assert (n, k) != (26, 5) or sol.slack_lists()[1] == [0, 5291, 1]
+        assert (n, k) != (26, 5) or read_slacks(sol)[1] == [0, 5291, 1]
 
     @pytest.mark.parametrize("n,k,variant,solver", SMALL_SOLUTIONS,
                              ids=["-".join(map(str, case)) for case in SMALL_SOLUTIONS])
@@ -1390,7 +1412,7 @@ def naive_classes(inst, sol):
 
     def part(size, t):
         return ("EA" if size == c else "EB", t), size, (t, size - t)
-    row = sol.slack_lists()[1]
+    row = oracle_slack_lists(inst, sol.x)[1]
     levels = (ell for ell in range(u + 1, d + 1) for _ in range(row[ell]))
     classes = []
     for (i, j), x in sorted(sol.x.items()):
