@@ -121,7 +121,7 @@ def cmd_ip(args) -> int:
         raise ValueError(f"ip --solver {args.solver} does not apply to variant {args.variant}")
     inst = ipm.build_instance(args.n, args.k, args.variant)
     print(f"instance {inst.variant} n={inst.n} k={inst.k}: "
-          f"d={inst.d} u={inst.u} Q={inst.q} |Phi|={len(inst.phi)}")
+          f"d={inst.d} u={inst.u} Q={inst.q} |Phi|={ipm.phi_size(inst.u, inst.d)}")
     solver = args.solver
     if solver == "auto":
         solver = "greedy" if inst.variant == "secA" else "exact"

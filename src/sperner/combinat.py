@@ -61,13 +61,14 @@ def binom_frac(q: Fraction, t: int) -> Fraction:
     return out / math.factorial(t)
 
 
-def mms(params: Params) -> Fraction:
-    """LYM-derived counting bound binom(n,c) / (k - r + r(c+1)/(n-c)), exact."""
+def mms(params: Params, choose: int | None = None) -> Fraction:
+    """LYM-derived counting bound binom(n,c) / (k - r + r(c+1)/(n-c)), exact;
+    `choose` is binom(n, c) when the caller has it."""
     n, k, c, r = params.n, params.k, params.c, params.r
     if n <= c:
         raise ValueError(f"need n > c, got n={n}, c={c}")
     den = (k - r) * (n - c) + r * (c + 1)
-    return Fraction(binom(n, c) * (n - c), den)
+    return Fraction((binom(n, c) if choose is None else choose) * (n - c), den)
 
 
 # --------------------------------------------------------------------------

@@ -19,10 +19,10 @@ does is the root LP solved, by the one-phase integer simplex of
 `simplex.py`: its constraints are built in one pass over Phi with integer
 coefficients and nonnegative caps, so x = 0 is its first vertex.  No
 solver has a size limit.  An instance's header, u and Q among it, comes
-from the family sizes within u + 2 levels of the middle and two binomials
-of n, by Vandermonde's identity, in O(u) big-integer steps; its row caps
-are read on demand; the variants differ only in the u-search and in their
-caps.
+from the family sizes within u + 2 levels of the middle and one binomial
+of n, binom(n, c), by Vandermonde's identity, in O(u) big-integer steps;
+its row caps are read on demand; the variants differ only in the u-search
+and in their caps.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class _Levels(Mapping):
 @dataclass(frozen=True)
 class IpInstance:
     """The program's header and caps.  A built instance reads its row caps
-    R_l on demand (`_Levels`).  Explicit caps, with cap_row a dict, are
-    checked once here: rows u + 1, ..., d in order, as a built instance
-    lists them, and every cap >= 0, so a row no primal meets needs no
-    feasibility test."""
+    R_l on demand (`_Levels`) and keeps binom(n, c) for `mms_value`.
+    Explicit caps, with cap_row a dict, are checked once here: rows
+    u + 1, ..., d in order, as a built instance lists them, and every cap
+    >= 0, so a row no primal meets needs no feasibility test."""
     variant: str
     params: Params
     d: int
@@ -95,6 +95,7 @@ class IpInstance:
     cap_diag: int
     cap_off: dict = field(hash=False)
     cap_row: Mapping = field(hash=False)
+    choose: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         rows = () if isinstance(self.cap_row, _Levels) else self.cap_row
@@ -124,7 +125,7 @@ class IpInstance:
 
     @functools.cached_property
     def mms_value(self) -> Fraction:
-        return mms(self.params)
+        return mms(self.params, self.choose)
 
     def __contains__(self, key) -> bool:
         """Whether `key` is in Phi: u < i <= j <= d and j - i <= u."""
@@ -139,16 +140,22 @@ class IpInstance:
         for ell in sorted(self.cap_row):
             lines.append(f"cap R {ell} {self.cap_row[ell]}")
         if solution is not None:
-            for (i, j) in self.phi:
-                v = solution.x.get((i, j), 0)
-                if v:
-                    lines.append(f"x {i} {j} {v}")
+            lines += [f"x {i} {j} {v}" for (i, j), v in sorted(solution.x.items()) if v]
         return "\n".join(lines) + "\n"
 
 
 def _phi(u: int, d: int) -> tuple:
     return tuple([(i, j) for i in range(u + 1, d + 1)
                   for j in range(i, min(i + u, d) + 1)])
+
+
+def phi_size(u: int, d: int) -> int:
+    """len(_phi(u, d)) without building it: rows d, d - 1, ..., u + 1 hold
+    1, 2, ..., u + 1 indices and then u + 1 each, over t = d - u rows."""
+    t = d - u
+    if t <= u + 1:
+        return t * (t + 1) // 2
+    return (u + 1) * (u + 2) // 2 + (t - u - 1) * (u + 1)
 
 
 def _families(h: int, c: int) -> tuple:
@@ -181,7 +188,9 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
                         C(n, c + 1) = e*_0 + 2 (e*_1 + ... + e*_{d+1}).
 
     The u-search's falling sums are then C(n, c) or C(n, c + 1) less a
-    prefix, so it reads e_l and e*_l only for l <= u + 1.
+    prefix, so it reads e_l and e*_l only for l <= u + 1.  secB's
+    C(n, c + 1) is (k - 1) C(n, c), so the one C(n, c) serves both
+    variants, and `mms_value` reads it too.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -198,12 +207,13 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
     c = params.c
     d = c // 2
     e, estar = _families(n // 2, c)
+    choose = math.comb(n, c)
     if variant == "secA":
         # a(x) = 2 (e_{x+1} + ... + e_d) falls and b(x) = estar_0 + ... +
         # estar_x grows; u is the first x with a(x) <= (k-1) b(x), at most
         # d - 1: h = n/2 >= 3d + 2 gives 3 e_d <= binom(2d+1, d+1) e_d =
         # binom(h, d+1) binom(h-d-1, d) <= estar_0, so a(d-1) = 2 e_d < b(d-1).
-        a = math.comb(n, c) - 2 * e[0]
+        a = choose - 2 * e[0]
         b = estar[0]
         u = 0
         while a > (k - 1) * b:
@@ -229,7 +239,7 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
         # n - c = (c+1)(k-1) makes (k-1) C(n, c) = C(n, c+1) and mms =
         # C(n, c) / 2 identities, so neither is checked.
         u, au = -1, 0
-        a, b = e[0], (k - 1) * math.comb(n, c) - 2 * estar[0]
+        a, b = e[0], (k - 1) * choose - 2 * estar[0]
         while (k - 1) * a <= b:
             u, au = u + 1, a
             a += 2 * e[u + 1]
@@ -238,7 +248,8 @@ def build_instance(n: int, k: int, variant: str) -> IpInstance:
         cap_diag = e[0] // 2
         cap_off = {ell: e[ell] for ell in range(1, u + 1)}
         cap_row = _Levels(n // 2, c + 1, u + 1, estar[u + 1])
-    inst = IpInstance(variant, params, d, u, q, e[0], estar[0], cap_diag, cap_off, cap_row)
+    inst = IpInstance(variant, params, d, u, q, e[0], estar[0], cap_diag, cap_off, cap_row,
+                      choose)
     assert q <= inst.mms_value
     return inst
 
@@ -516,7 +527,12 @@ _FILL_ORDERS = {
 
 def _half_loops(sol: IpSolution) -> IpSolution | None:
     """One unit of diagonal slack spent as 1/2 on the loops of two rows
-    with slack at least 1: a fractional primal 2 above `sol`."""
+    with slack at least 1: a fractional primal 2 above `sol`, or None
+    when `sol` leaves no such unit.  `lp_value` takes it on the fill
+    "band desc, i desc", the last integral primal, so it proves the LP
+    value wherever that fill stops 2 below the band dual: on the
+    parity-cut instances, which no integral primal can close, and on
+    band-dual ones that none does."""
     inst = sol.instance
     band, row = sol.sparse_slacks()
     rows = list(itertools.islice((ell for ell in range(inst.u + 1, inst.d + 1)
@@ -563,29 +579,30 @@ def exact_solve(inst: IpInstance):
     return sol, proof if sol.objective == bound else None
 
 
+def _lp_primals(inst: IpInstance, greedy: IpSolution | None = None):
+    """`_integral_primals`, then `_half_loops` on the last of them."""
+    for proof, sol in _integral_primals(inst, greedy):
+        yield proof, sol
+    yield "half loops", _half_loops(sol)
+
+
 def lp_value(inst: IpInstance, greedy: IpSolution | None = None) -> tuple:
     """The exact optimum of the LP relaxation; (value, proof).
 
     The band dual bounds the LP, so a feasible primal that meets it proves
-    the LP value: those of `exact_solve` (pass `greedy` to reuse one) and
-    the greedy with half loops, the one fractional primal, which closes
-    the parity-cut instances.  The proof names the first, or "simplex"
-    when none meets the bound; over k in {3, 5, 7}, both variants and
-    n <= 1500 only (1310, 3, secB) needs the simplex, and over secB with
-    n <= 20,000 only (1310, 1802, 1808; 3) do, none with k = 5 or 7.  A
-    secB value reads O(u) caps and the rows its primals meet and walk: at
+    the LP value: those of `exact_solve` (pass `greedy` to reuse one),
+    then the half loops on the last of them, the fill "band desc, i desc",
+    in both variants.  The proof names the first, or "simplex" when none
+    meets the bound; over k = 3 to n <= 8000 and k in {5, 7} to n <= 6000,
+    both variants, only (1310, 1802, 1808; 3; secB) need the simplex.  A
+    value reads O(u) caps and the rows its primals meet and walk: at
     (32000, 3, secB), d = 5,333 and u = 27, the header and the proof take
     a few hundredths of a second.
     """
     if inst.trivial:
         return Fraction(0), "empty index set"
     bound = band_dual(inst)
-    half = []
-    if inst.variant == "secA":
-        greedy = greedy or greedy_solve(inst)
-        half = [("half loops", _half_loops(greedy))]
-    proof = _first_proved(itertools.chain(_integral_primals(inst, greedy), half),
-                          bound)[0]
+    proof = _first_proved(_lp_primals(inst, greedy), bound)[0]
     return (Fraction(bound), proof) if proof else (lp_relax(inst)[0], "simplex")
 
 

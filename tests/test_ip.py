@@ -263,6 +263,49 @@ class TestInstances:
             assert main(["asym", "--k", "3", "--variant", variant, "--n-max", str(n_max),
                          "--out", str(tmp_path / "asym.csv")]) == 0
 
+    def test_ip_header_and_dumps_never_build_phi(self, monkeypatch, tmp_path, capsys):
+        # |Phi| is counted in closed form and a dump lists x itself; only
+        # the LP builds Phi, and none of these runs reaches it
+        runs = [("16", "5", "secA", "greedy"), ("406", "3", "secA", "exact"),
+                ("302", "3", "secB", "exact"), ("774", "5", "secB", "closed")]
+        expect = []
+        for n, k, variant, solver in runs:
+            inst = build_instance(int(n), int(k), variant)
+            expect.append((f"|Phi|={len(inst.phi)}\n", inst.to_text(solve(inst, solver))))
+        monkeypatch.setattr(ip, "_phi", lambda u, d: pytest.fail("Phi built"))
+        for (n, k, variant, solver), (header, dump) in zip(runs, expect):
+            out = tmp_path / "ip.dump"
+            assert main(["ip", "--n", n, "--k", k, "--variant", variant,
+                         "--solver", solver, "--dump", str(out)]) == 0
+            assert header in capsys.readouterr().out
+            assert out.read_text() == dump
+
+    def test_phi_size_in_closed_form(self):
+        for u in range(-1, 9):
+            for d in range(u + 1, 3 * u + 12):
+                assert ip.phi_size(u, d) == len(ip._phi(u, d)), (u, d)
+        for inst in nontrivial_instances((3, 5, 7, 9, 11), 1200):
+            assert ip.phi_size(inst.u, inst.d) == len(inst.phi), (inst.n, inst.k)
+
+    @pytest.mark.parametrize("case", ((22, 3, "secA"), (302, 3, "secB"), (1112, 11, "secA"),
+                                      (24, 5, "secB"), (30002, 3, "secB")))
+    def test_one_binomial_of_n(self, monkeypatch, case):
+        # the u-search and mms_value share the one binom(n, c)
+        n, k, variant = case
+        calls = []
+        comb = math.comb
+
+        def counted(a, b):
+            calls.append((a, b))
+            return comb(a, b)
+
+        monkeypatch.setattr(math, "comb", counted)
+        inst = build_instance(n, k, variant)
+        c = inst.params.c
+        assert [call for call in calls if call[0] == n] == [(n, c)]
+        monkeypatch.setattr(math, "comb", comb)
+        assert inst.mms_value == mms(inst.params) == mms(decompose(n, k))
+
     def test_matches_the_reference_to_3000(self):
         # on every instance with k <= 11 and n <= 3000, against the O(d)
         # reference: lp_value's (value, proof), on rows not yet read in full
@@ -1108,6 +1151,22 @@ class TestLpValue:
             assert all(type(v) is int for _, sol in ip._integral_primals(inst)
                        for v in sol.x.values())
 
+    @pytest.mark.parametrize("n", (6148, 6622))
+    def test_half_loops_on_the_last_fill(self, monkeypatch, n):
+        # a parity-cut row (6148) and a band-dual row (6622) where the greedy
+        # stops 6 below Q: the half loops on the fill "band desc, i desc",
+        # 2 below Q, prove the LP value without the simplex
+        inst = build_instance(n, 3, "secA")
+        assert upper_bound(inst)[1] == ("parity cut" if n == 6148 else "band dual")
+        greedy = greedy_solve(inst)
+        assert greedy.objective == inst.q - 6
+        calls = count_simplex_solves(monkeypatch)
+        assert lp_value(inst, greedy) == (inst.q, "half loops")
+        assert calls == []
+        *_, (name, last), (proof, half) = ip._lp_primals(inst, greedy)
+        assert (name, proof) == ("fill band desc, i desc", "half loops")
+        assert last.objective == inst.q - 2 and half.feasible() and half.objective == inst.q
+
     def test_reuses_the_given_greedy(self, monkeypatch):
         inst = build_instance(406, 3, "secA")
         greedy = greedy_solve(inst)
@@ -1146,13 +1205,11 @@ class TestFlatSlackChecks:
     def test_fills_and_verdicts_match_the_oracles(self):
         checked = 0
         for inst in nontrivial_instances((3, 5, 7), 1500):
-            primals = list(ip._integral_primals(inst))
+            primals = list(ip._lp_primals(inst))
             for name, order in ip._FILL_ORDERS.items():
                 got = dict(primals)[f"fill {name}"]
                 expect = oracle_floor_improve(inst, {}, ORACLE_FILL_ORDERS[name](inst.phi))
                 assert got.x == expect.x, (inst.n, inst.k, inst.variant, name)
-            if inst.variant == "secA":
-                primals.append(("half loops", ip._half_loops(primals[0][1])))
             for proof, sol in primals:
                 if sol is not None:
                     assert sol.feasible() == oracle_feasible(sol), (inst.n, inst.k, proof)
