@@ -13,13 +13,13 @@ counting term, the shadow comparison is the closed integer inequality
     prod_{j=1}^{c-1} (c*x + j*y) <= (c-1)! * y^c,    x = floor(r(c+1)/n * s),
 
 (combinat.shadow_cmp), so every scan decision is exact.  The Table-1 scan
-runs serially and builds one split table per n and c
-(construction.split_table: the k-free binomials, powers and case-(b) cap
-numerators of every (m, h)), visits only the k with 2 <= n // k <= c_max,
-in (n, k) order, and per k takes the best case-(b) size from one loop
-over the table (construction.best_split_b), which rejects by arithmetic
-instead of by exception.  The Table-2 scan walks k down from ceil(9r^2/2)
-and stops at the first k the bound fails, with one predicate test per k.
+runs serially, in (n, k) order over 2 <= n // k <= c_max, on the c that
+divide n, one split table each (construction.split_table, from the
+divisors of n found once).  It walks each split by increasing m over the
+one k-interval where its case-(b) size is positive and its blocks fit
+(r <= r_cap and c(k - r) <= m*h^c), keeping the first strict maximum per
+k, then makes one predicate test per k with a size.  The Table-2 scan
+walks k down from ceil(9r^2/2) and stops at the first k the bound fails.
 """
 
 from __future__ import annotations
@@ -28,12 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import Params, binom, decompose, mms, shadow_cmp
-from .construction import best_split_b, grouped_factor, split_table
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+from .combinat import Params, binom, decompose, divisors, mms, shadow_cmp
+from .construction import grouped_factor, split_table
 
 
 def _in_domain(params: Params) -> bool:
@@ -149,30 +145,35 @@ def best_grouped_lower(n: int, k: int):
 
 
 def _exact_rows_for_n(n: int, c_max: int) -> list[ExactRow]:
-    """The rows of scan_exact for one n.  Per c, one split table serves every
-    k with n // k = c.  The refined bound is tested first at one above the
-    best case-(b) size, which it admits for almost every k; a size above
-    the bound itself is an inconsistency and raises."""
-    rows = []
-    # every k with n // k = c + 1 lies below every k with n // k = c, and
-    # a k >= 4 with n // k = c needs c <= n // 5
-    for c in range(min(c_max, n // 5), 1, -1):
-        splits = split_table(n, c)
-        if not splits:
-            continue
-        # c | m | n, so k = n/c has r = 0, and every k below it 1 <= r < k
-        # and n >= 2k + 2, the refined bound's domain
-        for k in range(max(4, n // (c + 1) + 1), n // c):
-            r = n - c * k
-            best, witness = best_split_b(c, k, r, splits)
-            if best == 0:
+    """The rows of scan_exact for one n.  The bound is tested at one above each
+    k's best size first; a size above the bound itself is inconsistent and raises."""
+    rows, divs = [], divisors(n)
+    # c | m | n; every k with n // k = c + 1 lies below every k with
+    # n // k = c, and a k >= 4 with n // k = c needs c <= n // 5
+    for c in reversed([d for d in divs if 2 <= d <= min(c_max, n // 5)]):
+        # k = n/c has r = 0, and every k below it 1 <= r < k and n >= 2k + 2
+        k_lo, k_hi = max(4, n // (c + 1) + 1), n // c
+        best, witness = [0] * (k_hi - k_lo), [None] * (k_hi - k_lo)
+        for split in split_table(n, c, divs):
+            m, _, classes, _, _, mhc, mblocks, r_cap = split
+            # k in [lo, hi) has r = n - ck <= r_cap and c(k - r) = c((c+1)k - n) <= m*h^c
+            lo = max(k_lo, (n - r_cap + c - 1) // c)
+            hi = min(k_hi, (n + mhc // c) // (c + 1) + 1)
+            rs = range(n - c * lo, n - c * hi, -c)
+            dens = range(c * ((c + 1) * lo - n), c * ((c + 1) * hi - n), c * (c + 1))
+            for i, r, den in zip(range(lo - k_lo, hi - k_lo), rs, dens):
+                p, cap2 = mhc // den, mblocks // (r * classes)
+                if cap2 < p:
+                    p = cap2
+                if p * classes > best[i] and not p * r % m:
+                    best[i], witness[i] = p * classes, split
+        for k, size, split in zip(range(k_lo, k_hi), best, witness):
+            if not size or _bound_satisfied(n, c, n - c * k, size + 1):
                 continue
-            if _bound_satisfied(n, c, r, best + 1):
-                continue
-            if not _bound_satisfied(n, c, r, best):
-                raise AssertionError(f"grouped size {best} exceeds the refined upper "
+            if not _bound_satisfied(n, c, n - c * k, size):
+                raise AssertionError(f"grouped size {size} exceeds the refined upper "
                                      f"bound at n={n}, k={k}")
-            rows.append(ExactRow(n, k, witness[0], witness[1], best))
+            rows.append(ExactRow(n, k, split[0], split[1], size))
     return rows
 
 
@@ -208,7 +209,7 @@ def scan_small_r() -> list[SmallRRow]:
     for r in range(3, 11):
         add = 4 * r - small_r_ceiling(r) - 1
         threshold = None
-        for k in range(_ceil_div(9 * r * r, 2), 3, -1):
+        for k in range(-(-9 * r * r // 2), 3, -1):
             params = decompose(2 * k + r, k)
             if (not _in_domain(params)
                     or _bound_satisfied(params.n, params.c, params.r, 2 * k + add + 1)):

@@ -46,6 +46,12 @@ def binom(x: int, y: int) -> int:
     return math.comb(x, y)
 
 
+def divisors(n: int) -> list:
+    """The divisors of n >= 1 in increasing order, by trial division up to isqrt(n)."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
+
+
 def _binom_real_raw(q: float, t: int) -> float:
     out = 1.0
     for i in range(t):

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .baranyai import Resolution, partition_ground, resolve
-from .combinat import Params, binom, decompose
+from .combinat import Params, binom, decompose, divisors
 
 
 # --------------------------------------------------------------------------
@@ -161,14 +161,16 @@ class GroupedPlan:
 def grouped_split(c: int, m: int, h: int) -> tuple:
     """What the grouped factors need of m groups of size h that does not
     depend on k: (m, h, binom(m-1, c-1), binom(h, c+1), h**c), then the
-    case-(b) cap numerators m*h**c and m*binom(h, c+1)."""
-    blocks, hc = binom(h, c + 1), h ** c
-    return m, h, binom(m - 1, c - 1), blocks, hc, m * hc, m * blocks
+    case-(b) cap numerators m*h**c and m*binom(h, c+1), and r_cap: r <= r_cap
+    exactly when p2' >= 1 (r*N <= m*B) and h >= (c+1)*ceil(r/m)."""
+    classes, blocks, hc = binom(m - 1, c - 1), binom(h, c + 1), h ** c
+    return (m, h, classes, blocks, hc, m * hc, m * blocks,
+            min(m * (h // (c + 1)), m * blocks // classes))
 
 
-def split_table(n: int, c: int) -> list:
-    """grouped_split of every m | n with c | m and m < n, by increasing m."""
-    return [grouped_split(c, m, n // m) for m in range(c, n, c) if n % m == 0]
+def split_table(n: int, c: int, divs=None) -> list:
+    """grouped_split of every m < n with c | m | n, by increasing m; divs: n's sorted divisors."""
+    return [grouped_split(c, m, n // m) for m in (divs or divisors(n))[:-1] if m % c == 0]
 
 
 def grouped_factor(c: int, k: int, r: int, split: tuple, case: str):
@@ -200,7 +202,7 @@ def grouped_factor(c: int, k: int, r: int, split: tuple, case: str):
       `partition_ground` gives every unit each point of a group once or
       raises AllocationError.
     """
-    m, h, classes, blocks, hc = split[:5]
+    m, _, classes, blocks, hc, _, _, r_cap = split
     if case == "a":
         cap1, cap2 = m * (hc - c - 1) // (c * (k - r)), m * (blocks // classes) // r
     else:
@@ -208,28 +210,11 @@ def grouped_factor(c: int, k: int, r: int, split: tuple, case: str):
     p = 0 if cap1 < 0 else cap1 if cap1 < cap2 else cap2   # min(caps) floored at 0; cap2 >= 0
     if case == "b" and p * r % m:
         return "case (b) needs p*r divisible by m"
-    # a row of T spreads r/c over m/c columns: some group holds ceil(r/m) blocks
-    if p and h < (c + 1) * -(-r // m):
+    # a row of T spreads r/c over m/c columns: some group holds ceil(r/m)
+    # blocks; p > 0 gives r*N <= m*B, so h < (c+1)*ceil(r/m) reads r > r_cap
+    if p and r > r_cap:
         return "groups too small for the required block counts"
     return cap1, cap2, p
-
-
-def best_split_b(c: int, k: int, r: int, splits: list) -> tuple:
-    """The largest case-(b) size p * binom(m-1, c-1) over a split_table for
-    one k, and the first split (least m) that reaches it; (0, None) when no
-    split gives a positive size.  The same decision as the first strict
-    maximum of grouped_factor(c, k, r, split, "b"), with the size compared
-    before the rejection rules: a size above best has p > 0, and r < k
-    keeps cap1 >= 0."""
-    den, best, witness = c * (k - r), 0, None
-    for split in splits:
-        m, h, classes, _, _, mhc, mblocks = split
-        p, cap2 = mhc // den, mblocks // (r * classes)
-        if cap2 < p:
-            p = cap2
-        if p * classes > best and not (p * r % m or h < (c + 1) * -(-r // m)):
-            best, witness = p * classes, split
-    return best, witness
 
 
 def plan_grouped(n: int, k: int, m: int, h: int, case: str) -> GroupedPlan:

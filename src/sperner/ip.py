@@ -558,24 +558,32 @@ def _integral_primals(inst: IpInstance, greedy: IpSolution | None = None):
 
 def _first_proved(primals, bound: int) -> tuple:
     """The first (proof, primal) whose primal is feasible, checked exactly,
-    with objective `bound`; (None, None) when none is."""
-    return next(((proof, sol) for proof, sol in primals if sol is not None
-                 and sol.objective == bound and sol.feasible()), (None, None))
+    with objective `bound`; else (None, the first feasible primal of the
+    largest objective, or None).  No feasible primal exceeds the bound."""
+    best, top = None, -1
+    for proof, sol in primals:
+        if sol is not None and sol.objective > top and sol.feasible():
+            if sol.objective == bound:
+                return proof, sol
+            best, top = sol, sol.objective
+    return None, best
 
 
 def exact_solve(inst: IpInstance):
     """An integer optimum proved by `upper_bound`; (solution, proof).
 
     The first of `_integral_primals` that meets the bound, or else the
-    root LP floored and grown by the fill "band desc, i asc".  The proof
-    is the name `upper_bound` gives its bound when the result meets it,
-    else None.  Over k <= 11, both variants and n <= 3000 only (1310, 1802,
-    1808; 3; secB) need the LP, whose vertex there is integral at Q.
-    """
+    better of the best of them and the root LP floored and grown by the
+    fill "band desc, i asc", the LP on a tie.  The proof is the name
+    `upper_bound` gives its bound when the result meets it, else None.
+    Over k <= 11, both variants and n <= 3000 only (1310, 1802, 1808; 3;
+    secB) need the LP, whose vertex there is integral at Q."""
     bound, proof = upper_bound(inst)
-    sol = (_first_proved(_integral_primals(inst), bound)[1]
-           or _floor_improve(inst, lp_relax(inst)[1],
-                             _FILL_ORDERS["band desc, i asc"](inst.u, inst.d)))
+    found, sol = _first_proved(_integral_primals(inst), bound)
+    if not found:
+        lp = _floor_improve(inst, lp_relax(inst)[1],
+                            _FILL_ORDERS["band desc, i asc"](inst.u, inst.d))
+        sol = lp if sol is None or lp.objective >= sol.objective else sol
     return sol, proof if sol.objective == bound else None
 
 

@@ -6,8 +6,8 @@ from sperner import bounds
 from sperner.bounds import (ExactRow, best_grouped_lower, bounds_report, refined_upper,
                             scan_exact, scan_small_r, small_r_ceiling,
                             small_r_upper, two_value_range)
-from sperner.combinat import binom, decompose, mms
-from sperner.construction import best_split_b, grouped_factor, grouped_split, split_table
+from sperner.combinat import binom, decompose, divisors, mms
+from sperner.construction import grouped_factor, grouped_split, split_table
 
 
 def _in_domain_params(n_end):
@@ -209,8 +209,9 @@ class TestScans:
         calls = []
         table = bounds.split_table
         monkeypatch.setattr(bounds, "split_table",
-                            lambda n, c: calls.append((n, c)) or table(n, c))
+                            lambda n, c, divs: calls.append((n, c)) or table(n, c, divs))
         assert scan_exact(40, c_max=10 ** 4) == scan_exact(40)
+        assert calls and all(2 <= c <= n // 5 for n, c in calls)
         assert len(calls) <= 200
 
     def test_rejects_c_max_below_2(self):
@@ -220,11 +221,14 @@ class TestScans:
 
     def test_lower_above_upper_raises(self, monkeypatch):
         # a grouped size above the refined bound is an inconsistency, not a
-        # row to skip: double every best size and the scan must stop
-        def doubled(*args):
-            best, witness = best_split_b(*args)
-            return 2 * best, witness
-        monkeypatch.setattr(bounds, "best_split_b", doubled)
+        # row to skip: double binom(m-1, c-1) and the cap numerator
+        # m*binom(h, c+1) of every split, which doubles every best size and
+        # keeps its witness, and the scan must stop
+        table = bounds.split_table
+
+        def doubled(n, c, divs):
+            return [(*s[:2], 2 * s[2], *s[3:6], 2 * s[6], s[7]) for s in table(n, c, divs)]
+        monkeypatch.setattr(bounds, "split_table", doubled)
         with pytest.raises(AssertionError, match="exceeds the refined upper bound"):
             scan_exact(36)
 
@@ -346,8 +350,25 @@ class TestScanAgainstOracle:
                 row.sp, (row.m, row.h, "b"))
 
 
+def best_split_b(c: int, k: int, r: int, splits: list) -> tuple:
+    """The per-k reference of the scan: the largest case-(b) size
+    p * binom(m-1, c-1) over a split_table for one k, and the first split
+    (least m) that reaches it; (0, None) when no split gives a positive
+    size.  The size is compared before the rejection rules: a size above
+    best has p > 0, and r < k keeps cap1 >= 0."""
+    den, best, witness = c * (k - r), 0, None
+    for split in splits:
+        m, h, classes, _, _, mhc, mblocks, _ = split
+        p, cap2 = mhc // den, mblocks // (r * classes)
+        if cap2 < p:
+            p = cap2
+        if p * classes > best and not (p * r % m or h < (c + 1) * -(-r // m)):
+            best, witness = p * classes, split
+    return best, witness
+
+
 def test_best_split_b_is_first_strict_maximum():
-    # the scan's one-k loop against grouped_factor split by split, over the
+    # the per-k reference against grouped_factor split by split, over the
     # k the scan visits for every n <= 300 and c <= 6; each split also on
     # its own, so that every rejection, not only the best split's, counts
     for n in range(4, 301):
@@ -364,3 +385,60 @@ def test_best_split_b_is_first_strict_maximum():
                     if size > best:
                         best, witness = size, split
                 assert best_split_b(c, k, r, splits) == (best, witness), (n, c, k)
+
+
+def test_scan_tests_each_k_one_above_its_best_size(monkeypatch):
+    # the split-by-split walk over live k-intervals finds the per-k
+    # reference's best size at every k the scan visits: its first predicate
+    # test at a k is at best + 1, and a k with no size is never tested
+    first = {}
+    satisfied = bounds._bound_satisfied
+
+    def spy(n, c, r, s):
+        first.setdefault((n, (n - r) // c), s)
+        return satisfied(n, c, r, s)
+    monkeypatch.setattr(bounds, "_bound_satisfied", spy)
+    scan_exact(400, c_max=8)
+    want = {}
+    for n in range(4, 401):
+        for c in range(2, 9):
+            splits = split_table(n, c)
+            for k in range(max(4, n // (c + 1) + 1), n // c):
+                best = best_split_b(c, k, n - c * k, splits)[0]
+                if best:
+                    want[(n, k)] = best + 1
+    assert first == want
+    assert len(want) == 10724
+
+
+def test_split_table_matches_the_enumeration_of_multiples():
+    # divisors of n by trial division up to isqrt(n), squares included,
+    # against every multiple of c below n
+    for n in range(1, 2001):
+        divs = divisors(n)
+        assert divs == [d for d in range(1, n + 1) if n % d == 0], n
+        for c in range(1, 13):
+            want = [grouped_split(c, m, n // m) for m in range(c, n, c) if n % m == 0]
+            assert split_table(n, c) == want == split_table(n, c, divs), (n, c)
+
+
+def test_r_cap_is_both_rules_it_replaces():
+    # r <= r_cap exactly when p2' >= 1 and h >= (c+1)*ceil(r/m), and
+    # c(k - r) <= m*h^c exactly when p1' >= 1, over every split with
+    # n <= 300 and c <= 6 and every k with n // k = c and 1 <= r < k
+    checked = 0
+    for n in range(4, 301):
+        for c in range(2, 7):
+            for split in split_table(n, c):
+                m, h, r_cap = split[0], split[1], split[-1]
+                for k in range(n // (c + 1) + 1, n // c + 1):
+                    r = n - c * k
+                    if r == 0:
+                        continue
+                    # p1' and p2' from their definitions, not from the table
+                    cap1 = m * h ** c // (c * (k - r))
+                    cap2 = m * binom(h, c + 1) // (r * binom(m - 1, c - 1))
+                    assert (r <= r_cap) == (cap2 >= 1 and h >= (c + 1) * -(-r // m)), (n, c, k, m)
+                    assert (c * (k - r) <= m * h ** c) == (cap1 >= 1), (n, c, k, m)
+                    checked += 1
+    assert checked == 26135

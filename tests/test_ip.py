@@ -1063,6 +1063,31 @@ class TestExactAndLp:
         sol, proof = exact_solve(inst)
         assert proof is None and sol.feasible() and sol.objective <= inst.q
 
+    def test_lp_fallback_keeps_the_floored_lp_on_a_tie(self, monkeypatch):
+        # a bound raised by one no primal meets, so the LP fallback runs; the
+        # floored LP and the best primal both reach Q, and the LP is kept
+        inst = build_instance(202, 3, "secA")
+        bound = upper_bound(inst)[0]
+        monkeypatch.setattr(ip, "upper_bound", lambda inst: (bound + 1, "band dual"))
+        floored = _floor_improve(inst, lp_relax(inst)[1],
+                                 ip._FILL_ORDERS["band desc, i asc"](inst.u, inst.d))
+        sol, proof = exact_solve(inst)
+        assert proof is None and sol.x == floored.x
+        assert sol.objective == greedy_solve(inst).objective == bound
+
+    def test_lp_fallback_returns_a_better_primal(self, monkeypatch):
+        # an empty LP vertex and an empty fill "band desc, i asc" leave the
+        # fallback's floored LP empty: the first primal of the largest
+        # objective, the greedy here, is returned instead
+        inst = build_instance(202, 3, "secA")
+        bound = upper_bound(inst)[0]
+        monkeypatch.setattr(ip, "upper_bound", lambda inst: (bound + 1, "band dual"))
+        monkeypatch.setattr(ip, "lp_relax", lambda inst: (Fraction(0), {}))
+        monkeypatch.setitem(ip._FILL_ORDERS, "band desc, i asc", lambda u, d: ())
+        sol, proof = exact_solve(inst)
+        assert proof is None and sol.feasible()
+        assert sol.x == greedy_solve(inst).x and sol.objective == bound
+
 
 def nontrivial_instances(ks, n_max):
     """Every non-trivial instance with k in `ks`, both variants, n <= n_max."""

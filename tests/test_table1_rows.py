@@ -1,9 +1,12 @@
-"""Opt-in: build and exactly verify every Table-1 row of at most 200k parts.
+"""Opt-in: build and exactly verify the Table-1 rows.
 
-These 26 rows hold 1.85M parts together.  The run is outside the default
-suite; select it with
+The 26 rows of at most 200k parts hold 1.85M parts together.  The 40 rows
+above 200k parts hold 24.5M, and the largest, (944,332,8,118), holds 2.49M
+on its own and has needed minutes and close to a GiB.  Both runs are
+outside the default suite; select them with
 
     PYTHONPATH=src python -m pytest -m table1 tests/test_table1_rows.py -s
+    PYTHONPATH=src python -m pytest -m table1_full tests/test_table1_rows.py -s
 
 Each row is built (case b, seed 0) and checked in a fresh process, one at
 a time, so that the peak resident set printed for it is the row's own:
@@ -30,12 +33,12 @@ PART_LIMIT = 200_000
 
 def _rows():
     with open(ROOT / "tests" / "golden" / "table1.csv") as fh:
-        rows = [tuple(int(row[f]) for f in ("n", "k", "m", "h", "sp"))
+        return [tuple(int(row[f]) for f in ("n", "k", "m", "h", "sp"))
                 for row in csv.DictReader(fh)]
-    return [row for row in rows if row[4] * row[1] <= PART_LIMIT]
 
 
-ROWS = _rows()
+ROWS = [row for row in _rows() if row[4] * row[1] <= PART_LIMIT]
+FULL_ROWS = [row for row in _rows() if row[4] * row[1] > PART_LIMIT]
 
 
 def build_and_check(n: int, k: int, m: int, h: int) -> dict:
@@ -62,11 +65,11 @@ def build_and_check(n: int, k: int, m: int, h: int) -> dict:
 def test_row_selection():
     assert len(ROWS) == 26
     assert sum(sp * k for _, k, _, _, sp in ROWS) == 1_851_884
+    assert len(FULL_ROWS) == 40
+    assert sum(sp * k for _, k, _, _, sp in FULL_ROWS) == 24_549_751
 
 
-@pytest.mark.table1
-@pytest.mark.parametrize("n,k,m,h,sp", ROWS, ids=[f"{r[0]}-{r[1]}" for r in ROWS])
-def test_row_builds_and_verifies(n, k, m, h, sp):
+def _build_and_check_apart(n, k, m, h, sp):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
@@ -78,6 +81,18 @@ def test_row_builds_and_verifies(n, k, m, h, sp):
           f"checks {got['check_s']} s, peak RSS {got['peak_rss_mib']} MiB")
     assert got["size"] == sp
     assert all(got["checks"].values()), got["checks"]
+
+
+@pytest.mark.table1
+@pytest.mark.parametrize("n,k,m,h,sp", ROWS, ids=[f"{r[0]}-{r[1]}" for r in ROWS])
+def test_row_builds_and_verifies(n, k, m, h, sp):
+    _build_and_check_apart(n, k, m, h, sp)
+
+
+@pytest.mark.table1_full
+@pytest.mark.parametrize("n,k,m,h,sp", FULL_ROWS, ids=[f"{r[0]}-{r[1]}" for r in FULL_ROWS])
+def test_large_row_builds_and_verifies(n, k, m, h, sp):
+    _build_and_check_apart(n, k, m, h, sp)
 
 
 if __name__ == "__main__":
